@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the shape check for JSON payloads."""
+
+from typing import Mapping
 
 
 class BoundExceededError(RuntimeError):
@@ -15,3 +17,10 @@ class InvariantError(RuntimeError):
     Raised when a quantity the library computes two ways disagrees with
     itself. Indicates a bug, not bad input.
     """
+
+
+def expect_mapping(value, what: str) -> Mapping:
+    """Return a decoded JSON value if it is an object; raise TypeError if not."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value

@@ -12,16 +12,23 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
 from typing import Mapping
 
-from .errors import InvariantError
-from .symgroup import GroupAlgebraElement, alt_projector, sym_projector
+from .errors import BoundExceededError, InvariantError, expect_mapping
+from .partitions import Partition
+from .symgroup import (
+    GroupAlgebraElement,
+    alt_projector,
+    cycle_type_sums,
+    sym_projector,
+)
 
 KIND_WEDGE_FINITE = "wedge-finite"
 KIND_EVENLY_FINITE = "evenly-finite"
 KIND_ODDLY_FINITE = "oddly-finite"
 KIND_NOT_FINITE = "not-finite-up-to"
+
+KOSZUL_BOUND = 8
 
 
 class GradedObject:
@@ -79,7 +86,9 @@ class GradedObject:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GradedObject":
-        return cls({int(k): int(v) for k, v in data.get("dims", {}).items()})
+        data = expect_mapping(data, "graded object")
+        dims = expect_mapping(data.get("dims", {}), "dims")
+        return cls({int(k): int(v) for k, v in dims.items()})
 
 
 def shift(c: GradedObject, r: int) -> GradedObject:
@@ -90,40 +99,36 @@ def euler(c: GradedObject) -> int:
     return c.euler()
 
 
-def _power_image(c: GradedObject, projector: GroupAlgebraElement) -> GradedObject:
-    """Graded dimension of the projector's image inside the tensor power.
+def _power_image(
+    c: GradedObject, by_type: Mapping[Partition, Fraction | int]
+) -> GradedObject:
+    """Graded dimension of an idempotent's image inside the signed tensor power.
 
-    The trace of an exact idempotent is its rank, so per total degree the
-    image dimension is the signed count of basis tuples fixed by each
-    permutation, weighted by the projector coefficients. Only tuples constant
-    on every cycle survive, which keeps the enumeration small.
+    by_type holds the idempotent's coefficient sums per cycle type. The trace
+    of an exact idempotent is its rank, and the graded trace of a permutation
+    on the signed power is a class function: the product over its cycles of
+    p_l(t) = sum over degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l
+    is the cycle length (Macdonald I.7; Berele-Regev for the signs). So the
+    image has graded dimension sum_mu by_type[mu] * prod_{l in mu} p_l(t),
+    and no permutation or basis tuple is enumerated.
     """
-    n = projector.n
-    basis_degrees: list[int] = []
-    for deg in sorted(c.dims):
-        basis_degrees.extend([deg] * c.dims[deg])
-    count = len(basis_degrees)
+    power_sums: dict[int, dict[int, int]] = {}
     acc: dict[int, Fraction | int] = {}
-    for perm, coeff in projector.terms.items():
-        cycles = perm.cycles()
-        images = perm.images
-        inversions = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if images[i] > images[j]
-        ]
-        for choice in _cartesian(range(count), repeat=len(cycles)):
-            degs = [0] * n
-            for cyc, pick in zip(cycles, choice):
-                value = basis_degrees[pick]
-                for pos in cyc:
-                    degs[pos - 1] = value
-            total = sum(degs)
-            parity = 0
-            for i, j in inversions:
-                parity ^= degs[i] & degs[j] & 1
-            acc[total] = acc.get(total, 0) + (-coeff if parity else coeff)
+    for mu, coeff in by_type.items():
+        poly = {0: 1}
+        for l in mu.parts:
+            if l not in power_sums:
+                power_sums[l] = {
+                    l * deg: -dim if (l - 1) * deg % 2 else dim
+                    for deg, dim in c.dims.items()
+                }
+            prod: dict[int, int] = {}
+            for a, x in poly.items():
+                for b, y in power_sums[l].items():
+                    prod[a + b] = prod.get(a + b, 0) + x * y
+            poly = prod
+        for deg, value in poly.items():
+            acc[deg] = acc.get(deg, 0) + coeff * value
     dims: dict[int, int] = {}
     for deg, value in acc.items():
         v = Fraction(value)
@@ -136,37 +141,50 @@ def _power_image(c: GradedObject, projector: GroupAlgebraElement) -> GradedObjec
     return GradedObject(dims)
 
 
+def _check_power_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > KOSZUL_BOUND:
+        raise BoundExceededError(
+            f"graded powers limited to n <= {KOSZUL_BOUND}, got {n}"
+        )
+
+
 def graded_power_image(
     c: GradedObject, projector: GroupAlgebraElement
 ) -> GradedObject:
-    """Image dimensions of an idempotent acting on the n-th signed tensor power."""
+    """Image dimensions of an idempotent acting on the n-th signed tensor power.
+
+    The idempotence e*e = e is verified by exact convolution; the dimensions
+    then come from the cycle-type trace formula of _power_image. Limited to
+    n <= KOSZUL_BOUND.
+    """
+    _check_power_order(projector.n)
     if projector * projector != projector:
         raise ValueError("projector is not idempotent")
-    return _power_image(c, projector)
+    return _power_image(c, cycle_type_sums(projector))
 
 
 @lru_cache(maxsize=None)
-def _alt(n: int) -> GroupAlgebraElement:
-    return alt_projector(n)
+def _alt_sums(n: int) -> dict[Partition, Fraction | int]:
+    return cycle_type_sums(alt_projector(n))
 
 
 @lru_cache(maxsize=None)
-def _sym(n: int) -> GroupAlgebraElement:
-    return sym_projector(n)
+def _sym_sums(n: int) -> dict[Partition, Fraction | int]:
+    return cycle_type_sums(sym_projector(n))
 
 
 def wedge(c: GradedObject, n: int) -> GradedObject:
-    """n-th exterior power in the signed graded sense."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _power_image(c, _alt(n))
+    """n-th exterior power in the signed graded sense, for n <= KOSZUL_BOUND."""
+    _check_power_order(n)
+    return _power_image(c, _alt_sums(n))
 
 
 def sym(c: GradedObject, n: int) -> GradedObject:
-    """n-th symmetric power in the signed graded sense."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _power_image(c, _sym(n))
+    """n-th symmetric power in the signed graded sense, for n <= KOSZUL_BOUND."""
+    _check_power_order(n)
+    return _power_image(c, _sym_sums(n))
 
 
 def euler_falling_factorial(chi: int, n: int) -> Fraction:
@@ -223,6 +241,10 @@ def certify_finiteness(
         bound = c.total_dim() + 2
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound + 1 > KOSZUL_BOUND:
+        raise BoundExceededError(
+            f"certificate needs powers up to {bound + 1}, limited to {KOSZUL_BOUND}"
+        )
     wedge_powers = {m: wedge(c, m) for m in range(bound + 2)}
     sym_powers = {m: sym(c, m) for m in range(bound + 2)}
 

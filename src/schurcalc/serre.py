@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError
+from .errors import InvariantError, WindowExceededError, expect_mapping
 
 DIMENSION_BOUND = 3
 TWIST_BOUND = 20
@@ -229,8 +229,9 @@ class BigradedVS:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BigradedVS":
+        data = expect_mapping(data, "bigraded space")
         dims = {}
-        for key, dim in data.get("dims", {}).items():
+        for key, dim in expect_mapping(data.get("dims", {}), "dims").items():
             r_text, i_text = key.split(",")
             dims[(int(r_text), int(i_text))] = int(dim)
         return cls(dims)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _tuple_permutations
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError
+from .errors import BoundExceededError, InvariantError, expect_mapping
 from .partitions import (
     Partition,
     StandardTableau,
@@ -172,18 +172,27 @@ class GroupAlgebraElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        # work on raw image tuples, rebuilding Permutations once at the end
-        right = [(q.images, cq) for q, cq in other.terms.items()]
-        acc: dict[tuple[int, ...], Fraction | int] = {}
-        for p, cp in self.terms.items():
-            pim = p.images
-            for qim, cq in right:
-                rim = tuple(pim[j - 1] for j in qim)
+        # work on raw image tuples and integer numerators over one common
+        # denominator per operand; divide once per output term at the end
+        da, left = _numerators(self.terms)
+        db, right = _numerators(other.terms)
+        right = [(tuple(j - 1 for j in qim), cq) for qim, cq in right]
+        acc: dict[tuple[int, ...], int] = {}
+        for pim, cp in left:
+            at = pim.__getitem__
+            for qidx, cq in right:
+                rim = tuple(map(at, qidx))
                 c = cp * cq
                 prev = acc.get(rim)
                 acc[rim] = c if prev is None else prev + c
+        den = da * db
         return GroupAlgebraElement(
-            self.n, {Permutation(im): c for im, c in acc.items() if c != 0}
+            self.n,
+            {
+                Permutation(im): c if den == 1 else Fraction(c, den)
+                for im, c in acc.items()
+                if c != 0
+            },
         )
 
     def support(self) -> list[Permutation]:
@@ -219,6 +228,25 @@ class GroupAlgebraElement:
                 raise ValueError("cannot infer degree of an empty element")
             n = next(iter(terms)).n
         return cls(n, terms)
+
+
+def _numerators(
+    terms: Mapping[Permutation, Fraction | int]
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """Common denominator d and the pairs (images, d * coeff), all integers."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [
+        (p.images, c.numerator * (den // c.denominator)) for p, c in terms.items()
+    ]
+
+
+def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
+    """Sum of the element's coefficients over each conjugacy class it meets."""
+    by_type: dict[Partition, Fraction | int] = {}
+    for perm, coeff in element.terms.items():
+        t = perm.cycle_type()
+        by_type[t] = by_type.get(t, 0) + coeff
+    return by_type
 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
@@ -522,15 +550,10 @@ class SymChar:
 
     @classmethod
     def from_json(cls, n: int, data: Mapping[str, int]) -> "SymChar":
+        data = expect_mapping(data, f"level {n} character")
         return cls(
             n, {Partition.from_string(key): int(m) for key, m in data.items()}
         )
-
-
-def _class_function_from_traces(
-    n: int, trace_of: Callable[[Partition], Fraction | int]
-) -> dict[Partition, Fraction | int]:
-    return {mu: trace_of(mu) for mu in all_partitions(n)}
 
 
 def _decompose_class_function(
@@ -574,17 +597,13 @@ def decompose_module(
         if e * e != e:
             raise ValueError("element is not idempotent, so it cuts out no module")
 
-        # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients
-        by_type: dict[Partition, Fraction | int] = {}
-        for perm, coeff in e.terms.items():
-            t = perm.cycle_type()
-            by_type[t] = by_type.get(t, 0) + coeff
-
-        def trace_of(mu: Partition) -> Fraction | int:
-            # each h conjugate to the representative is hit |centralizer| times
-            return centralizer_order(mu) * by_type.get(mu, 0)
-
-        return _decompose_class_function(n, _class_function_from_traces(n, trace_of))
+        # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients,
+        # each h conjugate to the representative hit |centralizer| times
+        by_type = cycle_type_sums(e)
+        traces = {
+            mu: centralizer_order(mu) * by_type.get(mu, 0) for mu in all_partitions(n)
+        }
+        return _decompose_class_function(n, traces)
 
     if isinstance(module, Mapping):
         if not module:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, expect_mapping
 from .glchar import lr_expand
 from .partitions import Partition
 from .symgroup import SymChar
@@ -85,8 +85,9 @@ class SymSeq:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SymSeq":
+        data = expect_mapping(data, "sequence")
         levels = {}
-        for key, coeffs in data.get("levels", {}).items():
+        for key, coeffs in expect_mapping(data.get("levels", {}), "levels").items():
             level = int(key)
             levels[level] = SymChar.from_json(level, coeffs)
         return cls(levels)

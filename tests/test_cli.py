@@ -1,6 +1,7 @@
 """End-to-end runs of the command line program, including exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,23 @@ def test_malformed_json_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wedge-dim", "[1,2]"),
+        ("schur-weyl", "--d", "2", "--seq", "[1]"),
+        ("euler-chi", "null"),
+        ("wedge-dim", '{"dims":[1]}'),
+        ("localize", "--d", "2", '{"levels":{"2":[1]}}'),
+        ("gm-shift", "3"),
+    ],
+)
+def test_non_object_payload_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-input"
+
+
 def test_bound_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "symmetrizer", "5,4,3")
     assert code == 3
@@ -156,6 +174,14 @@ def test_bound_exceeded_exits_3(capsys):
 def test_window_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "serre", "--n", "1", "--window", "-30:30")
     assert code == 3
+
+
+def test_koszul_bound_exits_3_before_any_power(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wedge-dim", '{"dims":{"0":12}}')
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(err)["error"] == "bound-exceeded"
 
 
 def test_tensor_bound_exits_3(capsys):

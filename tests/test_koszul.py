@@ -6,15 +6,20 @@ tensor power basis, where each adjacent swap contributes a sign when both
 slots sit in odd degree, and compare ranks per total degree.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurcalc.errors import BoundExceededError
 from schurcalc.koszul import (
     KIND_NOT_FINITE,
     KIND_ODDLY_FINITE,
     KIND_WEDGE_FINITE,
+    KOSZUL_BOUND,
     FinitenessCertificate,
     GradedObject,
     certify_finiteness,
@@ -24,7 +29,7 @@ from schurcalc.koszul import (
     sym,
     wedge,
 )
-from schurcalc.partitions import Partition
+from schurcalc.partitions import all_partitions, standard_tableaux
 from schurcalc.symgroup import (
     GroupAlgebraElement,
     Permutation,
@@ -164,17 +169,44 @@ def _image_dims_by_matrix(c: GradedObject, element: GroupAlgebraElement) -> dict
     return dims
 
 
+def _young_idempotents(max_size: int) -> list[GroupAlgebraElement]:
+    out = []
+    for size in range(1, max_size + 1):
+        for shape in all_partitions(size):
+            for tableau in standard_tableaux(shape):
+                c, a = young_symmetrizer(tableau)
+                out.append(c.scale(Fraction(1) / a))
+    return out
+
+
+YOUNG_IDEMPOTENTS = _young_idempotents(4)
+
+
 @pytest.mark.parametrize(
     "dims",
     [{0: 1, 1: 1}, {1: 2}, {-1: 1, 2: 1}, {0: 2, 1: 1}],
 )
 def test_trace_formula_matches_matrix_ranks(dims):
     c = GradedObject(dims)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         assert _image_dims_by_matrix(c, alt_projector(n)) == wedge(c, n).dims
         assert _image_dims_by_matrix(c, sym_projector(n)) == sym(c, n).dims
-    mixed_c, mixed_a = young_symmetrizer(Partition((2, 1)))
-    e = mixed_c.scale(Fraction(1) / mixed_a)
+    for e in YOUNG_IDEMPOTENTS:
+        assert _image_dims_by_matrix(c, e) == graded_power_image(c, e).dims
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # one basis vector per entry, so the total dimension is at most 3
+    degrees=st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    n=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_trace_formula_matches_matrix_ranks_random(degrees, n, data):
+    c = GradedObject(Counter(degrees))
+    projectors = [alt_projector(n), sym_projector(n), GroupAlgebraElement.unit(n)]
+    projectors += [e for e in YOUNG_IDEMPOTENTS if e.n == n]
+    e = data.draw(st.sampled_from(projectors))
     assert _image_dims_by_matrix(c, e) == graded_power_image(c, e).dims
 
 
@@ -202,6 +234,24 @@ def test_graded_power_rejects_non_idempotent():
     bad = GroupAlgebraElement(2, {Permutation((2, 1)): 1, Permutation.identity(2): 1})
     with pytest.raises(ValueError):
         graded_power_image(c, bad)
+
+
+def test_power_order_bound():
+    line = GradedObject({1: 1})
+    full = graded_power_image(line, GroupAlgebraElement.unit(KOSZUL_BOUND))
+    assert full.dims == {KOSZUL_BOUND: 1}
+    with pytest.raises(BoundExceededError):
+        wedge(line, KOSZUL_BOUND + 1)
+    with pytest.raises(BoundExceededError):
+        sym(line, KOSZUL_BOUND + 1)
+    with pytest.raises(BoundExceededError):
+        graded_power_image(line, GroupAlgebraElement.unit(KOSZUL_BOUND + 1))
+    # a certificate needs powers up to bound + 1; the bound is checked first
+    with pytest.raises(BoundExceededError):
+        certify_finiteness(line, bound=KOSZUL_BOUND)
+    with pytest.raises(BoundExceededError):
+        certify_finiteness(GradedObject({0: 12}))
+    assert certify_finiteness(line, bound=KOSZUL_BOUND - 1).kind == KIND_ODDLY_FINITE
 
 
 def test_full_power_dimension():
@@ -240,7 +290,7 @@ def test_falling_factorial_small_grid():
 
     for c in objects(3):
         chi = c.euler()
-        for n in range(5):
+        for n in range(8):
             assert Fraction(wedge(c, n).euler()) == euler_falling_factorial(chi, n)
 
 

@@ -24,6 +24,7 @@ from schurcalc.symgroup import (
     character_table,
     class_representative,
     conjugacy_class_size,
+    cycle_type_sums,
     decompose_module,
     induction_multiplicity,
     sym_projector,
@@ -122,6 +123,79 @@ def test_projector_identities():
         zero = GroupAlgebraElement.zero(n)
         assert sym_projector(n) * alt_projector(n) == zero
         assert alt_projector(n) * sym_projector(n) == zero
+
+
+def _naive_product(x: GroupAlgebraElement, y: GroupAlgebraElement) -> dict:
+    """Reference convolution: every pair of terms, summed as Fractions."""
+    acc: dict[Permutation, Fraction] = {}
+    for p, cp in x.terms.items():
+        for q, cq in y.terms.items():
+            r = p * q
+            acc[r] = acc.get(r, Fraction(0)) + Fraction(cp) * Fraction(cq)
+    return {r: c for r, c in acc.items() if c != 0}
+
+
+S3 = all_permutations(3)
+SWAP12 = Permutation((2, 1, 3))
+ROTATE = Permutation((2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # mixed int and Fraction operands
+        (
+            GroupAlgebraElement(3, {SWAP12: 2, ROTATE: Fraction(-1, 3)}),
+            GroupAlgebraElement(3, {p: Fraction(i + 1, 5) for i, p in enumerate(S3)}),
+        ),
+        (
+            GroupAlgebraElement(3, {p: Fraction(1, i + 2) for i, p in enumerate(S3)}),
+            GroupAlgebraElement(3, {p: 3 - i for i, p in enumerate(S3)}),
+        ),
+        # (1 + s)(1 - s) = 1 - s^2 = 0: every term cancels
+        (
+            GroupAlgebraElement(3, {S3[0]: 1, SWAP12: 1}),
+            GroupAlgebraElement(3, {S3[0]: 1, SWAP12: -1}),
+        ),
+        # half the identity times twice a permutation: denominators reduce to 1
+        (
+            GroupAlgebraElement(3, {S3[0]: Fraction(1, 2)}),
+            GroupAlgebraElement(3, {ROTATE: 2, SWAP12: Fraction(4, 3)}),
+        ),
+        (alt_projector(3), sym_projector(3)),
+        (GroupAlgebraElement.zero(3), sym_projector(3)),
+        (alt_projector(3), GroupAlgebraElement.zero(3)),
+        (GroupAlgebraElement.zero(3), GroupAlgebraElement.zero(3)),
+    ],
+)
+def test_convolution_matches_naive_fraction_loop(x, y):
+    got = x * y
+    assert got.n == 3
+    assert got.terms == _naive_product(x, y)
+    assert all(isinstance(c, (int, Fraction)) and c != 0 for c in got.terms.values())
+
+
+def test_integer_convolution_keeps_int_coefficients():
+    x = GroupAlgebraElement(3, {p: i - 2 for i, p in enumerate(S3)})
+    y = GroupAlgebraElement(3, {SWAP12: 3, ROTATE: -1})
+    got = x * y
+    assert got.terms == _naive_product(x, y)
+    assert all(type(c) is int for c in got.terms.values())
+    c, _ = young_symmetrizer(Partition((2, 1)))
+    assert all(type(v) is int for v in (c * c).terms.values())
+
+
+def test_cycle_type_sums():
+    assert cycle_type_sums(sym_projector(3)) == {
+        Partition((1, 1, 1)): Fraction(1, 6),
+        Partition((2, 1)): Fraction(1, 2),
+        Partition((3,)): Fraction(1, 3),
+    }
+    assert cycle_type_sums(GroupAlgebraElement(3, {SWAP12: 1, ROTATE: 2})) == {
+        Partition((2, 1)): 1,
+        Partition((3,)): 2,
+    }
+    assert cycle_type_sums(GroupAlgebraElement.zero(3)) == {}
 
 
 def test_group_algebra_json_roundtrip():
