@@ -96,7 +96,17 @@ class Permutation:
         return Partition(tuple(lengths))
 
     def sign(self) -> int:
-        return -1 if (self.n - len(self.cycles())) % 2 else 1
+        images = self.images
+        seen = [False] * (self.n + 1)
+        cycles = 0
+        for start in range(1, self.n + 1):
+            if not seen[start]:
+                cycles += 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = images[j - 1]
+        return -1 if (self.n - cycles) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -265,17 +275,18 @@ def alt_projector(n: int) -> GroupAlgebraElement:
 
 def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[Permutation]:
     """All permutations fixing each block setwise (the Young subgroup of the blocks)."""
-    perms = [Permutation.identity(n)]
+    images = [tuple(range(1, n + 1))]
     for block in blocks:
         extended = []
         for rearranged in _tuple_permutations(block):
-            images = list(range(1, n + 1))
-            for src, dst in zip(block, rearranged):
-                images[src - 1] = dst
-            g = Permutation(tuple(images))
-            extended.extend(base * g for base in perms)
-        perms = extended
-    return perms
+            # the earlier blocks' permutations fix this block pointwise
+            for base in images:
+                im = list(base)
+                for src, dst in zip(block, rearranged):
+                    im[src - 1] = dst
+                extended.append(tuple(im))
+        images = extended
+    return [Permutation(im) for im in images]
 
 
 def row_symmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
@@ -294,14 +305,124 @@ def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     )
 
 
+def _bounded_compositions(total: int, caps: list[int]):
+    """Tuples of nonnegative ints summing to total, entry i at most caps[i]."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for k in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _bounded_compositions(total - k, caps[1:]):
+            yield (k,) + tail
+
+
+def _double_coset_representatives(tableau: StandardTableau) -> list[tuple[int, ...]]:
+    """Images of one permutation g in each double coset C g R of the tableau.
+
+    C and R are the column and row groups. The double coset of g is fixed by
+    the matrix M with M[j][i] the number of entries of row i that g sends
+    into column j; every nonnegative integer matrix whose rows sum to the
+    column lengths and whose columns sum to the row lengths occurs. For each
+    (j, i) in turn the representative sends the next M[j][i] entries of row
+    i to the next free entries of column j.
+    """
+    rows = tableau.row_sets()
+    cols = tableau.column_sets()
+    reps = []
+
+    def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
+        if j == len(cols):
+            images = [0] * tableau.size
+            used = [0] * len(rows)
+            for col, counts in zip(cols, matrix):
+                free = iter(col)
+                for i, k in enumerate(counts):
+                    for entry in rows[i][used[i]:used[i] + k]:
+                        images[entry - 1] = next(free)
+                    used[i] += k
+            reps.append(tuple(images))
+            return
+        for counts in _bounded_compositions(len(cols[j]), capacity):
+            fill(j + 1, [c - k for c, k in zip(capacity, counts)], matrix + [counts])
+
+    fill(0, [len(r) for r in rows], [])
+    return reps
+
+
+def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], int]]:
+    """Generators of the permutations of the block, as 1-based image tables with sign.
+
+    A transposition of two entries and the cycle through all of them generate
+    the symmetric group of the block; table[i] is the image of i, table[0]
+    is unused.
+    """
+    if len(block) < 2:
+        return []
+    gens = []
+    for cycle in [block[:2], block] if len(block) > 2 else [block]:
+        table = list(range(n + 1))
+        for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+            table[src] = dst
+        gens.append((table, (-1) ** (len(cycle) - 1)))
+    return gens
+
+
+def _symmetrizer_identity_holds(
+    tableau: StandardTableau, c: GroupAlgebraElement, a: Fraction | int
+) -> bool:
+    """Whether c has the symmetries of b*r for the tableau and c*c == a*c.
+
+    Both parts are exact. First c itself is checked to be sign-equivariant
+    on the left under the column group C and invariant on the right under
+    the row group R, on generators of each: c_{t g} = sgn(t) c_g and
+    c_{g s} = c_g. By associativity c*c - a*c is then equivariant the same
+    way, so it vanishes once it vanishes on one g per double coset C g R,
+    where (c*c)_g = sum over p of c_p * c_{p^-1 g}. Each generator and each
+    representative costs one pass over the support of c.
+    """
+    n = tableau.size
+    coeff = {p.images: v for p, v in c.terms.items()}
+    get = coeff.get
+
+    for col in tableau.column_sets():
+        for table, sign in _block_generators(col, n):
+            at = table.__getitem__
+            # (t g)(i) = t(g(i))
+            if any(get(tuple(map(at, im)), 0) != sign * v for im, v in coeff.items()):
+                return False
+    for row in tableau.row_sets():
+        for table, _sign in _block_generators(row, n):
+            positions = [i - 1 for i in table[1:]]
+            # (g s)(i) = g(s(i))
+            if any(
+                get(tuple(map(im.__getitem__, positions)), 0) != v
+                for im, v in coeff.items()
+            ):
+                return False
+
+    inverses = []
+    for im, v in coeff.items():
+        inv = [0] * (n + 1)
+        for i, j in enumerate(im, start=1):
+            inv[j] = i
+        inverses.append((inv.__getitem__, v))
+    for g in _double_coset_representatives(tableau):
+        # (p^-1 g)(i) = p^-1(g(i))
+        square = sum(v * get(tuple(map(inv, g)), 0) for inv, v in inverses)
+        if square != a * get(g, 0):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _young_symmetrizer_cached(tableau: StandardTableau):
     n = tableau.size
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
     f = dim_sym_irrep(tableau.shape)
     a = math.factorial(n) // f
-    # the scalar is verified by exact multiplication, not trusted
-    if c * c != c.scale(a):
+    # the scalar is verified exactly, not trusted
+    if not _symmetrizer_identity_holds(tableau, c, a):
         raise InvariantError(
             f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
         )
@@ -315,8 +436,13 @@ def young_symmetrizer(
 
     c is the column antisymmetrizer times the row symmetrizer of the tableau
     (for a bare shape, of its row reading filling), with integer coefficients.
-    a always equals n! divided by the number of standard tableaux; the identity
-    c*c = a*c is checked by exact convolution, which costs O(|support(c)|^2).
+    a always equals n! divided by the number of standard tableaux. The whole
+    identity c*c = a*c is checked exactly, in O(k * |support(c)|) steps, k
+    being at most two generators per row and per column plus the number of
+    double cosets C g R of the column group C and the row group R. c is
+    checked to be sign-equivariant under C on the left and invariant under R
+    on the right, so c*c - a*c is too, and it vanishes everywhere once it
+    vanishes on one permutation per double coset.
     c/a is the idempotent cutting one copy of the irreducible of the shape.
     """
     if isinstance(tableau, Partition):

@@ -42,6 +42,13 @@ def test_symmetrizer_output(capsys):
     assert out["idempotent_after_scaling"] is True
 
 
+def test_size_eight_symmetrizer(capsys):
+    result = run_json(capsys, "symmetrizer", "2,1,1,1,1,1,1")
+    out = result["output"]
+    assert out["scalar"] == {"num": 5760, "den": 1}
+    assert out["support_size"] == 10080
+
+
 def test_schur_weyl_inline_json(capsys):
     result = run_json(
         capsys, "schur-weyl", "--d", "2", "--seq", '{"levels":{"2":{"2":1,"1,1":1}}}'

@@ -10,8 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from schurcalc.errors import BoundExceededError
-from schurcalc.partitions import Partition, all_partitions, canonical_tableau, dim_sym_irrep
+from schurcalc import symgroup
+from schurcalc.errors import BoundExceededError, InvariantError
+from schurcalc.partitions import (
+    Partition,
+    all_partitions,
+    canonical_tableau,
+    dim_sym_irrep,
+    standard_tableaux,
+)
 from schurcalc.symgroup import (
     GroupAlgebraElement,
     Permutation,
@@ -23,10 +30,12 @@ from schurcalc.symgroup import (
     char_irrep,
     character_table,
     class_representative,
+    column_antisymmetrizer,
     conjugacy_class_size,
     cycle_type_sums,
     decompose_module,
     induction_multiplicity,
+    row_symmetrizer,
     sym_projector,
     young_symmetrizer,
 )
@@ -239,6 +248,113 @@ def test_symmetrizer_row_shape_is_total_symmetrizer():
 def test_symmetrizer_bound():
     with pytest.raises(BoundExceededError):
         young_symmetrizer(Partition((5, 4)))
+
+
+SMALL_TABLEAUX = [
+    t for n in range(6) for shape in all_partitions(n) for t in standard_tableaux(shape)
+]
+
+
+def _tableau_id(t):
+    return "/".join(",".join(map(str, row)) for row in t.rows) or "empty"
+
+
+def _group_of_blocks(blocks, n):
+    """Brute force over Sigma_n: the permutations that fix every block setwise."""
+    return [
+        p for p in all_permutations(n)
+        if all({p(x) for x in block} == set(block) for block in blocks)
+    ]
+
+
+@pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)
+def test_double_coset_representatives_partition_the_group(tableau):
+    n = tableau.size
+    cols = _group_of_blocks(tableau.column_sets(), n)
+    rows = _group_of_blocks(tableau.row_sets(), n)
+    reps = symgroup._double_coset_representatives(tableau)
+    seen: set = set()
+    for images in reps:
+        g = Permutation(images)
+        coset = {gamma * g * rho for gamma in cols for rho in rows}
+        assert not coset & seen, f"representative {images} repeats a double coset"
+        seen |= coset
+    assert seen == set(all_permutations(n))
+
+
+@pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)
+def test_symmetrizer_check_matches_full_square(tableau):
+    n = tableau.size
+    c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
+    a = math.factorial(n) // dim_sym_irrep(tableau.shape)
+    square = c * c
+    for scalar in (a, a + 1):
+        assert symgroup._symmetrizer_identity_holds(tableau, c, scalar) == (
+            square == c.scale(scalar)
+        )
+    assert young_symmetrizer(tableau) == (c, a)
+
+
+@pytest.mark.parametrize(
+    "tableau", [t for t in SMALL_TABLEAUX if t.size >= 2], ids=_tableau_id
+)
+def test_symmetrizer_check_rejects_one_changed_coefficient(tableau):
+    n = tableau.size
+    c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
+    a = math.factorial(n) // dim_sym_irrep(tableau.shape)
+    outside = [p for p in all_permutations(n) if p not in c.terms][:3]
+    for perm in list(c.terms) + outside:
+        for delta in (1, -1):
+            terms = dict(c.terms)
+            terms[perm] = terms.get(perm, 0) + delta
+            changed = GroupAlgebraElement(n, terms)
+            assert not symgroup._symmetrizer_identity_holds(tableau, changed, a)
+
+
+CONJUGATION_TABLEAUX = [t for t in SMALL_TABLEAUX if t.size <= 4] + [
+    canonical_tableau(shape) for shape in all_partitions(5)
+]
+
+
+@pytest.mark.parametrize("tableau", CONJUGATION_TABLEAUX, ids=_tableau_id)
+def test_symmetrizer_check_rejects_conjugates_without_the_symmetries(tableau):
+    # every conjugate g c g^-1 satisfies the identity with the same scalar, but
+    # b Q[S_n] r is the line through c, so only c itself has the symmetries of b*r
+    n = tableau.size
+    c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
+    a = math.factorial(n) // dim_sym_irrep(tableau.shape)
+    for g in all_permutations(n):
+        g_inv = g.inverse()
+        conj = GroupAlgebraElement(n, {g * p * g_inv: v for p, v in c.terms.items()})
+        assert symgroup._symmetrizer_identity_holds(tableau, conj, a) == (conj == c)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2, 1), (3, 1, 1), (1, 1, 1)])
+def test_symmetrizer_failed_check_raises(monkeypatch, shape):
+    tableau = canonical_tableau(Partition(shape))
+    real = symgroup.row_symmetrizer
+
+    def row_symmetrizer_with_identity_doubled(t):
+        return real(t) + GroupAlgebraElement.unit(t.size)
+
+    monkeypatch.setattr(symgroup, "row_symmetrizer", row_symmetrizer_with_identity_doubled)
+    with pytest.raises(InvariantError, match="symmetrizer square is not"):
+        symgroup._young_symmetrizer_cached.__wrapped__(tableau)
+
+
+@pytest.mark.parametrize(
+    "shape, hook_product, support",
+    [
+        # hooks 8,3,2,1 in the first row and 4,3,2,1 below it
+        ((4, 1, 1, 1, 1), 1152, 2880),
+        # hooks 8,1 in the first row and 6,5,4,3,2,1 below it
+        ((2, 1, 1, 1, 1, 1, 1), 5760, 10080),
+    ],
+)
+def test_size_eight_symmetrizer_scalar_is_hook_product(shape, hook_product, support):
+    c, a = young_symmetrizer(Partition(shape))
+    assert a == hook_product
+    assert len(c.terms) == support
 
 
 # ---------------------------------------------------------------------------
