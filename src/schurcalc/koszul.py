@@ -20,6 +20,7 @@ from .symgroup import (
     GroupAlgebraElement,
     alt_projector,
     cycle_type_sums,
+    is_idempotent,
     sym_projector,
 )
 
@@ -155,12 +156,13 @@ def graded_power_image(
 ) -> GradedObject:
     """Image dimensions of an idempotent acting on the n-th signed tensor power.
 
-    The idempotence e*e = e is verified by exact convolution; the dimensions
-    then come from the cycle-type trace formula of _power_image. Limited to
-    n <= KOSZUL_BOUND.
+    The idempotence e*e = e is verified exactly by symgroup.is_idempotent, on
+    one permutation per double coset of e's own Young symmetries; the
+    dimensions then come from the cycle-type trace formula of _power_image.
+    Limited to n <= KOSZUL_BOUND.
     """
     _check_power_order(projector.n)
-    if projector * projector != projector:
+    if not is_idempotent(projector):
         raise ValueError("projector is not idempotent")
     return _power_image(c, cycle_type_sums(projector))
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _tuple_permutations
+from itertools import islice, permutations as _tuple_permutations
 from typing import Mapping
 
 from .errors import BoundExceededError, InvariantError, expect_mapping
@@ -24,6 +24,9 @@ from .partitions import (
 
 SYMMETRIZER_BOUND = 8
 CHARACTER_BOUND = 8
+# products an idempotence check may spend: every element of Q[Sigma_7] can
+# still be squared, a full-support element of Sigma_8 (1.6e9) cannot
+IDEMPOTENT_CHECK_BOUND = math.factorial(7) ** 2
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,13 @@ class Permutation:
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from an int tuple already known to hold 1..n once each."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -91,9 +101,25 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
+    def cycle_lengths(self) -> tuple[int, ...]:
+        """Cycle lengths including fixed points, longest first."""
+        images = self.images
+        seen = [False] * (self.n + 1)
+        lengths = []
+        for start in range(1, self.n + 1):
+            if not seen[start]:
+                length = 0
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = images[j - 1]
+                    length += 1
+                lengths.append(length)
+        lengths.sort(reverse=True)
+        return tuple(lengths)
+
     def cycle_type(self) -> Partition:
-        lengths = sorted((len(c) for c in self.cycles()), reverse=True)
-        return Partition(tuple(lengths))
+        return Partition(self.cycle_lengths())
 
     def sign(self) -> int:
         images = self.images
@@ -112,7 +138,7 @@ class Permutation:
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     """All of Sigma_n in lexicographic one line order."""
-    return tuple(Permutation(t) for t in _tuple_permutations(range(1, n + 1)))
+    return tuple(map(Permutation._unchecked, _tuple_permutations(range(1, n + 1))))
 
 
 class GroupAlgebraElement:
@@ -199,7 +225,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(
             self.n,
             {
-                Permutation(im): c if den == 1 else Fraction(c, den)
+                Permutation._unchecked(im): c if den == 1 else Fraction(c, den)
                 for im, c in acc.items()
                 if c != 0
             },
@@ -252,11 +278,11 @@ def _numerators(
 
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
     """Sum of the element's coefficients over each conjugacy class it meets."""
-    by_type: dict[Partition, Fraction | int] = {}
+    by_lengths: dict[tuple[int, ...], Fraction | int] = {}
     for perm, coeff in element.terms.items():
-        t = perm.cycle_type()
-        by_type[t] = by_type.get(t, 0) + coeff
-    return by_type
+        t = perm.cycle_lengths()
+        by_lengths[t] = by_lengths.get(t, 0) + coeff
+    return {Partition(t): total for t, total in by_lengths.items()}
 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
@@ -286,7 +312,7 @@ def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[Permutation]:
                     im[src - 1] = dst
                 extended.append(tuple(im))
         images = extended
-    return [Permutation(im) for im in images]
+    return [Permutation._unchecked(im) for im in images]
 
 
 def row_symmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
@@ -317,37 +343,39 @@ def _bounded_compositions(total: int, caps: list[int]):
             yield (k,) + tail
 
 
-def _double_coset_representatives(tableau: StandardTableau) -> list[tuple[int, ...]]:
-    """Images of one permutation g in each double coset C g R of the tableau.
+def _double_coset_representatives(
+    left: list[tuple[int, ...]], right: list[tuple[int, ...]]
+):
+    """Images of one permutation g in each double coset L g R, one at a time.
 
-    C and R are the column and row groups. The double coset of g is fixed by
-    the matrix M with M[j][i] the number of entries of row i that g sends
-    into column j; every nonnegative integer matrix whose rows sum to the
-    column lengths and whose columns sum to the row lengths occurs. For each
-    (j, i) in turn the representative sends the next M[j][i] entries of row
-    i to the next free entries of column j.
+    L and R are the Young subgroups of the left and right blocks, each list
+    a set partition of 1..n. The double coset of g is fixed by the matrix M
+    with M[j][i] the number of entries of right block i that g sends into
+    left block j; every nonnegative integer matrix whose rows sum to the left
+    block sizes and whose columns sum to the right block sizes occurs. For
+    each (j, i) in turn the representative sends the next M[j][i] entries of
+    right block i to the next free entries of left block j.
     """
-    rows = tableau.row_sets()
-    cols = tableau.column_sets()
-    reps = []
+    n = sum(map(len, left))
 
     def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
-        if j == len(cols):
-            images = [0] * tableau.size
-            used = [0] * len(rows)
-            for col, counts in zip(cols, matrix):
-                free = iter(col)
+        if j == len(left):
+            images = [0] * n
+            used = [0] * len(right)
+            for block, counts in zip(left, matrix):
+                free = iter(block)
                 for i, k in enumerate(counts):
-                    for entry in rows[i][used[i]:used[i] + k]:
+                    for entry in right[i][used[i]:used[i] + k]:
                         images[entry - 1] = next(free)
                     used[i] += k
-            reps.append(tuple(images))
+            yield tuple(images)
             return
-        for counts in _bounded_compositions(len(cols[j]), capacity):
-            fill(j + 1, [c - k for c, k in zip(capacity, counts)], matrix + [counts])
+        for counts in _bounded_compositions(len(left[j]), capacity):
+            yield from fill(
+                j + 1, [c - k for c, k in zip(capacity, counts)], matrix + [counts]
+            )
 
-    fill(0, [len(r) for r in rows], [])
-    return reps
+    return fill(0, [len(b) for b in right], [])
 
 
 def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], int]]:
@@ -368,6 +396,64 @@ def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], i
     return gens
 
 
+def _acts_by_sign(
+    coeff: dict[tuple[int, ...], Fraction | int],
+    table: list[int],
+    left: bool,
+    sign: int | None = None,
+) -> bool:
+    """Whether N_{s g} = sign N_g (left) or N_{g s} = sign N_g (right) for every g.
+
+    N maps image tuples to coefficients and s is given by its 1-based image
+    table. With sign None the sign is read from the first term and must be
+    1 or -1. Checking the support of N suffices: if it passes, s maps the
+    finite support into itself injectively, hence onto, so N_{s g} = 0 = N_g
+    off it. The pass stops at the first mismatch.
+    """
+    if not coeff:
+        return True
+    get = coeff.get
+    if left:
+        at = table.__getitem__
+        # (s g)(i) = s(g(i))
+        pairs = ((get(tuple(map(at, im)), 0), v) for im, v in coeff.items())
+    else:
+        positions = [i - 1 for i in table[1:]]
+        # (g s)(i) = g(s(i))
+        pairs = (
+            (get(tuple(map(im.__getitem__, positions)), 0), v)
+            for im, v in coeff.items()
+        )
+    if sign is None:
+        w, v = next(pairs)
+        if w != v and w != -v:
+            return False
+        sign = 1 if w == v else -1
+    return all(w == sign * v for w, v in pairs)
+
+
+def _square_matches(
+    coeff: dict[tuple[int, ...], Fraction | int], reps, scalar: Fraction | int
+) -> bool:
+    """Whether (N*N)_g == scalar * N_g at every g in reps.
+
+    N maps image tuples to coefficients; (N*N)_g = sum over p of
+    N_p * N_{p^-1 g}, one pass over the support of N per g.
+    """
+    get = coeff.get
+    inverses = []
+    for im, v in coeff.items():
+        inv = [0] * (len(im) + 1)
+        for i, j in enumerate(im, start=1):
+            inv[j] = i
+        inverses.append((inv.__getitem__, v))
+    # (p^-1 g)(i) = p^-1(g(i))
+    return all(
+        sum(v * get(tuple(map(inv, g)), 0) for inv, v in inverses) == scalar * get(g, 0)
+        for g in reps
+    )
+
+
 def _symmetrizer_identity_holds(
     tableau: StandardTableau, c: GroupAlgebraElement, a: Fraction | int
 ) -> bool:
@@ -377,42 +463,92 @@ def _symmetrizer_identity_holds(
     on the left under the column group C and invariant on the right under
     the row group R, on generators of each: c_{t g} = sgn(t) c_g and
     c_{g s} = c_g. By associativity c*c - a*c is then equivariant the same
-    way, so it vanishes once it vanishes on one g per double coset C g R,
-    where (c*c)_g = sum over p of c_p * c_{p^-1 g}. Each generator and each
-    representative costs one pass over the support of c.
+    way, so it vanishes once it vanishes on one g per double coset C g R.
+    Each generator and each representative costs one pass over the support
+    of c.
     """
     n = tableau.size
     coeff = {p.images: v for p, v in c.terms.items()}
-    get = coeff.get
-
-    for col in tableau.column_sets():
+    cols = tableau.column_sets()
+    rows = tableau.row_sets()
+    for col in cols:
         for table, sign in _block_generators(col, n):
-            at = table.__getitem__
-            # (t g)(i) = t(g(i))
-            if any(get(tuple(map(at, im)), 0) != sign * v for im, v in coeff.items()):
+            if not _acts_by_sign(coeff, table, True, sign):
                 return False
-    for row in tableau.row_sets():
+    for row in rows:
         for table, _sign in _block_generators(row, n):
-            positions = [i - 1 for i in table[1:]]
-            # (g s)(i) = g(s(i))
-            if any(
-                get(tuple(map(im.__getitem__, positions)), 0) != v
-                for im, v in coeff.items()
-            ):
+            if not _acts_by_sign(coeff, table, False, 1):
                 return False
+    return _square_matches(coeff, _double_coset_representatives(cols, rows), a)
 
-    inverses = []
-    for im, v in coeff.items():
-        inv = [0] * (n + 1)
-        for i, j in enumerate(im, start=1):
-            inv[j] = i
-        inverses.append((inv.__getitem__, v))
-    for g in _double_coset_representatives(tableau):
-        # (p^-1 g)(i) = p^-1(g(i))
-        square = sum(v * get(tuple(map(inv, g)), 0) for inv, v in inverses)
-        if square != a * get(g, 0):
-            return False
-    return True
+
+def _symmetry_blocks(
+    coeff: dict[tuple[int, ...], Fraction | int], n: int, left: bool
+) -> list[tuple[int, ...]]:
+    """Blocks of 1..n whose permutations each map N to +-N, on one side.
+
+    Each transposition (i j) of two points not yet in one block is tried in
+    turn, and merges their blocks when N_{(i j) g} = +-N_g for every g (on
+    the right, N_{g (i j)}). The transpositions joining a block generate all
+    of its permutations.
+    """
+    parent = list(range(n + 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ri, rj = root(i), root(j)
+            if ri == rj:
+                continue
+            table = list(range(n + 1))
+            table[i], table[j] = j, i
+            if _acts_by_sign(coeff, table, left):
+                parent[rj] = ri
+    blocks: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        blocks.setdefault(root(i), []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
+def is_idempotent(e: GroupAlgebraElement) -> bool:
+    """Whether e*e == e, checked exactly and in full.
+
+    With e = N/d over integer numerators N, the identity is N*N = d*N. If a
+    transposition t has t N = +-N, then t (N*N - d*N) = +-(N*N - d*N), and
+    the same holds on the right. So once the blocks L and R of e's left and
+    right symmetries are found (each a pass over the support per
+    transposition tried), N*N - d*N vanishes everywhere if it vanishes at
+    one g per double coset L g R, each a pass over the support. When there
+    would be at least |support| double cosets, e*e is computed instead.
+    Either way the number of products is checked against
+    IDEMPOTENT_CHECK_BOUND before any is taken.
+    """
+    n = e.n
+    d, pairs = _numerators(e.terms)
+    coeff = dict(pairs)
+    left = _symmetry_blocks(coeff, n, True)
+    right = _symmetry_blocks(coeff, n, False)
+    size = len(coeff)
+    reps: list[tuple[int, ...]] = []
+    # a double coset has at most |L| |R| elements, so there are at least
+    # n!/(|L| |R|); below |support|, representatives are listed up to |support|
+    young_orders = math.prod(math.factorial(len(b)) for b in left + right)
+    if math.factorial(n) < size * young_orders:
+        reps = list(islice(_double_coset_representatives(left, right), size))
+    squaring = not 0 < len(reps) < size
+    products = size * (size if squaring else len(reps))
+    if products > IDEMPOTENT_CHECK_BOUND:
+        raise BoundExceededError(
+            f"idempotence check needs {products} products, "
+            f"over the bound {IDEMPOTENT_CHECK_BOUND}"
+        )
+    if squaring:
+        return e * e == e
+    return _square_matches(coeff, reps, d)
 
 
 @lru_cache(maxsize=None)
@@ -714,13 +850,16 @@ def decompose_module(
     Accepts either an idempotent e of the group algebra, read as the left
     ideal it cuts out, or a mapping from permutations to matrices over exact
     rationals covering at least one representative of every conjugacy class.
+    e*e = e is verified exactly by is_idempotent, which raises
+    BoundExceededError when the check would cost more than
+    IDEMPOTENT_CHECK_BOUND products.
     """
     if isinstance(module, GroupAlgebraElement):
         e = module
         n = e.n
         if n > bound:
             raise BoundExceededError(f"decomposition limited to n <= {bound}")
-        if e * e != e:
+        if not is_idempotent(e):
             raise ValueError("element is not idempotent, so it cuts out no module")
 
         # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients,

@@ -29,7 +29,7 @@ from schurcalc.koszul import (
     sym,
     wedge,
 )
-from schurcalc.partitions import all_partitions, standard_tableaux
+from schurcalc.partitions import Partition, all_partitions, standard_tableaux
 from schurcalc.symgroup import (
     GroupAlgebraElement,
     Permutation,
@@ -234,6 +234,30 @@ def test_graded_power_rejects_non_idempotent():
     bad = GroupAlgebraElement(2, {Permutation((2, 1)): 1, Permutation.identity(2): 1})
     with pytest.raises(ValueError):
         graded_power_image(c, bad)
+
+
+def test_graded_power_rejects_unbounded_idempotence_check(monkeypatch):
+    # distinct coefficients: no symmetry, so the check would square 40320 terms
+    no_symmetry = GroupAlgebraElement(8, {p: i + 1 for i, p in enumerate(all_permutations(8))})
+
+    def no_products(*_args):
+        raise AssertionError("the bound must be checked before any product")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", no_products)
+    with pytest.raises(BoundExceededError):
+        graded_power_image(GradedObject({0: 1}), no_symmetry)
+
+
+@pytest.mark.parametrize(
+    "shape, dims",
+    # one even and one odd line: S^8 is x^8 + x^7 y, the wedge^8 is y^8 + x y^7
+    [((8,), {0: 1, 1: 1}), ((1,) * 8, {7: 1, 8: 1})],
+    ids=["8", "1^8"],
+)
+def test_full_support_idempotents_of_size_eight_give_the_power(shape, dims):
+    c, a = young_symmetrizer(Partition(shape))
+    e = c.scale(Fraction(1) / a)
+    assert graded_power_image(GradedObject({0: 1, 1: 1}), e).dims == dims
 
 
 def test_power_order_bound():

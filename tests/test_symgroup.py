@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurcalc import symgroup
 from schurcalc.errors import BoundExceededError, InvariantError
@@ -20,6 +22,7 @@ from schurcalc.partitions import (
     standard_tableaux,
 )
 from schurcalc.symgroup import (
+    IDEMPOTENT_CHECK_BOUND,
     GroupAlgebraElement,
     Permutation,
     SymChar,
@@ -35,6 +38,7 @@ from schurcalc.symgroup import (
     cycle_type_sums,
     decompose_module,
     induction_multiplicity,
+    is_idempotent,
     row_symmetrizer,
     sym_projector,
     young_symmetrizer,
@@ -272,7 +276,9 @@ def test_double_coset_representatives_partition_the_group(tableau):
     n = tableau.size
     cols = _group_of_blocks(tableau.column_sets(), n)
     rows = _group_of_blocks(tableau.row_sets(), n)
-    reps = symgroup._double_coset_representatives(tableau)
+    reps = symgroup._double_coset_representatives(
+        tableau.column_sets(), tableau.row_sets()
+    )
     seen: set = set()
     for images in reps:
         g = Permutation(images)
@@ -355,6 +361,243 @@ def test_size_eight_symmetrizer_scalar_is_hook_product(shape, hook_product, supp
     c, a = young_symmetrizer(Partition(shape))
     assert a == hook_product
     assert len(c.terms) == support
+
+
+# ---------------------------------------------------------------------------
+# idempotence check on double cosets of the element's own symmetries
+
+
+def _young_idempotent(tableau):
+    c, a = young_symmetrizer(tableau)
+    return c.scale(Fraction(1) / a)
+
+
+def _movers(n):
+    """Every permutation for n <= 3; else the adjacent transpositions and an n-cycle."""
+    if n <= 3:
+        return list(all_permutations(n))
+    movers = []
+    for i in range(1, n):
+        images = list(range(1, n + 1))
+        images[i - 1], images[i] = i + 1, i
+        movers.append(Permutation(tuple(images)))
+    return movers + [Permutation(tuple(range(2, n + 1)) + (1,))]
+
+
+def _idempotence_grid(tableau):
+    """e, c, 1 - e, conjugates and left translates of e, and e changed by +-1."""
+    n = tableau.size
+    c, _a = young_symmetrizer(tableau)
+    e = _young_idempotent(tableau)
+    grid = [e, c, GroupAlgebraElement.unit(n) - e]
+    for g in _movers(n):
+        g_inv = g.inverse()
+        grid.append(GroupAlgebraElement(n, {g * p * g_inv: v for p, v in e.terms.items()}))
+        grid.append(GroupAlgebraElement(n, {g * p: v for p, v in e.terms.items()}))
+    outside = [p for p in all_permutations(n) if p not in e.terms][:2]
+    for perm in list(e.terms)[:3] + outside:
+        for delta in (1, -1):
+            terms = dict(e.terms)
+            terms[perm] = terms.get(perm, 0) + delta
+            grid.append(GroupAlgebraElement(n, terms))
+    return grid
+
+
+@pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)
+def test_idempotence_check_matches_square_on_young_idempotents(tableau):
+    assert is_idempotent(_young_idempotent(tableau))
+    for x in _idempotence_grid(tableau):
+        assert is_idempotent(x) == (x * x == x)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_idempotence_check_matches_square_on_projectors(n):
+    unit = GroupAlgebraElement.unit(n)
+    alt, tot = alt_projector(n), sym_projector(n)
+    zero = GroupAlgebraElement.zero(n)
+    for x in (unit, alt, tot, zero):
+        assert is_idempotent(x)
+    for x in (unit - alt, alt + tot, unit - alt - tot, alt.scale(2), unit.scale(-1)):
+        assert is_idempotent(x) == (x * x == x)
+
+
+_RANDOM_COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_idempotence_check_matches_square_on_random_elements(n, data):
+    perms = all_permutations(n)
+    terms = data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=8))
+    x = GroupAlgebraElement(n, terms)
+    assert is_idempotent(x) == (x * x == x)
+
+
+_STANDARD_IDEMPOTENTS = {
+    n: [_young_idempotent(t) for shape in all_partitions(n) for t in standard_tableaux(shape)]
+    for n in (3, 4)
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_idempotence_check_matches_square_on_sums_of_young_idempotents(n, data):
+    # the standard idempotents of size <= 4 are orthogonal, so sums without
+    # repeats are idempotent, and sums with repeats are not
+    chosen = data.draw(st.lists(st.sampled_from(_STANDARD_IDEMPOTENTS[n]), min_size=1, max_size=4))
+    x = GroupAlgebraElement.zero(n)
+    for e in chosen:
+        x = x + e
+    g = data.draw(st.sampled_from(all_permutations(n)))
+    g_inv = g.inverse()
+    x = GroupAlgebraElement(n, {g * p * g_inv: v for p, v in x.terms.items()})
+    if data.draw(st.booleans()):
+        x = GroupAlgebraElement.unit(n) - x
+    assert is_idempotent(x) == (x * x == x)
+
+
+def _set_partitions(points):
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1:]
+
+
+def _assert_representatives_partition(left, right, n):
+    left_group = _group_of_blocks(left, n)
+    right_group = _group_of_blocks(right, n)
+    seen: set = set()
+    for images in symgroup._double_coset_representatives(left, right):
+        g = Permutation(images)
+        coset = {lam * g * rho for lam in left_group for rho in right_group}
+        assert not coset & seen, f"{images} repeats a double coset of {left}, {right}"
+        seen |= coset
+    assert seen == set(all_permutations(n))
+
+
+def test_double_coset_representatives_for_every_pair_of_block_lists():
+    for n in range(5):
+        lists = list(_set_partitions(tuple(range(1, n + 1))))
+        for left in lists:
+            for right in lists:
+                _assert_representatives_partition(left, right, n)
+
+
+def _blocks_from_labels(labels):
+    blocks: dict = {}
+    for point, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(point)
+    return [tuple(b) for b in blocks.values()]
+
+
+_LABELS_OF_FIVE = st.lists(st.integers(min_value=0, max_value=4), min_size=5, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(left=_LABELS_OF_FIVE, right=_LABELS_OF_FIVE)
+def test_double_coset_representatives_for_block_lists_of_five(left, right):
+    _assert_representatives_partition(_blocks_from_labels(left), _blocks_from_labels(right), 5)
+
+
+def _assert_symmetry_blocks_hold(x):
+    """Every transposition inside a found block maps x to +-x, by convolution."""
+    n = x.n
+    _d, pairs = symgroup._numerators(x.terms)
+    coeff = dict(pairs)
+    sides = []
+    for on_left in (True, False):
+        blocks = symgroup._symmetry_blocks(coeff, n, on_left)
+        assert sorted(p for b in blocks for p in b) == list(range(1, n + 1))
+        sides.append(blocks)
+        for block in blocks:
+            for i in block:
+                for j in block:
+                    if i < j:
+                        images = list(range(1, n + 1))
+                        images[i - 1], images[j - 1] = j, i
+                        tau = GroupAlgebraElement(n, {Permutation(tuple(images)): 1})
+                        moved = tau * x if on_left else x * tau
+                        assert moved in (x, -x)
+    return sides
+
+
+@pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)
+def test_symmetry_blocks_of_young_idempotents(tableau):
+    left, right = _assert_symmetry_blocks_hold(_young_idempotent(tableau))
+    assert all(any(set(col) <= set(b) for b in left) for col in tableau.column_sets())
+    assert all(any(set(row) <= set(b) for b in right) for row in tableau.row_sets())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), data=st.data())
+def test_symmetry_blocks_of_random_elements(n, data):
+    perms = all_permutations(n)
+    terms = data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=6))
+    _assert_symmetry_blocks_hold(GroupAlgebraElement(n, terms))
+
+
+def test_idempotence_check_bound(monkeypatch):
+    assert math.factorial(8) < IDEMPOTENT_CHECK_BOUND < math.factorial(8) ** 2
+
+    def no_products(*_args):
+        raise AssertionError("the bound must be checked before any product")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", no_products)
+    monkeypatch.setattr(symgroup, "_square_matches", no_products)
+    # distinct coefficients: no symmetry, so the check would square 40320 terms
+    no_symmetry = GroupAlgebraElement(8, {p: i + 1 for i, p in enumerate(all_permutations(8))})
+    with pytest.raises(BoundExceededError):
+        is_idempotent(no_symmetry)
+    with pytest.raises(BoundExceededError):
+        decompose_module(no_symmetry)
+    # one left symmetry (1 2) leaves 20160 double cosets of 40320 terms each
+    def swapped(images):
+        return tuple({1: 2, 2: 1}.get(x, x) for x in images)
+
+    index: dict = {}
+    for p in all_permutations(8):
+        index.setdefault(min(p.images, swapped(p.images)), len(index) + 1)
+    one_symmetry = GroupAlgebraElement(
+        8, {p: index[min(p.images, swapped(p.images))] for p in all_permutations(8)}
+    )
+    with pytest.raises(BoundExceededError, match="812851200 products"):
+        is_idempotent(one_symmetry)
+
+
+@pytest.mark.parametrize("shape", [(8,), (1,) * 8], ids=["8", "1^8"])
+def test_full_support_idempotents_of_size_eight_decompose(shape):
+    e = _young_idempotent(Partition(shape))
+    assert len(e.terms) == math.factorial(8)
+    assert decompose_module(e).coeffs == {Partition(shape): 1}
+
+
+def test_unchecked_permutations_equal_checked_ones():
+    for n in range(5):
+        for p in all_permutations(n):
+            q = Permutation(p.images)
+            assert p == q and hash(p) == hash(q)
+    x = GroupAlgebraElement(3, {SWAP12: 2, ROTATE: -1}) * alt_projector(3)
+    assert all(p == Permutation(p.images) for p in x.terms)
+    with pytest.raises(ValueError):
+        Permutation((1, 1, 3))
+    with pytest.raises(ValueError):
+        GroupAlgebraElement.from_json([{"perm": [2, 2], "num": 1}])
+
+
+def test_cycle_lengths_and_sums_match_the_cycles():
+    for n in range(6):
+        for p in all_permutations(n):
+            assert p.cycle_lengths() == tuple(sorted(map(len, p.cycles()), reverse=True))
+    x = GroupAlgebraElement(5, {p: Fraction(i % 7 - 3, 5) for i, p in enumerate(all_permutations(5))})
+    expected: dict = {}
+    for p, v in x.terms.items():
+        t = Partition(tuple(sorted(map(len, p.cycles()), reverse=True)))
+        expected[t] = expected.get(t, 0) + v
+    assert list(cycle_type_sums(x).items()) == list(expected.items())
 
 
 # ---------------------------------------------------------------------------
