@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import InvariantError
@@ -326,61 +326,53 @@ def char_monomials(a: GLChar) -> dict[tuple[int, ...], int]:
 
 
 def _expand_in_schur_basis(mono: Mapping[tuple[int, ...], int], d: int) -> GLChar:
-    """Rewrite a symmetric Laurent polynomial, given by its monomials, in the
-    Schur basis by repeatedly stripping the lexicographically largest term.
+    """Schur expansion of a symmetric Laurent polynomial by straightening:
+    s_w = a_{w+delta}/a_delta, so m adds +-coeff to w = sort(m + delta) - delta.
     """
-    work = {v: c for v, c in mono.items() if c}
+    for m, c in mono.items():
+        for i in range(d - 1):
+            swapped = m[:i] + (m[i + 1], m[i]) + m[i + 2 :]
+            if mono.get(swapped, 0) != c:
+                raise InvariantError(f"polynomial is not symmetric: {m} vs {swapped}")
     coeffs: dict[DominantWeight, int] = {}
-    for _ in range(1_000_000):
-        if not work:
-            return GLChar(d, coeffs)
-        top = max(work)
-        if any(top[i] < top[i + 1] for i in range(d - 1)):
-            raise InvariantError(
-                f"leading monomial {top} is not dominant; polynomial is not symmetric"
-            )
-        c = work[top]
-        w = DominantWeight(d, top)
-        coeffs[w] = coeffs.get(w, 0) + c
-        for m in weight_monomials(w):
-            left = work.get(m, 0) - c
-            if left:
-                work[m] = left
-            else:
-                work.pop(m, None)
-    raise InvariantError("Schur expansion did not terminate")
+    for m, c in mono.items():
+        s = [x + d - 1 - i for i, x in enumerate(m)]
+        sign = (-1) ** sum(s[i] < s[j] for i in range(d) for j in range(i + 1, d))
+        s.sort(reverse=True)
+        if len(set(s)) == d:
+            w = DominantWeight(d, tuple(x - d + 1 + i for i, x in enumerate(s)))
+            coeffs[w] = coeffs.get(w, 0) + sign * c
+    return GLChar(d, coeffs)
+
+
+def _power(a: GLChar, n: int, exterior: bool) -> GLChar:
+    """e_n or h_n of the weights of a. series[k] holds degree k; each weight m
+    multiplies in 1 + x^m t (k falling) or 1/(1 - x^m t) (k rising).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return GLChar.unit(a.d)
+    series = [{(0,) * a.d: 1}] + [{} for _ in range(n)]
+    degrees = range(n, 0, -1) if exterior else range(1, n + 1)
+    for m, c in char_monomials(a).items():
+        for _ in range(c):
+            for k in degrees:
+                target = series[k]
+                for v, cv in series[k - 1].items():
+                    key = tuple(map(add, v, m))
+                    target[key] = target.get(key, 0) + cv
+    return _expand_in_schur_basis(series[n], a.d)
 
 
 def exterior_power(a: GLChar, n: int) -> GLChar:
     """n-th elementary symmetric function of the weight multiset of a."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return GLChar.unit(a.d)
-    variables = []
-    for m, c in sorted(char_monomials(a).items()):
-        variables.extend([m] * c)
-    acc: dict[tuple[int, ...], int] = {}
-    for combo in combinations(variables, n):
-        s = tuple(sum(col) for col in zip(*combo))
-        acc[s] = acc.get(s, 0) + 1
-    return _expand_in_schur_basis(acc, a.d)
+    return _power(a, n, exterior=True)
 
 
 def symmetric_power(a: GLChar, n: int) -> GLChar:
     """n-th complete homogeneous symmetric function of the weight multiset of a."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return GLChar.unit(a.d)
-    variables = []
-    for m, c in sorted(char_monomials(a).items()):
-        variables.extend([m] * c)
-    acc: dict[tuple[int, ...], int] = {}
-    for combo in combinations_with_replacement(variables, n):
-        s = tuple(sum(col) for col in zip(*combo))
-        acc[s] = acc.get(s, 0) + 1
-    return _expand_in_schur_basis(acc, a.d)
+    return _power(a, n, exterior=False)
 
 
 # ---------------------------------------------------------------------------

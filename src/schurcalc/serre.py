@@ -313,13 +313,6 @@ class SerreAlgebra:
             return {key: 1}
         return {}
 
-    def pi_zero(self) -> dict[int, tuple[Monomial, ...]]:
-        """Degree zero slice: for each weight, the global section monomials."""
-        return {
-            r: self.cohomology[r].basis.get(0, ())
-            for r in range(self.r_min, self.r_max + 1)
-        }
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -76,13 +76,13 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("degree mismatch")
         s = self.images
-        return Permutation(tuple(s[j - 1] for j in other.images))
+        return Permutation._unchecked(tuple(s[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition including fixed points, each cycle from its minimum."""
@@ -233,9 +233,6 @@ class GroupAlgebraElement:
 
     def support(self) -> list[Permutation]:
         return sorted(self.terms, key=lambda p: p.images)
-
-    def coefficient(self, perm: Permutation) -> Fraction | int:
-        return self.terms.get(perm, 0)
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -643,7 +640,8 @@ def char_irrep(
     n = shape.size
     if n > bound:
         raise BoundExceededError(f"character table limited to n <= {bound}")
-    return {mu: _mn_value(shape.parts, mu.parts) for mu in all_partitions(n)}
+    table = character_table(n)
+    return {mu: table[(shape, mu)] for mu in all_partitions(n)}
 
 
 @lru_cache(maxsize=None)
@@ -793,13 +791,6 @@ class SymChar:
         return SymChar(
             self.n, {p: m for p, m in self.coeffs.items() if p.rows <= d}
         )
-
-    def class_function(self) -> dict[Partition, int]:
-        table = character_table(self.n)
-        return {
-            mu: sum(m * table[(p, mu)] for p, m in self.coeffs.items())
-            for mu in all_partitions(self.n)
-        }
 
     def __repr__(self) -> str:
         body = " + ".join(

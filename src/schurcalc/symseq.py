@@ -147,25 +147,18 @@ def localize(e: SymSeq, d: int) -> SymSeq:
     )
 
 
-def wedge_component(
-    n: int, of: SymSeq | None = None, bound: int = DEFAULT_LEVEL_BOUND
-) -> SymSeq:
+def wedge_component(n: int, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
     """Single-column cut of the n-th tensor power of the level-1 generator.
 
     The n-th power of the generator is the full regular character in level n,
     and the sign-isotypic constituent appears exactly once, so the result is
-    the one-column shape with multiplicity one at level n. Only the default
-    sequence (the level-1 generator) is supported; the cut of a general
-    sequence is a plethysm and is out of scope.
+    the one-column shape with multiplicity one at level n. The cut of a
+    general sequence is a plethysm and is out of scope.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > bound:
         raise BoundExceededError(f"level {n} exceeds bound {bound}")
-    if of is not None and of != free_generator(1, bound=bound):
-        raise ValueError(
-            "wedge_component is defined here only for the level-1 generator"
-        )
     if n == 0:
         return free_generator(0)
     return SymSeq.irreducible(Partition((1,) * n))

@@ -8,10 +8,14 @@ and must agree everywhere.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurcalc.errors import InvariantError
 from schurcalc.glchar import (
     DominantWeight,
     GLChar,
+    _expand_in_schur_basis,
     char_monomials,
     exterior_power,
     gl_tensor,
@@ -286,6 +290,53 @@ def test_exterior_power_rejects_virtual():
     a = GLChar.standard(2)
     with pytest.raises(ValueError):
         exterior_power(a.scale(-1), 2)
+
+
+def test_powers_of_virtual_character_at_zero_are_the_unit():
+    virtual = GLChar.standard(2).scale(-1)
+    assert exterior_power(virtual, 0) == GLChar.unit(2)
+    assert symmetric_power(virtual, 0) == GLChar.unit(2)
+
+
+def test_schur_expansion_rejects_non_symmetric_polynomials():
+    with pytest.raises(InvariantError, match="not symmetric"):
+        _expand_in_schur_basis({(1, 0): 1}, 2)
+    with pytest.raises(InvariantError, match="not symmetric"):
+        _expand_in_schur_basis({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2}, 3)
+
+
+@st.composite
+def _actual_characters(draw, d: int):
+    """Up to two irreducibles of size <= 2, det-twisted, with multiplicity."""
+    shapes = [p for s in range(3) for p in all_partitions(s) if p.rows <= d]
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(shapes), st.integers(-1, 1), st.integers(1, 2)),
+        max_size=2,
+    ))
+    char = GLChar.zero(d)
+    for shape, twist, mult in terms:
+        char = char + GLChar.irreducible(weight_of(shape, d, twist)).scale(mult)
+    return char
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(0, 3), n=st.integers(0, 4), data=st.data())
+def test_powers_of_a_sum_convolve_through_lr(d, n, data):
+    # Lambda^n(a+b) = sum_k Lambda^k a (x) Lambda^(n-k) b, and the same for S^n;
+    # the right side multiplies through the tableau LR rule
+    a = data.draw(_actual_characters(d))
+    b = data.draw(_actual_characters(d))
+    total = a.dim() + b.dim()
+    for power, dim in (
+        (exterior_power, math.comb(total, n)),
+        (symmetric_power, math.comb(total + n - 1, n) if n else 1),
+    ):
+        direct = power(a + b, n)
+        convolved = GLChar.zero(d)
+        for k in range(n + 1):
+            convolved = convolved + gl_tensor(power(a, k), power(b, n - k))
+        assert direct == convolved
+        assert direct.is_actual() and direct.dim() == dim
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,16 @@ def test_unchecked_permutations_equal_checked_ones():
         GroupAlgebraElement.from_json([{"perm": [2, 2], "num": 1}])
 
 
+def test_products_and_inverses_equal_validated_permutations():
+    perms = all_permutations(4)
+    for p in perms:
+        inverse = Permutation(tuple(p.images.index(i) + 1 for i in range(1, 5)))
+        assert p.inverse() == inverse and hash(p.inverse()) == hash(inverse)
+        for q in perms:
+            product = Permutation(tuple(p(q(i)) for i in range(1, 5)))
+            assert p * q == product and hash(p * q) == hash(product)
+
+
 def test_cycle_lengths_and_sums_match_the_cycles():
     for n in range(6):
         for p in all_permutations(n):

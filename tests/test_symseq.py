@@ -120,8 +120,6 @@ def test_wedge_component_multiplicity_in_free_power():
 
 
 def test_wedge_component_rejects_other_bases():
-    with pytest.raises(ValueError):
-        wedge_component(2, of=free_generator(2))
     with pytest.raises(BoundExceededError):
         wedge_component(9)
 
