@@ -15,7 +15,6 @@ import os
 import sys
 import time
 
-from . import selftest as _selftest
 from .errors import BoundExceededError, InvariantError
 from .glchar import GLChar, lr_coeff, schur_weyl
 from .koszul import GradedObject, certify_finiteness, kimura_split, sym, wedge
@@ -158,7 +157,10 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _run_selftest(args) -> int:
-    results = _selftest.run_checks(quick=args.quick)
+    # imported here so that no other subcommand pays for loading the suite
+    from .selftest import run_checks
+
+    results = run_checks(quick=args.quick)
     failed = 0
     for name, ok, message in results:
         if ok:

@@ -1,4 +1,4 @@
-"""Shared exception types and the shape check for JSON payloads."""
+"""Shared exception types and the shape checks for JSON payloads."""
 
 from typing import Mapping
 
@@ -23,4 +23,14 @@ def expect_mapping(value, what: str) -> Mapping:
     """Return a decoded JSON value if it is an object; raise TypeError if not."""
     if not isinstance(value, Mapping):
         raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def expect_int(value, what: str) -> int:
+    """Return a decoded JSON value if it is an integer; raise TypeError if not.
+
+    JSON true and false decode to bool, a subclass of int, and are refused.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a JSON integer, got {type(value).__name__}")
     return value

@@ -7,32 +7,48 @@ the Littlewood-Richardson tableau rule plus truncation to at most d rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import add
 from typing import Mapping, Sequence
 
-from .errors import InvariantError
-from .partitions import Partition, all_partitions
+from .errors import InvariantError, expect_int
+from .partitions import Partition, all_partitions, dim_gl_irrep
+from .values import Frozen
 
 PRODUCT_FACTOR_BOUND = 4
 PRODUCT_RANK_BOUND = 4
 
 
-@dataclass(frozen=True, order=True)
-class DominantWeight:
-    """Weakly decreasing integer d-tuple, written "[2,-1]"."""
+@total_ordering
+class DominantWeight(Frozen):
+    """Weakly decreasing integer d-tuple, written "[2,-1]".
 
-    d: int
-    entries: tuple[int, ...]
+    Weights order as the tuples (d, entries) do.
+    """
 
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.d:
-            raise ValueError(f"expected {self.d} entries, got {entries!r}")
-        if any(entries[i] < entries[i + 1] for i in range(self.d - 1)):
+    __slots__ = ("d", "entries")
+
+    def __init__(self, d: int, entries: tuple[int, ...]):
+        entries = tuple(int(x) for x in entries)
+        if len(entries) != d:
+            raise ValueError(f"expected {d} entries, got {entries!r}")
+        if any(entries[i] < entries[i + 1] for i in range(d - 1)):
             raise ValueError(f"entries must be weakly decreasing: {entries!r}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.entries == other.entries
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.entries) < (other.d, other.entries)
+
+    def __hash__(self):
+        return hash((self.d, self.entries))
 
     @classmethod
     def from_string(cls, text: str) -> "DominantWeight":
@@ -130,8 +146,10 @@ class GLChar:
         return GLChar(self.d, {w: scalar * c for w, c in self.coeffs.items()})
 
     def dim(self) -> int:
+        """Sum of c * dim V_w, each by the hook-content formula."""
         return sum(
-            c * len(weight_monomials(w)) for w, c in self.coeffs.items()
+            c * dim_gl_irrep(normalize_weight(w)[0], self.d)
+            for w, c in self.coeffs.items()
         )
 
     def __repr__(self) -> str:
@@ -146,9 +164,9 @@ class GLChar:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GLChar":
-        d = int(data["d"])
+        d = expect_int(data["d"], "rank d")
         coeffs = {
-            DominantWeight.from_string(key): int(c)
+            DominantWeight.from_string(key): expect_int(c, f"coefficient of {key}")
             for key, c in data.get("coeffs", {}).items()
         }
         return cls(d, coeffs)
@@ -254,6 +272,8 @@ def schur_weyl(seq, d: int) -> GLChar:
     """Transfer a symmetric sequence to GL_d: shape lam goes to the weight lam
     when it fits in d rows and to zero otherwise, multiplicities preserved.
     """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     acc: dict[DominantWeight, int] = {}
     for level in sorted(seq.levels):
         for shape, mult in seq.levels[level].coeffs.items():

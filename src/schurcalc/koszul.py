@@ -9,12 +9,11 @@ two factors of odd degree costs a minus sign, so a permutation acts with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, expect_mapping
+from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
 from .partitions import Partition
 from .symgroup import (
     GroupAlgebraElement,
@@ -23,6 +22,7 @@ from .symgroup import (
     is_idempotent,
     sym_projector,
 )
+from .values import Record
 
 KIND_WEDGE_FINITE = "wedge-finite"
 KIND_EVENLY_FINITE = "evenly-finite"
@@ -89,7 +89,9 @@ class GradedObject:
     def from_json(cls, data: Mapping) -> "GradedObject":
         data = expect_mapping(data, "graded object")
         dims = expect_mapping(data.get("dims", {}), "dims")
-        return cls({int(k): int(v) for k, v in dims.items()})
+        return cls(
+            {int(k): expect_int(v, f"dimension in degree {k}") for k, v in dims.items()}
+        )
 
 
 def shift(c: GradedObject, r: int) -> GradedObject:
@@ -199,15 +201,30 @@ def euler_falling_factorial(chi: int, n: int) -> Fraction:
     return Fraction(num, math.factorial(n))
 
 
-@dataclass
-class FinitenessCertificate:
+class FinitenessCertificate(Record):
     """Outcome of a finiteness search, with the full power tables as witness."""
 
-    kind: str
-    n: int
-    bound: int
-    wedge_powers: dict[int, GradedObject] = field(repr=False)
-    sym_powers: dict[int, GradedObject] = field(repr=False)
+    __slots__ = ("kind", "n", "bound", "wedge_powers", "sym_powers")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        bound: int,
+        wedge_powers: dict[int, GradedObject],
+        sym_powers: dict[int, GradedObject],
+    ):
+        self.kind = kind
+        self.n = n
+        self.bound = bound
+        self.wedge_powers = wedge_powers
+        self.sym_powers = sym_powers
+
+    def __repr__(self) -> str:
+        return (
+            f"FinitenessCertificate(kind={self.kind!r}, n={self.n!r},"
+            f" bound={self.bound!r})"
+        )
 
     def to_json(self) -> dict:
         return {

@@ -3,33 +3,47 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterator
 
 from .errors import BoundExceededError
+from .values import Frozen
 
 TABLEAU_ENUMERATION_BOUND = 10
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+@total_ordering
+class Partition(Frozen):
     """Weakly decreasing tuple of positive row lengths, top row first.
 
     The empty partition is Partition(()). Text form is comma separated,
-    "3,1,1", with "" for the empty partition.
+    "3,1,1", with "" for the empty partition. Partitions order as their
+    row tuples do.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"row lengths must be positive: {parts!r}")
             if i > 0 and parts[i - 1] < p:
                 raise ValueError(f"row lengths must be weakly decreasing: {parts!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -82,15 +96,13 @@ class Partition:
         return [j - i for i, p in enumerate(self.parts) for j in range(p)]
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Frozen):
     """Filling of a Young diagram by 1..n, rows and columns strictly increasing."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
         entries = [x for r in rows for x in r]
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
@@ -103,6 +115,15 @@ class StandardTableau:
                 raise ValueError("row lengths must weakly decrease")
             if any(rows[i][j] <= rows[i - 1][j] for j in range(len(rows[i]))):
                 raise ValueError("columns must increase top to bottom")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def shape(self) -> Partition:

@@ -12,13 +12,13 @@ independent oracle for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError, expect_mapping
+from .errors import InvariantError, WindowExceededError, expect_int, expect_mapping
+from .values import Record
 
 DIMENSION_BOUND = 3
 TWIST_BOUND = 20
@@ -108,14 +108,22 @@ def _pattern_cohomology(n: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(dims)
 
 
-@dataclass
-class CechCohomology:
+class CechCohomology(Record):
     """Cohomology of one twist: dimensions and explicit monomial bases."""
 
-    n: int
-    r: int
-    dims: dict[int, int]
-    basis: dict[int, tuple[Monomial, ...]]
+    __slots__ = ("n", "r", "dims", "basis")
+
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        dims: dict[int, int],
+        basis: dict[int, tuple[Monomial, ...]],
+    ):
+        self.n = n
+        self.r = r
+        self.dims = dims
+        self.basis = basis
 
     def to_json(self) -> dict:
         return {
@@ -233,7 +241,7 @@ class BigradedVS:
         dims = {}
         for key, dim in expect_mapping(data.get("dims", {}), "dims").items():
             r_text, i_text = key.split(",")
-            dims[(int(r_text), int(i_text))] = int(dim)
+            dims[(int(r_text), int(i_text))] = expect_int(dim, f"dimension at {key}")
         return cls(dims)
 
 
@@ -247,21 +255,29 @@ def gm_shift_functor(v: BigradedVS) -> BigradedVS:
     return BigradedVS({(r, i + 2 * r): dim for (r, i), dim in v.dims.items()})
 
 
-@dataclass
-class SerreAlgebra:
+class SerreAlgebra(Record):
     """Direct sum of all twists in a window, with cup product on monomial bases.
 
     Basis keys are (weight, degree, monomial). Products that leave the window
     return None; products that hit a vanishing class return the empty dict.
     """
 
-    n: int
-    r_min: int
-    r_max: int
-    cohomology: dict[int, CechCohomology]
-    _basis_sets: dict[tuple[int, int], set] = None  # type: ignore[assignment]
+    __slots__ = ("n", "r_min", "r_max", "cohomology", "_basis_sets")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n: int,
+        r_min: int,
+        r_max: int,
+        cohomology: dict[int, CechCohomology],
+        _basis_sets: dict[tuple[int, int], set] | None = None,
+    ):
+        # _basis_sets is always rebuilt from cohomology; the parameter only
+        # lets copy and pickle pass every field back
+        self.n = n
+        self.r_min = r_min
+        self.r_max = r_max
+        self.cohomology = cohomology
         sets: dict[tuple[int, int], set] = {}
         for r, coh in self.cohomology.items():
             for p, monomials in coh.basis.items():

@@ -7,13 +7,12 @@ enters at any stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations as _tuple_permutations
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, expect_mapping
+from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
 from .partitions import (
     Partition,
     StandardTableau,
@@ -21,6 +20,7 @@ from .partitions import (
     canonical_tableau,
     dim_sym_irrep,
 )
+from .values import Frozen
 
 SYMMETRIZER_BOUND = 8
 CHARACTER_BOUND = 8
@@ -29,17 +29,24 @@ CHARACTER_BOUND = 8
 IDEMPOTENT_CHECK_BOUND = math.factorial(7) ** 2
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """Permutation of {1..n} in one line notation: images[i-1] = sigma(i)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(x) for x in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
@@ -805,7 +812,11 @@ class SymChar:
     def from_json(cls, n: int, data: Mapping[str, int]) -> "SymChar":
         data = expect_mapping(data, f"level {n} character")
         return cls(
-            n, {Partition.from_string(key): int(m) for key, m in data.items()}
+            n,
+            {
+                Partition.from_string(key): expect_int(m, f"multiplicity of {key}")
+                for key, m in data.items()
+            },
         )
 
 

@@ -1,11 +1,20 @@
 """End-to-end runs of the command line program, including exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import schurcalc
 from schurcalc.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+ELAPSED = re.compile(r'("?elapsed"?: )[-0-9.e]+')
 
 
 def run(capsys, *argv):
@@ -126,6 +135,35 @@ def test_pretty_flag(capsys):
         json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda case: case["argv"][0]
+)
+def test_output_bytes_match_recording(capsys, case):
+    """One call per subcommand against bytes recorded before the value
+    classes were rewritten; elapsed is the only field allowed to differ."""
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert ELAPSED.sub(r"\g<1>0", out) == case["stdout"]
+    assert err == case["stderr"]
+
+
+def test_import_loads_neither_dataclasses_nor_selftest():
+    src = str(Path(schurcalc.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, schurcalc.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'schurcalc.selftest')"
+        " if m in sys.modules])"
+    )
+    # -S: no site hooks, so only the package's own imports are seen
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_deterministic_output(capsys):
     first = run_json(capsys, "serre", "--n", "1", "--window", "0:3")
     second = run_json(capsys, "serre", "--n", "1", "--window", "0:3")
@@ -168,6 +206,32 @@ def test_malformed_json_exits_2(capsys):
 )
 def test_non_object_payload_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wedge-dim", '{"dims":{"0":2.5}}'),
+        ("wedge-dim", '{"dims":{"0":true}}'),
+        ("euler-chi", '{"dims":{"0":"3"}}'),
+        ("gm-shift", '{"dims":{"1,0":1.0}}'),
+        ("localize", "--d", "2", '{"levels":{"2":{"2":false}}}'),
+        ("schur-weyl", "--d", "2", "--seq", '{"levels":{"1":{"1":"1"}}}'),
+    ],
+)
+def test_non_integer_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be a JSON integer" in json.loads(err)["detail"]
+
+
+def test_negative_rank_exits_2(capsys):
+    code, out, err = run(
+        capsys, "schur-weyl", "--d", "-1", "--seq", '{"levels":{"1":{"1":1}}}'
+    )
     assert code == 2
     assert json.loads(err)["error"] == "bad-input"
 

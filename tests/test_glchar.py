@@ -212,6 +212,11 @@ def test_transfer_counts_dimensions():
             assert schur_weyl(free_generator(n), d).dim() == d ** n
 
 
+def test_transfer_rejects_negative_rank():
+    with pytest.raises(ValueError, match="nonnegative"):
+        schur_weyl(free_generator(1), -1)
+
+
 def test_hom_dim_anchor():
     square = schur_weyl(free_generator(2), 2)
     assert hom_dim(square, square) == 2
@@ -236,6 +241,20 @@ def test_weight_monomials_counts():
             for p in all_partitions(n):
                 if p.rows <= d:
                     assert len(weight_monomials(weight_of(p, d))) == dim_gl_irrep(p, d)
+
+
+def test_dim_matches_weight_count():
+    # dim() uses the hook-content formula; weight_monomials lists tableaux
+    for d in range(5):
+        for n in range(7):
+            for p in all_partitions(n):
+                if p.rows > d:
+                    continue
+                for det in (-1, 0, 1):
+                    w = weight_of(p, d, det)
+                    assert GLChar.irreducible(w).dim() == len(weight_monomials(w))
+    char = GLChar.standard(3).scale(2) + GLChar.determinant(3, -1).scale(-1)
+    assert char.dim() == 5
 
 
 def test_char_monomials_of_symmetric_square():
@@ -366,3 +385,16 @@ def test_product_group_tensor_distributes():
 def test_glchar_json_roundtrip():
     char = schur_weyl(free_generator(3), 2) + GLChar.determinant(2, -2)
     assert GLChar.from_json(char.to_json()) == char
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"d": 2, "coeffs": {"[1,0]": 1.0}},
+        {"d": 2, "coeffs": {"[1,0]": True}},
+        {"d": "2", "coeffs": {"[1,0]": 1}},
+    ],
+)
+def test_glchar_from_json_rejects_non_integers(data):
+    with pytest.raises(TypeError, match="must be a JSON integer"):
+        GLChar.from_json(data)

@@ -1,0 +1,140 @@
+"""The package's value classes: equality, hashing, repr, immutability, copies.
+
+Hashes must equal hash() of the field tuple, so that the iteration order of
+every set and dict keyed by these values is fixed by their fields alone.
+"""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schurcalc.glchar import DominantWeight
+from schurcalc.koszul import GradedObject, certify_finiteness
+from schurcalc.partitions import Partition, StandardTableau
+from schurcalc.serre import build_serre_algebra, cech_cohomology
+from schurcalc.symgroup import Permutation
+
+# (value, its fields in constructor order, its repr)
+FROZEN = [
+    (Partition((2, 1)), {"parts": (2, 1)}, "Partition(parts=(2, 1))"),
+    (
+        StandardTableau(((1, 2), (3,))),
+        {"rows": ((1, 2), (3,))},
+        "StandardTableau(rows=((1, 2), (3,)))",
+    ),
+    (
+        DominantWeight(2, (1, -1)),
+        {"d": 2, "entries": (1, -1)},
+        "DominantWeight(d=2, entries=(1, -1))",
+    ),
+    (Permutation((2, 1, 3)), {"images": (2, 1, 3)}, "Permutation(images=(2, 1, 3))"),
+]
+
+MUTABLE = [
+    (
+        cech_cohomology(1, 1),
+        "CechCohomology(n=1, r=1, dims={0: 2}, basis={0: ((0, 1), (1, 0))})",
+    ),
+    (
+        build_serre_algebra(0, 0, 0),
+        "SerreAlgebra(n=0, r_min=0, r_max=0, cohomology={0: CechCohomology(n=0,"
+        " r=0, dims={0: 1}, basis={0: ((0,),)})}, _basis_sets={(0, 0): {(0,)}})",
+    ),
+    (
+        certify_finiteness(GradedObject({0: 1})),
+        "FinitenessCertificate(kind='wedge-finite', n=1, bound=3)",
+    ),
+]
+
+ALL = [value for value, *_ in FROZEN] + [value for value, _ in MUTABLE]
+
+ROUND_TRIPS = [
+    copy.copy,
+    copy.deepcopy,
+    lambda value: pickle.loads(pickle.dumps(value)),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", FROZEN)
+def test_frozen_value(value, fields, text):
+    assert type(value)(*fields.values()) == type(value)(**fields) == value
+    assert hash(value) == hash(tuple(fields.values()))
+    assert repr(value) == text
+    name, field = next(iter(fields.items()))
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, field)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, text", MUTABLE)
+def test_mutable_value(value, text):
+    assert repr(value) == text
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    other = copy.copy(value)
+    other.n = value.n + 1
+    assert other != value
+
+
+@pytest.mark.parametrize("value", ALL, ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
+def test_round_trip_is_equal(value, round_trip):
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value
+    assert repr(again) == repr(value)
+
+
+def test_equality_across_classes_is_not_implemented():
+    for value in ALL:
+        for other in ALL:
+            if type(other) is not type(value):
+                assert value.__eq__(other) is NotImplemented
+                assert value != other
+    assert Partition((1,)) != (1,)
+    assert Permutation((1,)).__eq__(((1,),)) is NotImplemented
+
+
+def test_only_partitions_and_weights_are_ordered():
+    assert Partition((1, 1)) < Partition((2,)) <= Partition((2,))
+    assert DominantWeight(1, (5,)) < DominantWeight(2, (0, 0))
+    with pytest.raises(TypeError):
+        Partition((1,)) < DominantWeight(1, (1,))
+    for value in (StandardTableau(((1,),)), Permutation((1,))):
+        with pytest.raises(TypeError):
+            value < value
+
+
+def test_constructor_keywords_and_defaults():
+    assert Partition() == Partition(parts=()) == Partition(())
+    assert Partition(parts=[2, 1]).parts == (2, 1)
+    assert DominantWeight(d=2, entries=[1, 0]).entries == (1, 0)
+    assert Permutation(images=[2, 1]).images == (2, 1)
+    assert StandardTableau(rows=[[1, 2]]).rows == ((1, 2),)
+    assert Permutation._unchecked((2, 1)) == Permutation((2, 1))
+
+
+partitions = st.lists(st.integers(1, 6), max_size=5).map(
+    lambda parts: Partition(tuple(sorted(parts, reverse=True)))
+)
+weights = st.integers(0, 3).flatmap(
+    lambda d: st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(
+        lambda entries: DominantWeight(d, tuple(sorted(entries, reverse=True)))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(partitions, max_size=12), st.lists(weights, max_size=12))
+def test_sorting_matches_field_tuples(shapes, ws):
+    assert sorted(shapes) == sorted(shapes, key=lambda p: (p.parts,))
+    assert sorted(ws) == sorted(ws, key=lambda w: (w.d, w.entries))
+    assert sorted(shapes, reverse=True) == sorted(
+        shapes, key=lambda p: (p.parts,), reverse=True
+    )
