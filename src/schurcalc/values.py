@@ -21,8 +21,6 @@ class Record:
             return NotImplemented
         return self._fields() == other._fields()
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({body})"
