@@ -29,12 +29,33 @@ from .symgroup import young_symmetrizer
 from .symseq import SymSeq, free_generator, localize, tensor, wedge_component
 
 
+# a JSON file argument longer than this is refused, so a huge or endless
+# file (a device such as /dev/zero) costs at most this much memory
+PAYLOAD_BYTE_BOUND = 1 << 20
+
+
 def _load_payload(text: str):
-    """Parse an argument as inline JSON, or as a path to a JSON file."""
+    """Parse an argument as inline JSON, or as a path to a JSON file.
+
+    A file is read up to one byte past PAYLOAD_BYTE_BOUND; a longer one
+    raises BoundExceededError. A file that cannot be read (a directory, no
+    permission) and JSON nested too deeply to decode raise ValueError.
+    """
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+        try:
+            with open(text, "rb") as fh:
+                data = fh.read(PAYLOAD_BYTE_BOUND + 1)
+        except OSError as exc:
+            raise ValueError(f"cannot read {text}: {exc.strerror or exc}") from None
+        if len(data) > PAYLOAD_BYTE_BOUND:
+            raise BoundExceededError(
+                f"payload file {text} is longer than {PAYLOAD_BYTE_BOUND} bytes"
+            )
+        text = data.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON payload nests too deeply") from None
 
 
 def _partition(text: str) -> Partition:

@@ -11,12 +11,14 @@ from functools import lru_cache, total_ordering
 from operator import add
 from typing import Mapping, Sequence
 
-from .errors import InvariantError, expect_int
+from .errors import BoundExceededError, InvariantError, expect_int
 from .partitions import Partition, all_partitions, dim_gl_irrep
 from .values import Frozen
 
 PRODUCT_FACTOR_BOUND = 4
 PRODUCT_RANK_BOUND = 4
+# schur_weyl writes a d-tuple per constituent, so its cost grows with d alone
+SCHUR_WEYL_RANK_BOUND = 256
 
 
 @total_ordering
@@ -271,9 +273,15 @@ def gl_tensor(a: GLChar, b: GLChar) -> GLChar:
 def schur_weyl(seq, d: int) -> GLChar:
     """Transfer a symmetric sequence to GL_d: shape lam goes to the weight lam
     when it fits in d rows and to zero otherwise, multiplicities preserved.
+    d above SCHUR_WEYL_RANK_BOUND raises BoundExceededError before any
+    weight is built.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    if d > SCHUR_WEYL_RANK_BOUND:
+        raise BoundExceededError(
+            f"schur_weyl rank limited to d <= {SCHUR_WEYL_RANK_BOUND}, got {d}"
+        )
     acc: dict[DominantWeight, int] = {}
     for level in sorted(seq.levels):
         for shape, mult in seq.levels[level].coeffs.items():

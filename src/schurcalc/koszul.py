@@ -113,12 +113,15 @@ def _power_image(
     p_l(t) = sum over degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l
     is the cycle length (Macdonald I.7; Berele-Regev for the signs). So the
     image has graded dimension sum_mu by_type[mu] * prod_{l in mu} p_l(t),
-    and no permutation or basis tuple is enumerated.
+    and no permutation or basis tuple is enumerated. The sums are cleared to
+    integer numerators over their common denominator, which divides each
+    total exactly once at the end.
     """
+    den = math.lcm(*(v.denominator for v in by_type.values()))
     power_sums: dict[int, dict[int, int]] = {}
-    acc: dict[int, Fraction | int] = {}
+    acc: dict[int, int] = {}
     for mu, coeff in by_type.items():
-        poly = {0: 1}
+        poly = {0: coeff.numerator * (den // coeff.denominator)}
         for l in mu.parts:
             if l not in power_sums:
                 power_sums[l] = {
@@ -131,16 +134,16 @@ def _power_image(
                     prod[a + b] = prod.get(a + b, 0) + x * y
             poly = prod
         for deg, value in poly.items():
-            acc[deg] = acc.get(deg, 0) + coeff * value
+            acc[deg] = acc.get(deg, 0) + value
     dims: dict[int, int] = {}
-    for deg, value in acc.items():
-        v = Fraction(value)
-        if v.denominator != 1 or v < 0:
+    for deg, total in acc.items():
+        if total % den or total < 0:
             raise InvariantError(
-                f"image dimension {value} in degree {deg} is not a nonnegative integer"
+                f"image dimension {Fraction(total, den)} in degree {deg}"
+                " is not a nonnegative integer"
             )
-        if v:
-            dims[deg] = int(v)
+        if total:
+            dims[deg] = total // den
     return GradedObject(dims)
 
 

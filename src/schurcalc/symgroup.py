@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations as _tuple_permutations
-from typing import Mapping
+from itertools import islice, permutations as _tuple_permutations, repeat
+from operator import eq, itemgetter, mul, neg
+from typing import Callable, Mapping
 
 from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
 from .partitions import (
@@ -111,9 +112,10 @@ class Permutation(Frozen):
     def cycle_lengths(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, longest first."""
         images = self.images
-        seen = [False] * (self.n + 1)
+        n = len(images)
+        seen = [False] * (n + 1)
         lengths = []
-        for start in range(1, self.n + 1):
+        for start in range(1, n + 1):
             if not seen[start]:
                 length = 0
                 j = start
@@ -130,16 +132,17 @@ class Permutation(Frozen):
 
     def sign(self) -> int:
         images = self.images
-        seen = [False] * (self.n + 1)
+        n = len(images)
+        seen = [False] * (n + 1)
         cycles = 0
-        for start in range(1, self.n + 1):
+        for start in range(1, n + 1):
             if not seen[start]:
                 cycles += 1
                 j = start
                 while not seen[j]:
                     seen[j] = True
                     j = images[j - 1]
-        return -1 if (self.n - cycles) % 2 else 1
+        return -1 if (n - cycles) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +164,7 @@ class GroupAlgebraElement:
         self.n = n
         clean: dict[Permutation, Fraction | int] = {}
         for perm, coeff in (terms or {}).items():
-            if perm.n != n:
+            if len(perm.images) != n:
                 raise ValueError("term degree mismatch")
             if coeff != 0:
                 clean[perm] = coeff
@@ -219,12 +222,11 @@ class GroupAlgebraElement:
         # denominator per operand; divide once per output term at the end
         da, left = _numerators(self.terms)
         db, right = _numerators(other.terms)
-        right = [(tuple(j - 1 for j in qim), cq) for qim, cq in right]
+        right = [(_composer(qim), cq) for qim, cq in right]
         acc: dict[tuple[int, ...], int] = {}
         for pim, cp in left:
-            at = pim.__getitem__
-            for qidx, cq in right:
-                rim = tuple(map(at, qidx))
+            for compose, cq in right:
+                rim = compose(pim)
                 c = cp * cq
                 prev = acc.get(rim)
                 acc[rim] = c if prev is None else prev + c
@@ -280,13 +282,30 @@ def _numerators(
     ]
 
 
+def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map taking the images of p to the images of p*q, q given by its images.
+
+    (p*q)(i) = p(q(i)), so the images of p*q pick the entries of p's at the
+    positions q(i) - 1, which one itemgetter does in C. An itemgetter of one
+    index returns a bare item and of none raises, but Sigma_0 and Sigma_1 hold
+    only the identity, where p*q = p.
+    """
+    if len(images) < 2:
+        return tuple
+    return itemgetter(*(j - 1 for j in images))
+
+
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
     """Sum of the element's coefficients over each conjugacy class it meets."""
-    by_lengths: dict[tuple[int, ...], Fraction | int] = {}
-    for perm, coeff in element.terms.items():
+    den, pairs = _numerators(element.terms)
+    by_lengths: dict[tuple[int, ...], int] = {}
+    for perm, (_images, num) in zip(element.terms, pairs):
         t = perm.cycle_lengths()
-        by_lengths[t] = by_lengths.get(t, 0) + coeff
-    return {Partition(t): total for t, total in by_lengths.items()}
+        by_lengths[t] = by_lengths.get(t, 0) + num
+    return {
+        Partition(t): total if den == 1 else Fraction(total, den)
+        for t, total in by_lengths.items()
+    }
 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
@@ -298,9 +317,8 @@ def sym_projector(n: int) -> GroupAlgebraElement:
 def alt_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) signed sum of all permutations, the total antisymmetrizer."""
     coeff = Fraction(1, math.factorial(n))
-    return GroupAlgebraElement(
-        n, {p: p.sign() * coeff for p in all_permutations(n)}
-    )
+    by_sign = {1: coeff, -1: -coeff}
+    return GroupAlgebraElement(n, {p: by_sign[p.sign()] for p in all_permutations(n)})
 
 
 def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[Permutation]:
@@ -409,31 +427,30 @@ def _acts_by_sign(
     """Whether N_{s g} = sign N_g (left) or N_{g s} = sign N_g (right) for every g.
 
     N maps image tuples to coefficients and s is given by its 1-based image
-    table. With sign None the sign is read from the first term and must be
-    1 or -1. Checking the support of N suffices: if it passes, s maps the
+    table; sign is 1 or -1. With sign None it is read from the first term,
+    which must give 1 or -1. Checking the support of N suffices: if it passes, s maps the
     finite support into itself injectively, hence onto, so N_{s g} = 0 = N_g
     off it. The pass stops at the first mismatch.
     """
     if not coeff:
         return True
-    get = coeff.get
-    if left:
-        at = table.__getitem__
-        # (s g)(i) = s(g(i))
-        pairs = ((get(tuple(map(at, im)), 0), v) for im, v in coeff.items())
+    if len(table) < 3:
+        # Sigma_0 and Sigma_1 hold only the identity: s g = g s = g
+        moved = iter(coeff)
+    elif left:
+        # (s g)(i) = s(g(i)): the images of s g pick table's entries at g's
+        moved = (itemgetter(*g)(table) for g in coeff)
     else:
-        positions = [i - 1 for i in table[1:]]
-        # (g s)(i) = g(s(i))
-        pairs = (
-            (get(tuple(map(im.__getitem__, positions)), 0), v)
-            for im, v in coeff.items()
-        )
+        # (g s)(i) = g(s(i)): one getter for the whole pass
+        moved = map(_composer(table[1:]), coeff)
+    found = map(coeff.get, moved, repeat(0))
+    values = iter(coeff.values())
     if sign is None:
-        w, v = next(pairs)
+        w, v = next(found), next(values)
         if w != v and w != -v:
             return False
         sign = 1 if w == v else -1
-    return all(w == sign * v for w, v in pairs)
+    return all(map(eq, found, values if sign == 1 else map(neg, values)))
 
 
 def _square_matches(
@@ -445,15 +462,17 @@ def _square_matches(
     N_p * N_{p^-1 g}, one pass over the support of N per g.
     """
     get = coeff.get
+    values = list(coeff.values())
     inverses = []
-    for im, v in coeff.items():
-        inv = [0] * (len(im) + 1)
+    for im in coeff:
+        inv = [0] * len(im)
         for i, j in enumerate(im, start=1):
-            inv[j] = i
-        inverses.append((inv.__getitem__, v))
-    # (p^-1 g)(i) = p^-1(g(i))
+            inv[j - 1] = i
+        inverses.append(inv)
+    # (p^-1 g)(i) = p^-1(g(i)), the images of p^-1 * g
     return all(
-        sum(v * get(tuple(map(inv, g)), 0) for inv, v in inverses) == scalar * get(g, 0)
+        sum(map(mul, values, map(get, map(_composer(g), inverses), repeat(0))))
+        == scalar * get(g, 0)
         for g in reps
     )
 

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line program, including exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,9 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import schurcalc
-from schurcalc.cli import main
+from schurcalc.cli import PAYLOAD_BYTE_BOUND, build_parser, main
+from schurcalc.glchar import SCHUR_WEYL_RANK_BOUND
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 ELAPSED = re.compile(r'("?elapsed"?: )[-0-9.e]+')
@@ -236,6 +241,57 @@ def test_negative_rank_exits_2(capsys):
     assert json.loads(err)["error"] == "bad-input"
 
 
+def test_directory_payload_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "euler-chi", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-input"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_payload_exits_3_after_the_byte_bound(capsys):
+    code, out, err = run(capsys, "euler-chi", "/dev/zero")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "bound-exceeded"
+
+
+def test_payload_byte_bound(capsys, tmp_path):
+    payload = b'{"dims":{"0":2,"1":3}}'
+    at_bound = tmp_path / "at_bound.json"
+    at_bound.write_bytes(payload + b" " * (PAYLOAD_BYTE_BOUND - len(payload)))
+    assert run_json(capsys, "euler-chi", str(at_bound))["output"] == {"euler": -1}
+    over = tmp_path / "over.json"
+    over.write_bytes(payload + b" " * (PAYLOAD_BYTE_BOUND + 1 - len(payload)))
+    code, out, err = run(capsys, "euler-chi", str(over))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "bound-exceeded"
+
+
+def test_deeply_nested_payload_exits_2(capsys, tmp_path):
+    deep = "[" * 100_000
+    code, out, err = run(capsys, "euler-chi", deep)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-input"
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = run(capsys, "euler-chi", str(path))
+    assert code == 2
+
+
+def test_schur_weyl_rank_bound_exits_3(capsys):
+    seq = '{"levels":{"1":{"1":1}}}'
+    result = run_json(capsys, "schur-weyl", "--d", str(SCHUR_WEYL_RANK_BOUND), "--seq", seq)
+    assert result["output"]["d"] == SCHUR_WEYL_RANK_BOUND
+    start = time.perf_counter()
+    code, out, err = run(capsys, "schur-weyl", "--d", "200000", "--seq", seq)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "bound-exceeded"
+
+
 def test_bound_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "symmetrizer", "5,4,3")
     assert code == 3
@@ -270,3 +326,96 @@ def test_selftest_quick(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("ok ") for line in lines[:-1])
     assert lines[-1].endswith("(quick)")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argument list ends in a documented exit code
+
+# the usage line lists the subcommands as {lr,symmetrizer,...}
+SUBCOMMANDS = re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1).split(",")
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False),
+        st.sampled_from(["", "1", "2,1", "a"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["dims", "levels", "0", "1", "-1", "2", "2,1", "1,0", "x"]),
+            inner,
+            max_size=3,
+        ),
+    ),
+    max_leaves=8,
+)
+_INT = st.integers(-3, 8).map(str)
+_PARTITION = st.lists(st.integers(0, 3), max_size=3).map(
+    lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+)
+_COUNT = st.integers(-1, 3)
+_GRADED = st.dictionaries(st.integers(-2, 3).map(str), _COUNT, max_size=3).map(
+    lambda dims: json.dumps({"dims": dims})
+)
+_SEQ = st.dictionaries(
+    st.integers(0, 4).map(str), st.dictionaries(_PARTITION, _COUNT, max_size=2), max_size=2
+).map(lambda levels: json.dumps({"levels": levels}))
+_BIGRADED = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-1, 3)).map(lambda k: f"{k[0]},{k[1]}"),
+    _COUNT,
+    max_size=3,
+).map(lambda dims: json.dumps({"dims": dims}))
+_WINDOW = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda w: f"{w[0]}:{w[1]}")
+_TOKEN = st.one_of(
+    st.sampled_from([
+        "--bound", "--d", "--n", "--level", "--window", "--seq", "--pretty",
+        "--json", "--verify-duality", "--quick", "-h", ".",
+    ]),
+    _INT, _WINDOW, _PARTITION, _JSON.map(json.dumps), st.text(max_size=8),
+)
+_LEVEL_BOUND = ("--bound", _INT)
+
+# (flag or None for a positional, value strategy or None for a bare flag)
+ARGUMENTS = {
+    "lr": [(None, _PARTITION)] * 3,
+    "symmetrizer": [(None, _PARTITION), _LEVEL_BOUND],
+    "schur-weyl": [("--d", _INT), ("--seq", _SEQ)],
+    "seq-tensor": [(None, _SEQ), (None, _SEQ), _LEVEL_BOUND],
+    "free-gen": [("--level", _INT), _LEVEL_BOUND],
+    "localize": [("--d", _INT), (None, _SEQ)],
+    "wedge-component": [("--n", _INT), _LEVEL_BOUND],
+    "wedge-dim": [(None, _GRADED), ("--bound", _INT)],
+    "kimura": [(None, _GRADED)],
+    "euler-chi": [(None, _GRADED)],
+    "serre": [("--n", _INT), ("--window", _WINDOW), ("--verify-duality", None)],
+    "gm-shift": [(None, _BIGRADED)],
+    "selftest": [("--quick", None)],
+}
+
+
+def test_fuzz_covers_every_subcommand():
+    assert sorted(ARGUMENTS) == sorted(SUBCOMMANDS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from(SUBCOMMANDS), data=st.data())
+def test_every_argument_list_exits_0_2_or_3(command, data):
+    """Well-formed arguments, each sometimes left out or replaced by any
+    token, then a few stray tokens; the exit code is always 0, 2 or 3."""
+    argv = [command]
+    for flag, value in ARGUMENTS[command]:
+        roll = data.draw(st.integers(0, 9))
+        if roll == 0:
+            continue
+        if flag is not None:
+            argv.append(flag)
+        if value is not None:
+            argv.append(data.draw(_TOKEN if roll == 1 else value))
+    if data.draw(st.integers(0, 4)) == 0:
+        argv += data.draw(st.lists(_TOKEN, min_size=1, max_size=2))
+    # selftest with nothing to reject runs the whole suite (tested on its own above)
+    assume(command != "selftest" or set(argv[1:]) - {"--quick"})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc.errors import InvariantError
+from schurcalc import glchar
+from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.glchar import (
     DominantWeight,
     GLChar,
@@ -215,6 +216,21 @@ def test_transfer_counts_dimensions():
 def test_transfer_rejects_negative_rank():
     with pytest.raises(ValueError, match="nonnegative"):
         schur_weyl(free_generator(1), -1)
+
+
+def test_transfer_rank_bound_is_checked_before_any_weight(monkeypatch):
+    bound = glchar.SCHUR_WEYL_RANK_BOUND
+    image = schur_weyl(free_generator(2), bound)
+    assert image.d == bound and image.dim() == bound ** 2
+
+    def no_weights(*_args):
+        raise AssertionError("the rank bound must be checked before any weight is built")
+
+    monkeypatch.setattr(glchar, "weight_of", no_weights)
+    with pytest.raises(BoundExceededError, match=f"d <= {bound}, got {bound + 1}"):
+        schur_weyl(free_generator(2), bound + 1)
+    with pytest.raises(BoundExceededError):
+        schur_weyl(SymSeq.zero(), 10 ** 9)
 
 
 def test_hom_dim_anchor():

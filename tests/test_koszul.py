@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc.errors import BoundExceededError
+from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.koszul import (
     KIND_NOT_FINITE,
     KIND_ODDLY_FINITE,
@@ -22,6 +22,7 @@ from schurcalc.koszul import (
     KOSZUL_BOUND,
     FinitenessCertificate,
     GradedObject,
+    _power_image,
     certify_finiteness,
     euler_falling_factorial,
     graded_power_image,
@@ -227,6 +228,35 @@ def test_matrix_projector_is_idempotent_on_signed_power():
             for i in range(4)
         ]
         assert square == mat
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_graded_power_image_on_the_smallest_symmetric_groups(n):
+    unit = GroupAlgebraElement.unit(n)
+    projectors = [unit, alt_projector(n), sym_projector(n), GroupAlgebraElement.zero(n)]
+    for shape in all_partitions(n):
+        for tableau in standard_tableaux(shape):
+            c, a = young_symmetrizer(tableau)
+            projectors.append(c.scale(Fraction(1) / a))
+    for dims in ({}, {0: 1}, {1: 1}, {0: 1, 1: 1}, {-1: 2, 2: 1}):
+        c = GradedObject(dims)
+        for e in projectors:
+            assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
+        with pytest.raises(ValueError):
+            graded_power_image(c, unit.scale(2))
+
+
+@pytest.mark.parametrize(
+    "by_type, text",
+    [
+        ({Partition((1,)): Fraction(1, 2)}, "image dimension 1/2 in degree 0"),
+        ({Partition((1,)): -1}, "image dimension -1 in degree 0"),
+        ({Partition((1, 1)): Fraction(-1, 3)}, "image dimension -1/3 in degree 0"),
+    ],
+)
+def test_power_image_refuses_a_non_integer_or_negative_rank(by_type, text):
+    with pytest.raises(InvariantError, match=f"^{text} is not a nonnegative integer$"):
+        _power_image(GradedObject({0: 1}), by_type)
 
 
 def test_graded_power_rejects_non_idempotent():

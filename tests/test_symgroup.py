@@ -611,6 +611,108 @@ def test_cycle_lengths_and_sums_match_the_cycles():
 
 
 # ---------------------------------------------------------------------------
+# kernels on Sigma_0, Sigma_1 and Sigma_2, and against naive loops
+
+
+def _naive_cycle_type_sums(x: GroupAlgebraElement) -> dict:
+    """Reference class sums: one cycle_type() per term, summed as Fractions."""
+    acc: dict = {}
+    for p, c in x.terms.items():
+        acc[p.cycle_type()] = acc.get(p.cycle_type(), Fraction(0)) + Fraction(c)
+    return acc
+
+
+def _naive_acts_by_sign(x: GroupAlgebraElement, s: Permutation, left: bool, sign: int) -> bool:
+    """N_{s g} == sign N_g (left) or N_{g s} == sign N_g (right) at every g of Sigma_n."""
+    get = x.terms.get
+    return all(
+        get(s * g if left else g * s, 0) == sign * get(g, 0) for g in all_permutations(x.n)
+    )
+
+
+def _small_elements(n: int) -> list:
+    perms = all_permutations(n)
+    out = [
+        GroupAlgebraElement.zero(n),
+        GroupAlgebraElement.unit(n),
+        sym_projector(n),
+        alt_projector(n),
+        GroupAlgebraElement.unit(n).scale(Fraction(-2, 3)),
+        GroupAlgebraElement(n, {p: Fraction(i + 1, 2) for i, p in enumerate(perms)}),
+        GroupAlgebraElement(n, {p: Fraction(-1, 3) for p in perms}),
+    ]
+    if n == 2:
+        out.append(GroupAlgebraElement(2, {perms[1]: 1}))
+        out.append(GroupAlgebraElement(2, {perms[0]: Fraction(1, 2), perms[1]: Fraction(-1, 2)}))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_kernels_on_the_smallest_symmetric_groups(n):
+    elements = _small_elements(n)
+    for x in elements:
+        for y in elements:
+            got = x * y
+            assert got.n == n and got.terms == _naive_product(x, y)
+        assert is_idempotent(x) == (_naive_product(x, x) == x.terms)
+        assert list(cycle_type_sums(x).items()) == list(_naive_cycle_type_sums(x).items())
+        coeff = {p.images: c for p, c in x.terms.items()}
+        for s in all_permutations(n):
+            table = [0, *s.images]
+            for left in (True, False):
+                holds = {sign: _naive_acts_by_sign(x, s, left, sign) for sign in (1, -1)}
+                for sign in (1, -1):
+                    assert symgroup._acts_by_sign(coeff, table, left, sign) == holds[sign]
+                assert symgroup._acts_by_sign(coeff, table, left) == (holds[1] or holds[-1])
+
+
+class _CountingDict(dict):
+    """A coefficient map that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_acts_by_sign_finds_any_mismatch_and_stops_at_the_first(n):
+    # the first term of a sign-free pass fixes the sign, and one wrong
+    # coefficient fails the pass whatever its place in the support
+    perms = all_permutations(n)
+    swap = [0, 2, 1, *range(3, n + 1)]
+    for left in (True, False):
+        for bad in range(len(perms)):
+            coeff = {p.images: p.sign() for p in perms}
+            assert symgroup._acts_by_sign(coeff, swap, left)
+            assert symgroup._acts_by_sign(coeff, swap, left, -1)
+            assert not symgroup._acts_by_sign(coeff, swap, left, 1)
+            coeff[perms[bad].images] *= 2
+            assert not symgroup._acts_by_sign(coeff, swap, left)
+            assert not symgroup._acts_by_sign(coeff, swap, left, -1)
+        for sign in (None, 1):
+            counting = _CountingDict((p.images, p.sign()) for p in perms)
+            counting[perms[0].images] = 2
+            assert not symgroup._acts_by_sign(counting, swap, left, sign)
+            assert counting.lookups == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_convolution_and_class_sums_match_naive_loops(n, data):
+    perms = all_permutations(n)
+    x, y = (
+        GroupAlgebraElement(
+            n, data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=10))
+        )
+        for _ in range(2)
+    )
+    assert (x * y).terms == _naive_product(x, y)
+    assert list(cycle_type_sums(x).items()) == list(_naive_cycle_type_sums(x).items())
+
+
+# ---------------------------------------------------------------------------
 # characters: independent matrix oracle
 
 
