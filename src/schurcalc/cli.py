@@ -83,7 +83,7 @@ def _cmd_symmetrizer(args):
         "tableau": [list(row) for row in tableau.rows],
         "dim": dim_sym_irrep(shape),
         "scalar": {"num": a.numerator, "den": a.denominator},
-        "support_size": len(c.support()),
+        "support_size": len(c.nums),
         "idempotent_after_scaling": True,
         "terms": c.to_json(),
     }

@@ -5,14 +5,14 @@ The standard n+1 chart cover is used throughout. A Laurent monomial in the
 homogeneous coordinates lives on the intersection indexed by a chart subset S
 exactly when its negative-exponent set is contained in S, so the Cech complex
 splits over monomials into finitely many pattern complexes, one per subset of
-charts. Every rank below is computed by Gaussian elimination over Fractions;
+charts. Every rank below is computed by exact integer elimination;
 the binomial count of sections is never used here, it is reserved as an
 independent oracle for the tests.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
@@ -28,30 +28,35 @@ Monomial = tuple[int, ...]
 BasisKey = tuple[int, int, Monomial]  # (weight, cohomological degree, monomial)
 
 
-def _rank(matrix: list[list[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction-exact elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix if row]
-    if not rows:
-        return 0
-    width = len(rows[0])
+def _rank(matrix: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free elimination.
+
+    Each step takes one nonzero row as pivot and replaces every other row r
+    by lead * r - r[col] * pivot, col being the pivot's first nonzero column
+    and lead its entry there. That clears col outside the pivot and keeps the
+    span, so the rank is one more than that of the rows left. Each new row is
+    divided by the gcd of its entries, to keep the integers small, and
+    dropped when it is zero.
+    """
+    rows = [row for row in matrix if any(row)]
     rank = 0
-    pivot_row = 0
-    for col in range(width):
-        pivot = next(
-            (i for i in range(pivot_row, len(rows)) if rows[i][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        for i in range(pivot_row + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
+    while rows:
+        pivot = rows.pop()
+        col = next(i for i, x in enumerate(pivot) if x)
+        lead = pivot[col]
+        left = []
+        for row in rows:
+            x = row[col]
+            if x:
+                row = [lead * a - x * b for a, b in zip(row, pivot)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                if g != 1:
+                    row = [a // g for a in row]
+            left.append(row)
+        rows = left
         rank += 1
-        if pivot_row == len(rows):
-            break
     return rank
 
 

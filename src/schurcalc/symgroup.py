@@ -1,17 +1,17 @@
 """Exact computation in the rational group algebras of the symmetric groups.
 
-Everything is done with Fraction or int coefficients; no floating point
-enters at any stage.
+Everything is done with integer numerators over one denominator, or with
+Fraction and int values; no floating point enters at any stage.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations as _tuple_permutations, repeat
 from operator import eq, itemgetter, mul, neg
-from typing import Callable, Mapping
 
 from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
 from .partitions import (
@@ -111,38 +111,36 @@ class Permutation(Frozen):
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, longest first."""
-        images = self.images
-        n = len(images)
-        seen = [False] * (n + 1)
-        lengths = []
-        for start in range(1, n + 1):
-            if not seen[start]:
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = images[j - 1]
-                    length += 1
-                lengths.append(length)
-        lengths.sort(reverse=True)
-        return tuple(lengths)
+        return _cycle_lengths(self.images)
 
     def cycle_type(self) -> Partition:
         return Partition(self.cycle_lengths())
 
     def sign(self) -> int:
-        images = self.images
-        n = len(images)
-        seen = [False] * (n + 1)
-        cycles = 0
-        for start in range(1, n + 1):
-            if not seen[start]:
-                cycles += 1
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = images[j - 1]
-        return -1 if (n - cycles) % 2 else 1
+        return _sign(self.images)
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, longest first."""
+    n = len(images)
+    seen = [False] * (n + 1)
+    lengths = []
+    for start in range(1, n + 1):
+        if not seen[start]:
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = images[j - 1]
+                length += 1
+            lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def _sign(images: tuple[int, ...]) -> int:
+    """Sign of the permutation with these images: -1 to the n minus its cycle count."""
+    return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -152,47 +150,80 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
 
 
 class GroupAlgebraElement:
-    """Sparse element of Q[Sigma_n]: a map from permutations to exact rationals.
+    """Sparse element of Q[Sigma_n], held as integer numerators over one denominator.
 
-    Coefficients are int or Fraction. Zero coefficients are pruned on
-    construction, so equality is plain dict equality.
+    The element is the sum of (nums[g] / den) g, nums mapping the image
+    tuples of permutations to nonzero ints. The form is canonical: den is
+    the least positive common denominator, so gcd(den, *nums.values()) == 1,
+    and equality is equality of (n, den, nums). Elements are never mutated
+    once built, so two of them may share one nums dict. `terms` is a
+    read-only {Permutation: int | Fraction} view of the same coefficients.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None):
-        self.n = n
-        clean: dict[Permutation, Fraction | int] = {}
-        for perm, coeff in (terms or {}).items():
+        terms = terms or {}
+        for perm, coeff in terms.items():
             if len(perm.images) != n:
                 raise ValueError("term degree mismatch")
-            if coeff != 0:
-                clean[perm] = coeff
-        self.terms = clean
+            _expect_rational(coeff, "a coefficient")
+        den = math.lcm(*(c.denominator for c in terms.values() if c))
+        # den is the lcm of reduced denominators, so the form is canonical
+        self.n = n
+        self.den = den
+        self.nums = {
+            p.images: c.numerator * (den // c.denominator) for p, c in terms.items() if c
+        }
+
+    @classmethod
+    def _canonical(cls, n: int, den: int, nums: dict[tuple[int, ...], int]):
+        """The element nums/den, which must already be in canonical form."""
+        e = object.__new__(cls)
+        e.n, e.den, e.nums = n, den, nums
+        return e
+
+    @classmethod
+    def _reduced(cls, n: int, den: int, nums: dict[tuple[int, ...], int]):
+        """The element nums/den for den > 0, dropping zeros and the common factor."""
+        if 0 in nums.values():
+            nums = {im: c for im, c in nums.items() if c}
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            den //= g
+            nums = {im: c // g for im, c in nums.items()}
+        return cls._canonical(n, den, nums)
 
     @classmethod
     def unit(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {Permutation.identity(n): 1})
+        return cls._canonical(n, 1, {tuple(range(1, n + 1)): 1})
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {})
+        return cls._canonical(n, 1, {})
+
+    @property
+    def terms(self) -> Mapping[Permutation, Fraction | int]:
+        return _Terms(self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        acc = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            acc[perm] = acc.get(perm, 0) + coeff
-        return GroupAlgebraElement(self.n, acc)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        acc = {im: c * fa for im, c in self.nums.items()}
+        get = acc.get
+        for im, c in other.nums.items():
+            acc[im] = get(im, 0) + c * fb
+        return GroupAlgebraElement._reduced(self.n, den, acc)
 
     def __neg__(self) -> "GroupAlgebraElement":
         return self.scale(-1)
@@ -201,9 +232,20 @@ class GroupAlgebraElement:
         return self + (-other)
 
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.n, {perm: scalar * coeff for perm, coeff in self.terms.items()}
-        )
+        _expect_rational(scalar, "a scalar")
+        p, q = scalar.numerator, scalar.denominator
+        if not p or not self.nums:
+            return GroupAlgebraElement.zero(self.n)
+        # with p/q and nums/den both in lowest terms, cancelling gcd(p, den)
+        # and gcd(q, *nums) leaves the product in canonical form
+        gp = math.gcd(p, self.den)
+        gq = math.gcd(q, *self.nums.values()) if q != 1 else 1
+        factor = p // gp
+        if factor == 1 and gq == 1:
+            nums = self.nums
+        else:
+            nums = {im: c // gq * factor for im, c in self.nums.items()}
+        return GroupAlgebraElement._canonical(self.n, self.den // gp * (q // gq), nums)
 
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
         if isinstance(scalar, (int, Fraction)):
@@ -218,44 +260,35 @@ class GroupAlgebraElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        # work on raw image tuples and integer numerators over one common
-        # denominator per operand; divide once per output term at the end
-        da, left = _numerators(self.terms)
-        db, right = _numerators(other.terms)
-        right = [(_composer(qim), cq) for qim, cq in right]
+        right = [(_composer(qim), cq) for qim, cq in other.nums.items()]
         acc: dict[tuple[int, ...], int] = {}
-        for pim, cp in left:
+        for pim, cp in self.nums.items():
             for compose, cq in right:
                 rim = compose(pim)
                 c = cp * cq
                 prev = acc.get(rim)
                 acc[rim] = c if prev is None else prev + c
-        den = da * db
-        return GroupAlgebraElement(
-            self.n,
-            {
-                Permutation._unchecked(im): c if den == 1 else Fraction(c, den)
-                for im, c in acc.items()
-                if c != 0
-            },
-        )
+        return GroupAlgebraElement._reduced(self.n, self.den * other.den, acc)
 
-    def support(self) -> list[Permutation]:
-        return sorted(self.terms, key=lambda p: p.images)
+    def support(self) -> list[tuple[int, ...]]:
+        """The image tuples of the permutations with a nonzero coefficient, sorted."""
+        return sorted(self.nums)
 
     def __repr__(self) -> str:
+        den = self.den
         body = " + ".join(
-            f"{self.terms[p]}*{p.one_line()}" for p in self.support()
+            f"{_rational(self.nums[im], den)}*[{','.join(map(str, im))}]"
+            for im in self.support()
         )
         return f"<Q[S_{self.n}] {body or '0'}>"
 
     def to_json(self) -> list[dict]:
         out = []
-        for perm in self.support():
-            c = Fraction(self.terms[perm])
-            out.append(
-                {"perm": list(perm.images), "num": c.numerator, "den": c.denominator}
-            )
+        den = self.den
+        for im in self.support():
+            c = self.nums[im]
+            g = math.gcd(c, den)
+            out.append({"perm": list(im), "num": c // g, "den": den // g})
         return out
 
     @classmethod
@@ -272,14 +305,33 @@ class GroupAlgebraElement:
         return cls(n, terms)
 
 
-def _numerators(
-    terms: Mapping[Permutation, Fraction | int]
-) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """Common denominator d and the pairs (images, d * coeff), all integers."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [
-        (p.images, c.numerator * (den // c.denominator)) for p, c in terms.items()
-    ]
+class _Terms(Mapping):
+    """Read-only {Permutation: int | Fraction} view of an element's coefficients."""
+
+    __slots__ = ("_element",)
+
+    def __init__(self, element: GroupAlgebraElement):
+        self._element = element
+
+    def __len__(self) -> int:
+        return len(self._element.nums)
+
+    def __iter__(self):
+        return map(Permutation._unchecked, self._element.nums)
+
+    def __getitem__(self, perm: Permutation) -> Fraction | int:
+        if perm.__class__ is not Permutation:
+            raise KeyError(perm)
+        return _rational(self._element.nums[perm.images], self._element.den)
+
+
+def _rational(num: int, den: int) -> Fraction | int:
+    return num if den == 1 else Fraction(num, den)
+
+
+def _expect_rational(value, what: str) -> None:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, not {type(value).__name__}")
 
 
 def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -295,34 +347,52 @@ def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int,
     return itemgetter(*(j - 1 for j in images))
 
 
+def _inverted(coeff: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The table g^-1 -> N_g of the table g -> N_g, in the same order.
+
+    N_{s g} = N_g for every g exactly when M_{h s^-1} = M_h for every h, M
+    being the inverted table, so a left symmetry of N is a right one of M.
+    """
+    out = {}
+    for im, v in coeff.items():
+        inv = [0] * len(im)
+        for i, j in enumerate(im, start=1):
+            inv[j - 1] = i
+        out[tuple(inv)] = v
+    return out
+
+
+def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
+    """Numerators of the coefficient sums over each cycle type, over element.den."""
+    by_lengths: dict[tuple[int, ...], int] = {}
+    for images, num in element.nums.items():
+        t = _cycle_lengths(images)
+        by_lengths[t] = by_lengths.get(t, 0) + num
+    return by_lengths
+
+
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
     """Sum of the element's coefficients over each conjugacy class it meets."""
-    den, pairs = _numerators(element.terms)
-    by_lengths: dict[tuple[int, ...], int] = {}
-    for perm, (_images, num) in zip(element.terms, pairs):
-        t = perm.cycle_lengths()
-        by_lengths[t] = by_lengths.get(t, 0) + num
-    return {
-        Partition(t): total if den == 1 else Fraction(total, den)
-        for t, total in by_lengths.items()
-    }
+    den = element.den
+    return {Partition(t): _rational(total, den) for t, total in _class_sums(element).items()}
 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) sum of all permutations, the total symmetrizer."""
-    coeff = Fraction(1, math.factorial(n))
-    return GroupAlgebraElement(n, {p: coeff for p in all_permutations(n)})
+    return GroupAlgebraElement._canonical(
+        n, math.factorial(n), {p.images: 1 for p in all_permutations(n)}
+    )
 
 
 def alt_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) signed sum of all permutations, the total antisymmetrizer."""
-    coeff = Fraction(1, math.factorial(n))
-    by_sign = {1: coeff, -1: -coeff}
-    return GroupAlgebraElement(n, {p: by_sign[p.sign()] for p in all_permutations(n)})
+    return GroupAlgebraElement._canonical(
+        n, math.factorial(n), {p.images: p.sign() for p in all_permutations(n)}
+    )
 
 
-def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[Permutation]:
-    """All permutations fixing each block setwise (the Young subgroup of the blocks)."""
+def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Images of all permutations fixing each block setwise (the Young subgroup)."""
     images = [tuple(range(1, n + 1))]
     for block in blocks:
         extended = []
@@ -334,22 +404,22 @@ def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[Permutation]:
                     im[src - 1] = dst
                 extended.append(tuple(im))
         images = extended
-    return [Permutation._unchecked(im) for im in images]
+    return images
 
 
 def row_symmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     """Unsigned sum over permutations preserving each row of the tableau."""
     n = tableau.size
-    return GroupAlgebraElement(
-        n, {p: 1 for p in _subgroup_perms(tableau.row_sets(), n)}
+    return GroupAlgebraElement._canonical(
+        n, 1, dict.fromkeys(_subgroup_perms(tableau.row_sets(), n), 1)
     )
 
 
 def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     """Signed sum over permutations preserving each column of the tableau."""
     n = tableau.size
-    return GroupAlgebraElement(
-        n, {p: p.sign() for p in _subgroup_perms(tableau.column_sets(), n)}
+    return GroupAlgebraElement._canonical(
+        n, 1, {im: _sign(im) for im in _subgroup_perms(tableau.column_sets(), n)}
     )
 
 
@@ -419,31 +489,21 @@ def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], i
 
 
 def _acts_by_sign(
-    coeff: dict[tuple[int, ...], Fraction | int],
-    table: list[int],
-    left: bool,
-    sign: int | None = None,
+    coeff: dict[tuple[int, ...], int], table: list[int], sign: int | None = None
 ) -> bool:
-    """Whether N_{s g} = sign N_g (left) or N_{g s} = sign N_g (right) for every g.
+    """Whether N_{g s} = sign N_g for every g.
 
     N maps image tuples to coefficients and s is given by its 1-based image
     table; sign is 1 or -1. With sign None it is read from the first term,
     which must give 1 or -1. Checking the support of N suffices: if it passes, s maps the
-    finite support into itself injectively, hence onto, so N_{s g} = 0 = N_g
-    off it. The pass stops at the first mismatch.
+    finite support into itself injectively, hence onto, so N_{g s} = 0 = N_g
+    off it. The pass stops at the first mismatch. A left symmetry of N is a
+    right one of its inverted table (see _inverted).
     """
     if not coeff:
         return True
-    if len(table) < 3:
-        # Sigma_0 and Sigma_1 hold only the identity: s g = g s = g
-        moved = iter(coeff)
-    elif left:
-        # (s g)(i) = s(g(i)): the images of s g pick table's entries at g's
-        moved = (itemgetter(*g)(table) for g in coeff)
-    else:
-        # (g s)(i) = g(s(i)): one getter for the whole pass
-        moved = map(_composer(table[1:]), coeff)
-    found = map(coeff.get, moved, repeat(0))
+    # (g s)(i) = g(s(i)): one getter for the whole pass
+    found = map(coeff.get, map(_composer(table[1:]), coeff), repeat(0))
     values = iter(coeff.values())
     if sign is None:
         w, v = next(found), next(values)
@@ -454,24 +514,22 @@ def _acts_by_sign(
 
 
 def _square_matches(
-    coeff: dict[tuple[int, ...], Fraction | int], reps, scalar: Fraction | int
+    coeff: dict[tuple[int, ...], int],
+    inverted: dict[tuple[int, ...], int],
+    reps,
+    scalar: Fraction | int,
 ) -> bool:
     """Whether (N*N)_g == scalar * N_g at every g in reps.
 
-    N maps image tuples to coefficients; (N*N)_g = sum over p of
-    N_p * N_{p^-1 g}, one pass over the support of N per g.
+    N maps image tuples to coefficients and inverted is _inverted(N);
+    (N*N)_g = sum over h of N_{h^-1} * N_{h g}, one pass over the support
+    of N per g.
     """
     get = coeff.get
-    values = list(coeff.values())
-    inverses = []
-    for im in coeff:
-        inv = [0] * len(im)
-        for i, j in enumerate(im, start=1):
-            inv[j - 1] = i
-        inverses.append(inv)
-    # (p^-1 g)(i) = p^-1(g(i)), the images of p^-1 * g
+    values = list(inverted.values())
+    # (h g)(i) = h(g(i)), the images of h * g
     return all(
-        sum(map(mul, values, map(get, map(_composer(g), inverses), repeat(0))))
+        sum(map(mul, values, map(get, map(_composer(g), inverted), repeat(0))))
         == scalar * get(g, 0)
         for g in reps
     )
@@ -485,35 +543,37 @@ def _symmetrizer_identity_holds(
     Both parts are exact. First c itself is checked to be sign-equivariant
     on the left under the column group C and invariant on the right under
     the row group R, on generators of each: c_{t g} = sgn(t) c_g and
-    c_{g s} = c_g. By associativity c*c - a*c is then equivariant the same
-    way, so it vanishes once it vanishes on one g per double coset C g R.
-    Each generator and each representative costs one pass over the support
-    of c.
+    c_{g s} = c_g. The left checks run on the right of the inverted table,
+    which C, being a group, equally generates. By associativity c*c - a*c
+    is then equivariant the same way, so it vanishes once it vanishes on
+    one g per double coset C g R. Each generator and each representative
+    costs one pass over the support of c. With c = N/d, c*c = a*c is
+    N*N = a*d*N.
     """
     n = tableau.size
-    coeff = {p.images: v for p, v in c.terms.items()}
+    coeff = c.nums
+    inverted = _inverted(coeff)
     cols = tableau.column_sets()
     rows = tableau.row_sets()
     for col in cols:
         for table, sign in _block_generators(col, n):
-            if not _acts_by_sign(coeff, table, True, sign):
+            if not _acts_by_sign(inverted, table, sign):
                 return False
     for row in rows:
-        for table, _sign in _block_generators(row, n):
-            if not _acts_by_sign(coeff, table, False, 1):
+        for table, _ in _block_generators(row, n):
+            if not _acts_by_sign(coeff, table, 1):
                 return False
-    return _square_matches(coeff, _double_coset_representatives(cols, rows), a)
+    reps = _double_coset_representatives(cols, rows)
+    return _square_matches(coeff, inverted, reps, a * c.den)
 
 
-def _symmetry_blocks(
-    coeff: dict[tuple[int, ...], Fraction | int], n: int, left: bool
-) -> list[tuple[int, ...]]:
-    """Blocks of 1..n whose permutations each map N to +-N, on one side.
+def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int) -> list[tuple[int, ...]]:
+    """Blocks of 1..n whose permutations each map N to +-N on the right.
 
     Each transposition (i j) of two points not yet in one block is tried in
-    turn, and merges their blocks when N_{(i j) g} = +-N_g for every g (on
-    the right, N_{g (i j)}). The transpositions joining a block generate all
-    of its permutations.
+    turn, and merges their blocks when N_{g (i j)} = +-N_g for every g. The
+    transpositions joining a block generate all of its permutations. The
+    blocks of the left symmetries of N are those of _inverted(N).
     """
     parent = list(range(n + 1))
 
@@ -529,7 +589,7 @@ def _symmetry_blocks(
                 continue
             table = list(range(n + 1))
             table[i], table[j] = j, i
-            if _acts_by_sign(coeff, table, left):
+            if _acts_by_sign(coeff, table):
                 parent[rj] = ri
     blocks: dict[int, list[int]] = {}
     for i in range(1, n + 1):
@@ -551,10 +611,10 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
     IDEMPOTENT_CHECK_BOUND before any is taken.
     """
     n = e.n
-    d, pairs = _numerators(e.terms)
-    coeff = dict(pairs)
-    left = _symmetry_blocks(coeff, n, True)
-    right = _symmetry_blocks(coeff, n, False)
+    coeff = e.nums
+    inverted = _inverted(coeff)
+    left = _symmetry_blocks(inverted, n)
+    right = _symmetry_blocks(coeff, n)
     size = len(coeff)
     reps: list[tuple[int, ...]] = []
     # a double coset has at most |L| |R| elements, so there are at least
@@ -571,7 +631,7 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
         )
     if squaring:
         return e * e == e
-    return _square_matches(coeff, reps, d)
+    return _square_matches(coeff, inverted, reps, e.den)
 
 
 @lru_cache(maxsize=None)
@@ -839,26 +899,27 @@ class SymChar:
         )
 
 
-def _decompose_class_function(
-    n: int, chi: Mapping[Partition, Fraction | int]
-) -> SymChar:
+def _decompose_class_function(n: int, chi: Mapping[Partition, int], den: int) -> SymChar:
+    """Multiplicities of the irreducibles in the class function mu -> chi[mu] / den."""
     table = character_table(n)
+    shapes = all_partitions(n)
+    weighted = [(mu, conjugacy_class_size(mu) * chi[mu]) for mu in shapes]
+    whole = math.factorial(n) * den
     coeffs: dict[Partition, int] = {}
-    for lam in all_partitions(n):
-        total = 0
-        for mu in all_partitions(n):
-            total += conjugacy_class_size(mu) * chi[mu] * table[(lam, mu)]
-        mult = Fraction(total, math.factorial(n))
-        if mult.denominator != 1:
+    for lam in shapes:
+        total = sum(w * table[(lam, mu)] for mu, w in weighted)
+        mult, rest = divmod(total, whole)
+        if rest:
             raise ValueError(
-                f"trace data is not the character of a module (multiplicity {mult} at {lam})"
+                "trace data is not the character of a module "
+                f"(multiplicity {Fraction(total, whole)} at {lam})"
             )
         if mult < 0:
             raise ValueError(
                 f"negative multiplicity {mult} at {lam}: input is virtual, not a module"
             )
         if mult:
-            coeffs[lam] = int(mult)
+            coeffs[lam] = mult
     return SymChar(n, coeffs)
 
 
@@ -885,11 +946,11 @@ def decompose_module(
 
         # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients,
         # each h conjugate to the representative hit |centralizer| times
-        by_type = cycle_type_sums(e)
+        by_type = _class_sums(e)
         traces = {
-            mu: centralizer_order(mu) * by_type.get(mu, 0) for mu in all_partitions(n)
+            mu: centralizer_order(mu) * by_type.get(mu.parts, 0) for mu in all_partitions(n)
         }
-        return _decompose_class_function(n, traces)
+        return _decompose_class_function(n, traces, e.den)
 
     if isinstance(module, Mapping):
         if not module:
@@ -903,12 +964,16 @@ def decompose_module(
                 raise ValueError("matrix family mixes degrees")
             t = perm.cycle_type()
             tr = sum(matrix[i][i] for i in range(len(matrix)))
+            _expect_rational(tr, f"the trace at {perm.one_line()}")
             if t in traces and traces[t] != tr:
                 raise ValueError(f"inconsistent traces within class {t}")
             traces[t] = tr
         missing = [mu for mu in all_partitions(n) if mu not in traces]
         if missing:
             raise ValueError(f"no representative for classes {missing}")
-        return _decompose_class_function(n, traces)
+        den = math.lcm(*(tr.denominator for tr in traces.values()))
+        return _decompose_class_function(
+            n, {mu: tr.numerator * (den // tr.denominator) for mu, tr in traces.items()}, den
+        )
 
     raise TypeError("expected a GroupAlgebraElement or a permutation->matrix mapping")

@@ -1,12 +1,16 @@
 """Chart-cover cohomology, the twist algebra, and the degree-shift functor."""
 
 import math
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurcalc.errors import WindowExceededError
 from schurcalc.serre import (
     BigradedVS,
+    _rank,
     build_serre_algebra,
     cech_cohomology,
     gm_shift_functor,
@@ -245,3 +249,44 @@ def test_shift_leaves_the_heart():
 def test_shift_fixes_weight_zero():
     v = BigradedVS({(0, 0): 4, (0, 3): 1})
     assert gm_shift_functor(v) == v
+
+
+# ---------------------------------------------------------------------------
+# the elimination behind every rank
+
+
+def _rank_by_minors(matrix: list[list[int]]) -> int:
+    """Largest k with a nonzero k x k minor, each minor by the Leibniz formula."""
+
+    def det(rows, cols):
+        total = 0
+        for perm in permutations(range(len(cols))):
+            inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+            term = (-1) ** inversions
+            for r, p in zip(rows, perm):
+                term *= matrix[r][cols[p]]
+            total += term
+        return total
+
+    height, width = len(matrix), len(matrix[0]) if matrix else 0
+    for k in range(min(height, width), 0, -1):
+        for rows in combinations(range(height), k):
+            if any(det(rows, cols) for cols in combinations(range(width), k)):
+                return k
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=4
+        )
+    )
+)
+def test_rank_matches_minors(matrix):
+    assert _rank(matrix) == _rank_by_minors(matrix)
+    # a multiple of a row and a sum of two rows add nothing
+    if len(matrix) >= 2:
+        extra = [[5 * a for a in matrix[0]], [a + b for a, b in zip(matrix[0], matrix[1])]]
+        assert _rank(matrix + extra) == _rank(matrix)

@@ -218,6 +218,64 @@ def test_group_algebra_json_roundtrip():
     assert GroupAlgebraElement.from_json(y.to_json()) == y
 
 
+def test_coefficients_must_be_int_or_fraction():
+    # a float would be stored and fail later, inside a product or a check
+    with pytest.raises(TypeError, match="int or a Fraction, not float"):
+        GroupAlgebraElement(2, {Permutation((2, 1)): 0.5})
+    with pytest.raises(TypeError, match="not float"):
+        GroupAlgebraElement.unit(2).scale(0.5)
+    assert GroupAlgebraElement(2, {Permutation((2, 1)): True}) == GroupAlgebraElement(
+        2, {Permutation((2, 1)): 1}
+    )
+
+
+def _assert_canonical_as_naive(x: GroupAlgebraElement, naive: dict) -> None:
+    """x is in canonical form and holds the Fraction coefficients of naive."""
+    naive = {p: c for p, c in naive.items() if c != 0}
+    assert x.den > 0 and 0 not in x.nums.values()
+    assert math.gcd(x.den, *x.nums.values()) == 1
+    assert x.den == math.lcm(*(c.denominator for c in naive.values()))
+    assert x.terms == naive and len(x.terms) == len(naive)
+    assert x.to_json() == [
+        {"perm": list(p.images), "num": c.numerator, "den": c.denominator}
+        for p, c in sorted(naive.items(), key=lambda item: item[0].images)
+    ]
+
+
+_RANDOM_COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_ELEMENT_TERMS = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *(
+            st.dictionaries(st.sampled_from(all_permutations(n)), _RANDOM_COEFFS, max_size=6)
+            for _ in range(2)
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ELEMENT_TERMS, scalar=st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_arithmetic_keeps_the_canonical_form(drawn, scalar):
+    n, xt, yt = drawn
+    x, y = GroupAlgebraElement(n, xt), GroupAlgebraElement(n, yt)
+    fx = {p: Fraction(c) for p, c in xt.items()}
+    fy = {p: Fraction(c) for p, c in yt.items()}
+    _assert_canonical_as_naive(x, fx)
+    _assert_canonical_as_naive(y, fy)
+    total = dict(fx)
+    for p, c in fy.items():
+        total[p] = total.get(p, 0) + c
+    _assert_canonical_as_naive(x + y, total)
+    difference = dict(fx)
+    for p, c in fy.items():
+        difference[p] = difference.get(p, 0) - c
+    _assert_canonical_as_naive(x - y, difference)
+    _assert_canonical_as_naive(-x, {p: -c for p, c in fx.items()})
+    _assert_canonical_as_naive(x.scale(scalar), {p: scalar * c for p, c in fx.items()})
+    _assert_canonical_as_naive(x * y, _naive_product(x, y))
+
+
 # ---------------------------------------------------------------------------
 # Young symmetrizers
 
@@ -247,6 +305,21 @@ def test_symmetrizer_row_shape_is_total_symmetrizer():
     assert c.scale(Fraction(1) / a) == sym_projector(3)
     c, a = young_symmetrizer(Partition((1, 1, 1)))
     assert c.scale(Fraction(1) / a) == alt_projector(3)
+
+
+def test_normalising_keeps_the_cached_symmetrizer():
+    # scale by 1/a shares c's numerator dict, which nothing may change
+    for shape in [(3, 2), (4,), (1, 1, 1, 1), (2, 2, 1)]:
+        c, a = young_symmetrizer(Partition(shape))
+        den, nums = c.den, dict(c.nums)
+        e = c.scale(Fraction(1) / a)
+        assert e.den == a * den and e.nums is c.nums
+        assert is_idempotent(e) and e * e == e
+        # none of these may write to the shared dict
+        _ = (e + e, e - e, -e, e.scale(3), e.scale(Fraction(1, 3)), decompose_module(e))
+        again, _ = young_symmetrizer(Partition(shape))
+        assert again is c and c.den == den and c.nums == nums
+        assert c * c == c.scale(a)
 
 
 def test_symmetrizer_bound():
@@ -421,9 +494,6 @@ def test_idempotence_check_matches_square_on_projectors(n):
         assert is_idempotent(x) == (x * x == x)
 
 
-_RANDOM_COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-
-
 @settings(max_examples=200, deadline=None)
 @given(n=st.sampled_from([3, 4]), data=st.data())
 def test_idempotence_check_matches_square_on_random_elements(n, data):
@@ -504,13 +574,15 @@ def test_double_coset_representatives_for_block_lists_of_five(left, right):
 
 
 def _assert_symmetry_blocks_hold(x):
-    """Every transposition inside a found block maps x to +-x, by convolution."""
+    """Every transposition inside a found block maps x to +-x, by convolution.
+
+    The left blocks are the right blocks of the inverted table.
+    """
     n = x.n
-    _d, pairs = symgroup._numerators(x.terms)
-    coeff = dict(pairs)
     sides = []
     for on_left in (True, False):
-        blocks = symgroup._symmetry_blocks(coeff, n, on_left)
+        table = symgroup._inverted(x.nums) if on_left else x.nums
+        blocks = symgroup._symmetry_blocks(table, n)
         assert sorted(p for b in blocks for p in b) == list(range(1, n + 1))
         sides.append(blocks)
         for block in blocks:
@@ -656,14 +728,15 @@ def test_kernels_on_the_smallest_symmetric_groups(n):
             assert got.n == n and got.terms == _naive_product(x, y)
         assert is_idempotent(x) == (_naive_product(x, x) == x.terms)
         assert list(cycle_type_sums(x).items()) == list(_naive_cycle_type_sums(x).items())
-        coeff = {p.images: c for p, c in x.terms.items()}
+        inverted = symgroup._inverted(x.nums)
         for s in all_permutations(n):
-            table = [0, *s.images]
             for left in (True, False):
+                # N_{s g} = sign N_g for all g is M_{h s^-1} = sign M_h on M = _inverted(N)
+                coeff, table = (inverted, [0, *s.inverse().images]) if left else (x.nums, [0, *s.images])
                 holds = {sign: _naive_acts_by_sign(x, s, left, sign) for sign in (1, -1)}
                 for sign in (1, -1):
-                    assert symgroup._acts_by_sign(coeff, table, left, sign) == holds[sign]
-                assert symgroup._acts_by_sign(coeff, table, left) == (holds[1] or holds[-1])
+                    assert symgroup._acts_by_sign(coeff, table, sign) == holds[sign]
+                assert symgroup._acts_by_sign(coeff, table) == (holds[1] or holds[-1])
 
 
 class _CountingDict(dict):
@@ -680,21 +753,28 @@ class _CountingDict(dict):
 def test_acts_by_sign_finds_any_mismatch_and_stops_at_the_first(n):
     # the first term of a sign-free pass fixes the sign, and one wrong
     # coefficient fails the pass whatever its place in the support
+    # on the left the pass runs on the right of the inverted table; the swap
+    # is its own inverse, so the same table serves both sides
     perms = all_permutations(n)
     swap = [0, 2, 1, *range(3, n + 1)]
     for left in (True, False):
+
+        def side(coeff):
+            return symgroup._inverted(coeff) if left else coeff
+
         for bad in range(len(perms)):
             coeff = {p.images: p.sign() for p in perms}
-            assert symgroup._acts_by_sign(coeff, swap, left)
-            assert symgroup._acts_by_sign(coeff, swap, left, -1)
-            assert not symgroup._acts_by_sign(coeff, swap, left, 1)
+            assert symgroup._acts_by_sign(side(coeff), swap)
+            assert symgroup._acts_by_sign(side(coeff), swap, -1)
+            assert not symgroup._acts_by_sign(side(coeff), swap, 1)
             coeff[perms[bad].images] *= 2
-            assert not symgroup._acts_by_sign(coeff, swap, left)
-            assert not symgroup._acts_by_sign(coeff, swap, left, -1)
+            assert not symgroup._acts_by_sign(side(coeff), swap)
+            assert not symgroup._acts_by_sign(side(coeff), swap, -1)
         for sign in (None, 1):
-            counting = _CountingDict((p.images, p.sign()) for p in perms)
-            counting[perms[0].images] = 2
-            assert not symgroup._acts_by_sign(counting, swap, left, sign)
+            coeff = {p.images: p.sign() for p in perms}
+            coeff[perms[0].images] = 2
+            counting = _CountingDict(side(coeff))
+            assert not symgroup._acts_by_sign(counting, swap, sign)
             assert counting.lookups == 1
 
 
@@ -882,15 +962,29 @@ def test_decompose_matrix_family_needs_all_classes():
         decompose_module(family)
 
 
+def _one_by_one_family(identity, swap, rotate):
+    return {
+        Permutation.identity(3): [[identity]],
+        Permutation((2, 1, 3)): [[swap]],
+        Permutation((2, 3, 1)): [[rotate]],
+    }
+
+
 def test_decompose_rejects_non_integral_multiplicities():
     # traces 1, 0, 0 average to 1/6 on the trivial shape
-    family = {
-        Permutation.identity(3): [[1]],
-        Permutation((2, 1, 3)): [[0]],
-        Permutation((2, 3, 1)): [[0]],
-    }
-    with pytest.raises(ValueError):
-        decompose_module(family)
+    message = r"^trace data is not the character of a module \(multiplicity 1/6 at 3\)$"
+    with pytest.raises(ValueError, match=message):
+        decompose_module(_one_by_one_family(1, 0, 0))
+    # Fraction traces: 1/2 on every class is half the trivial character
+    message = r"^trace data is not the character of a module \(multiplicity 1/2 at 3\)$"
+    with pytest.raises(ValueError, match=message):
+        decompose_module(_one_by_one_family(*[Fraction(1, 2)] * 3))
+    # traces 0, -2, 0: the trivial shape gets -1
+    message = r"^negative multiplicity -1 at 3: input is virtual, not a module$"
+    with pytest.raises(ValueError, match=message):
+        decompose_module(_one_by_one_family(0, -2, 0))
+    with pytest.raises(TypeError, match="int or a Fraction, not float"):
+        decompose_module(_one_by_one_family(1.0, 1.0, 1.0))
 
 
 def test_symchar_json_roundtrip():
