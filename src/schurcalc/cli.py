@@ -25,8 +25,15 @@ from .serre import (
     gm_shift_functor,
     verify_serre_duality,
 )
-from .symgroup import young_symmetrizer
-from .symseq import SymSeq, free_generator, localize, tensor, wedge_component
+from .symgroup import SYMMETRIZER_BOUND, young_symmetrizer
+from .symseq import (
+    DEFAULT_LEVEL_BOUND,
+    SymSeq,
+    free_generator,
+    localize,
+    tensor,
+    wedge_component,
+)
 
 
 # a JSON file argument longer than this is refused, so a huge or endless
@@ -78,7 +85,7 @@ def _cmd_lr(args):
 def _cmd_symmetrizer(args):
     shape = _partition(args.shape)
     tableau = canonical_tableau(shape)
-    c, a = young_symmetrizer(tableau, bound=args.bound)
+    c, a = young_symmetrizer(tableau)
     output = {
         "tableau": [list(row) for row in tableau.rows],
         "dim": dim_sym_irrep(shape),
@@ -87,7 +94,7 @@ def _cmd_symmetrizer(args):
         "idempotent_after_scaling": True,
         "terms": c.to_json(),
     }
-    return {"shape": str(shape), "bound": args.bound}, output
+    return {"shape": str(shape), "bound": SYMMETRIZER_BOUND}, output
 
 
 def _cmd_schur_weyl(args):
@@ -100,13 +107,17 @@ def _cmd_schur_weyl(args):
 def _cmd_seq_tensor(args):
     left = SymSeq.from_json(_load_payload(args.left))
     right = SymSeq.from_json(_load_payload(args.right))
-    result = tensor(left, right, bound=args.bound)
-    inputs = {"left": left.to_json(), "right": right.to_json(), "bound": args.bound}
+    result = tensor(left, right)
+    inputs = {
+        "left": left.to_json(),
+        "right": right.to_json(),
+        "bound": DEFAULT_LEVEL_BOUND,
+    }
     return inputs, result.to_json()
 
 
 def _cmd_free_gen(args):
-    seq = free_generator(args.level, bound=args.bound)
+    seq = free_generator(args.level)
     return {"level": args.level}, seq.to_json()
 
 
@@ -117,7 +128,7 @@ def _cmd_localize(args):
 
 
 def _cmd_wedge_component(args):
-    seq = wedge_component(args.n, bound=args.bound)
+    seq = wedge_component(args.n)
     return {"n": args.n}, seq.to_json()
 
 
@@ -224,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Young symmetrizer of a shape with its scaling constant",
     )
     p.add_argument("shape")
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(handler=_cmd_symmetrizer)
 
     p = sub.add_parser(
@@ -240,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(handler=_cmd_seq_tensor)
 
     p = sub.add_parser(
         "free-gen", parents=[common], help="free generator power at one level"
     )
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(handler=_cmd_free_gen)
 
     p = sub.add_parser(
@@ -262,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sign-isotypic cut of the n-th generator power",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(handler=_cmd_wedge_component)
 
     p = sub.add_parser(

@@ -11,9 +11,9 @@ from functools import lru_cache, total_ordering
 from operator import add
 from typing import Mapping, Sequence
 
-from .errors import BoundExceededError, InvariantError, expect_int
+from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
 from .partitions import Partition, all_partitions, dim_gl_irrep
-from .values import Frozen
+from .values import Counts, Frozen
 
 PRODUCT_FACTOR_BOUND = 4
 PRODUCT_RANK_BOUND = 4
@@ -89,20 +89,21 @@ def weight_of(shape: Partition, d: int, det_power: int = 0) -> DominantWeight:
     )
 
 
-class GLChar:
+class GLChar(Counts):
     """Virtual character of GL_d: integer combination of dominant weights."""
 
     __slots__ = ("d", "coeffs")
+    _count_text = "coefficient of {}"
+    _parse = staticmethod(DominantWeight.from_string)
 
     def __init__(self, d: int, coeffs: Mapping[DominantWeight, int] | None = None):
         self.d = d
-        clean: dict[DominantWeight, int] = {}
-        for w, c in (coeffs or {}).items():
-            if w.d != d:
-                raise ValueError(f"weight {w} has rank {w.d}, expected {d}")
-            if c != 0:
-                clean[w] = int(c)
-        self.coeffs = clean
+        self.coeffs = self._canonical(coeffs)
+
+    def _key(self, w: DominantWeight) -> DominantWeight:
+        if w.d != self.d:
+            raise ValueError(f"weight {w} has rank {w.d}, expected {self.d}")
+        return w
 
     @classmethod
     def unit(cls, d: int) -> "GLChar":
@@ -121,32 +122,6 @@ class GLChar:
     def determinant(cls, d: int, power: int = 1) -> "GLChar":
         return cls.irreducible(DominantWeight(d, (power,) * d))
 
-    @classmethod
-    def zero(cls, d: int) -> "GLChar":
-        return cls(d, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_actual(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GLChar):
-            return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
-
-    def __add__(self, other: "GLChar") -> "GLChar":
-        if self.d != other.d:
-            raise ValueError("rank mismatch")
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, 0) + c
-        return GLChar(self.d, acc)
-
-    def scale(self, scalar: int) -> "GLChar":
-        return GLChar(self.d, {w: scalar * c for w, c in self.coeffs.items()})
-
     def dim(self) -> int:
         """Sum of c * dim V_w, each by the hook-content formula."""
         return sum(
@@ -155,23 +130,17 @@ class GLChar:
         )
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*{w}" for w, c in sorted(self.coeffs.items()))
+        body = " + ".join(f"{c}*{w}" for w, c in self._items())
         return f"<GLChar d={self.d} {body or '0'}>"
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "coeffs": {str(w): c for w, c in sorted(self.coeffs.items())},
-        }
+        return {"d": self.d, "coeffs": self._map_json()}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GLChar":
+        data = expect_mapping(data, "character")
         d = expect_int(data["d"], "rank d")
-        coeffs = {
-            DominantWeight.from_string(key): expect_int(c, f"coefficient of {key}")
-            for key, c in data.get("coeffs", {}).items()
-        }
-        return cls(d, coeffs)
+        return cls(d, cls._read_map(data.get("coeffs", {}), "coeffs"))
 
 
 # ---------------------------------------------------------------------------

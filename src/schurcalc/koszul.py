@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
+from .errors import BoundExceededError, InvariantError, expect_mapping
 from .partitions import Partition
 from .symgroup import (
     GroupAlgebraElement,
@@ -22,7 +22,7 @@ from .symgroup import (
     is_idempotent,
     sym_projector,
 )
-from .values import Record
+from .values import Counts, Record
 
 KIND_WEDGE_FINITE = "wedge-finite"
 KIND_EVENLY_FINITE = "evenly-finite"
@@ -32,31 +32,20 @@ KIND_NOT_FINITE = "not-finite-up-to"
 KOSZUL_BOUND = 8
 
 
-class GradedObject:
+class GradedObject(Counts):
     """Finite dimension vector over integer degrees; all entries positive."""
 
     __slots__ = ("dims",)
+    _negative = "negative dimension {count} in degree {key}"
+    _count_text = "dimension in degree {}"
+    _key = _parse = staticmethod(int)
 
     def __init__(self, dims: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        for deg, dim in (dims or {}).items():
-            deg, dim = int(deg), int(dim)
-            if dim < 0:
-                raise ValueError(f"negative dimension {dim} in degree {deg}")
-            if dim:
-                clean[deg] = dim
-        self.dims = clean
+        self.dims = self._canonical(dims)
 
     @classmethod
     def point(cls, dim: int = 1, degree: int = 0) -> "GradedObject":
         return cls({degree: dim})
-
-    @classmethod
-    def zero(cls) -> "GradedObject":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.dims
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -67,31 +56,17 @@ class GradedObject:
     def shift(self, r: int) -> "GradedObject":
         return GradedObject({deg + r: dim for deg, dim in self.dims.items()})
 
-    def __add__(self, other: "GradedObject") -> "GradedObject":
-        acc = dict(self.dims)
-        for deg, dim in other.dims.items():
-            acc[deg] = acc.get(deg, 0) + dim
-        return GradedObject(acc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedObject):
-            return NotImplemented
-        return self.dims == other.dims
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{deg}: {self.dims[deg]}" for deg in sorted(self.dims))
+        body = ", ".join(f"{deg}: {dim}" for deg, dim in self._items())
         return f"<GradedObject {{{body}}}>"
 
     def to_json(self) -> dict:
-        return {"dims": {str(deg): self.dims[deg] for deg in sorted(self.dims)}}
+        return {"dims": self._map_json()}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GradedObject":
         data = expect_mapping(data, "graded object")
-        dims = expect_mapping(data.get("dims", {}), "dims")
-        return cls(
-            {int(k): expect_int(v, f"dimension in degree {k}") for k, v in dims.items()}
-        )
+        return cls(cls._read_map(data.get("dims", {}), "dims"))
 
 
 def shift(c: GradedObject, r: int) -> GradedObject:

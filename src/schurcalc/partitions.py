@@ -172,14 +172,12 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(parts) for parts in gen(n, n))
 
 
-def standard_tableaux(
-    shape: Partition, bound: int = TABLEAU_ENUMERATION_BOUND
-) -> list[StandardTableau]:
+def standard_tableaux(shape: Partition) -> list[StandardTableau]:
     """All standard tableaux of the given shape, sorted by row major entry list."""
     n = shape.size
-    if n > bound:
+    if n > TABLEAU_ENUMERATION_BOUND:
         raise BoundExceededError(
-            f"tableau enumeration limited to size {bound}, got {n}"
+            f"tableau enumeration limited to size {TABLEAU_ENUMERATION_BOUND}, got {n}"
         )
     if n == 0:
         return [StandardTableau(())]

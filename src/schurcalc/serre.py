@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError, expect_int, expect_mapping
-from .values import Record
+from .errors import InvariantError, WindowExceededError, expect_mapping
+from .values import Counts, Record
 
 DIMENSION_BOUND = 3
 TWIST_BOUND = 20
@@ -141,7 +141,7 @@ class CechCohomology(Record):
         }
 
 
-def cech_cohomology(n: int, r: int, max_twist: int = TWIST_BOUND) -> CechCohomology:
+def cech_cohomology(n: int, r: int) -> CechCohomology:
     """All cohomology of the r-th twist on n-dimensional projective space.
 
     Works one sign pattern at a time: patterns other than all-nonnegative and
@@ -151,8 +151,8 @@ def cech_cohomology(n: int, r: int, max_twist: int = TWIST_BOUND) -> CechCohomol
     """
     if not 0 <= n <= DIMENSION_BOUND:
         raise ValueError(f"dimension must be between 0 and {DIMENSION_BOUND}")
-    if abs(r) > max_twist:
-        raise WindowExceededError(f"twist {r} exceeds bound {max_twist}")
+    if abs(r) > TWIST_BOUND:
+        raise WindowExceededError(f"twist {r} exceeds bound {TWIST_BOUND}")
     charts = tuple(range(n + 1))
     dims: dict[int, int] = {p: 0 for p in range(n + 1)}
     basis: dict[int, list[Monomial]] = {p: [] for p in range(n + 1)}
@@ -188,38 +188,31 @@ def cech_cohomology(n: int, r: int, max_twist: int = TWIST_BOUND) -> CechCohomol
     )
 
 
-class BigradedVS:
+class BigradedVS(Counts):
     """Dimension vector over (weight, cohomological degree) pairs."""
 
     __slots__ = ("dims",)
+    _negative = "negative dimension"
+    _count_text = "dimension at {}"
 
     def __init__(self, dims: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        for key, dim in (dims or {}).items():
-            r, i = int(key[0]), int(key[1])
-            dim = int(dim)
-            if dim < 0:
-                raise ValueError("negative dimension")
-            if dim:
-                clean[(r, i)] = dim
-        self.dims = clean
+        self.dims = self._canonical(dims)
 
-    def is_zero(self) -> bool:
-        return not self.dims
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        return int(key[0]), int(key[1])
+
+    @staticmethod
+    def _text(key) -> str:
+        return f"{key[0]},{key[1]}"
+
+    @staticmethod
+    def _parse(text: str) -> tuple[int, int]:
+        r_text, i_text = text.split(",")
+        return int(r_text), int(i_text)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigradedVS):
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __add__(self, other: "BigradedVS") -> "BigradedVS":
-        acc = dict(self.dims)
-        for key, dim in other.dims.items():
-            acc[key] = acc.get(key, 0) + dim
-        return BigradedVS(acc)
 
     def tensor(self, other: "BigradedVS") -> "BigradedVS":
         acc: dict[tuple[int, int], int] = {}
@@ -230,24 +223,16 @@ class BigradedVS:
         return BigradedVS(acc)
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"({r},{i}): {self.dims[(r, i)]}" for r, i in sorted(self.dims)
-        )
+        body = ", ".join(f"({r},{i}): {dim}" for (r, i), dim in self._items())
         return f"<BigradedVS {{{body}}}>"
 
     def to_json(self) -> dict:
-        return {
-            "dims": {f"{r},{i}": self.dims[(r, i)] for r, i in sorted(self.dims)}
-        }
+        return {"dims": self._map_json()}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BigradedVS":
         data = expect_mapping(data, "bigraded space")
-        dims = {}
-        for key, dim in expect_mapping(data.get("dims", {}), "dims").items():
-            r_text, i_text = key.split(",")
-            dims[(int(r_text), int(i_text))] = expect_int(dim, f"dimension at {key}")
-        return cls(dims)
+        return cls(cls._read_map(data.get("dims", {}), "dims"))
 
 
 def gm_shift_functor(v: BigradedVS) -> BigradedVS:
@@ -345,9 +330,7 @@ class SerreAlgebra(Record):
         }
 
 
-def build_serre_algebra(
-    n: int, r_min: int, r_max: int, max_twist: int = TWIST_BOUND
-) -> SerreAlgebra:
+def build_serre_algebra(n: int, r_min: int, r_max: int) -> SerreAlgebra:
     """Assemble all twists of a window into one bigraded algebra."""
     if r_min > r_max:
         raise ValueError("empty window")
@@ -357,10 +340,7 @@ def build_serre_algebra(
         )
     if not r_min <= 0 <= r_max:
         raise ValueError("window must contain weight zero (the unit)")
-    cohomology = {
-        r: cech_cohomology(n, r, max_twist=max_twist)
-        for r in range(r_min, r_max + 1)
-    }
+    cohomology = {r: cech_cohomology(n, r) for r in range(r_min, r_max + 1)}
     return SerreAlgebra(n, r_min, r_max, cohomology)
 
 

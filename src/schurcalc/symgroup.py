@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import islice, permutations as _tuple_permutations, repeat
 from operator import eq, itemgetter, mul, neg
 
-from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
+from .errors import BoundExceededError, InvariantError
 from .partitions import (
     Partition,
     StandardTableau,
@@ -21,7 +21,7 @@ from .partitions import (
     canonical_tableau,
     dim_sym_irrep,
 )
-from .values import Frozen
+from .values import Counts, Frozen
 
 SYMMETRIZER_BOUND = 8
 CHARACTER_BOUND = 8
@@ -649,7 +649,7 @@ def _young_symmetrizer_cached(tableau: StandardTableau):
 
 
 def young_symmetrizer(
-    tableau: StandardTableau | Partition, bound: int = SYMMETRIZER_BOUND
+    tableau: StandardTableau | Partition,
 ) -> tuple[GroupAlgebraElement, Fraction]:
     """Unnormalized Young symmetrizer c and the exact scalar a with c*c = a*c.
 
@@ -666,9 +666,9 @@ def young_symmetrizer(
     """
     if isinstance(tableau, Partition):
         tableau = canonical_tableau(tableau)
-    if tableau.size > bound:
+    if tableau.size > SYMMETRIZER_BOUND:
         raise BoundExceededError(
-            f"symmetrizer limited to size {bound}, got {tableau.size}"
+            f"symmetrizer limited to size {SYMMETRIZER_BOUND}, got {tableau.size}"
         )
     return _young_symmetrizer_cached(tableau)
 
@@ -719,13 +719,11 @@ def _mn_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def char_irrep(
-    shape: Partition, bound: int = CHARACTER_BOUND
-) -> dict[Partition, int]:
+def char_irrep(shape: Partition) -> dict[Partition, int]:
     """Character of the irreducible of the shape, as cycle type -> integer."""
     n = shape.size
-    if n > bound:
-        raise BoundExceededError(f"character table limited to n <= {bound}")
+    if n > CHARACTER_BOUND:
+        raise BoundExceededError(f"character table limited to n <= {CHARACTER_BOUND}")
     table = character_table(n)
     return {mu: table[(shape, mu)] for mu in all_partitions(n)}
 
@@ -820,20 +818,22 @@ def induction_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
 # virtual characters and module decomposition
 
 
-class SymChar:
+class SymChar(Counts):
     """Virtual character of Sigma_n: integer combination of irreducible shapes."""
 
     __slots__ = ("n", "coeffs")
+    _descending = True
+    _count_text = "multiplicity of {}"
+    _parse = staticmethod(Partition.from_string)
 
     def __init__(self, n: int, coeffs: Mapping[Partition, int] | None = None):
         self.n = n
-        clean: dict[Partition, int] = {}
-        for shape, mult in (coeffs or {}).items():
-            if shape.size != n:
-                raise ValueError(f"shape {shape} is not a partition of {n}")
-            if mult != 0:
-                clean[shape] = int(mult)
-        self.coeffs = clean
+        self.coeffs = self._canonical(coeffs)
+
+    def _key(self, shape: Partition) -> Partition:
+        if shape.size != self.n:
+            raise ValueError(f"shape {shape} is not a partition of {self.n}")
+        return shape
 
     @classmethod
     def irreducible(cls, shape: Partition) -> "SymChar":
@@ -843,34 +843,8 @@ class SymChar:
     def regular(cls, n: int) -> "SymChar":
         return cls(n, {p: dim_sym_irrep(p) for p in all_partitions(n)})
 
-    @classmethod
-    def zero(cls, n: int) -> "SymChar":
-        return cls(n, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_actual(self) -> bool:
-        return all(m >= 0 for m in self.coeffs.values())
-
     def dim(self) -> int:
         return sum(m * dim_sym_irrep(p) for p, m in self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymChar):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __add__(self, other: "SymChar") -> "SymChar":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        acc = dict(self.coeffs)
-        for shape, mult in other.coeffs.items():
-            acc[shape] = acc.get(shape, 0) + mult
-        return SymChar(self.n, acc)
-
-    def scale(self, scalar: int) -> "SymChar":
-        return SymChar(self.n, {p: scalar * m for p, m in self.coeffs.items()})
 
     def restrict_rows(self, d: int) -> "SymChar":
         """Drop constituents whose shape has more than d rows."""
@@ -879,24 +853,15 @@ class SymChar:
         )
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"{m}*[{p}]" for p, m in sorted(self.coeffs.items(), reverse=True)
-        )
+        body = " + ".join(f"{m}*[{p}]" for p, m in self._items())
         return f"<SymChar n={self.n} {body or '0'}>"
 
     def to_json(self) -> dict[str, int]:
-        return {str(p): m for p, m in sorted(self.coeffs.items(), reverse=True)}
+        return self._map_json()
 
     @classmethod
     def from_json(cls, n: int, data: Mapping[str, int]) -> "SymChar":
-        data = expect_mapping(data, f"level {n} character")
-        return cls(
-            n,
-            {
-                Partition.from_string(key): expect_int(m, f"multiplicity of {key}")
-                for key, m in data.items()
-            },
-        )
+        return cls(n, cls._read_map(data, f"level {n} character"))
 
 
 def _decompose_class_function(n: int, chi: Mapping[Partition, int], den: int) -> SymChar:
@@ -925,7 +890,6 @@ def _decompose_class_function(n: int, chi: Mapping[Partition, int], den: int) ->
 
 def decompose_module(
     module: GroupAlgebraElement | Mapping[Permutation, list],
-    bound: int = CHARACTER_BOUND,
 ) -> SymChar:
     """Decompose a Sigma_n module into irreducible multiplicities.
 
@@ -939,8 +903,8 @@ def decompose_module(
     if isinstance(module, GroupAlgebraElement):
         e = module
         n = e.n
-        if n > bound:
-            raise BoundExceededError(f"decomposition limited to n <= {bound}")
+        if n > CHARACTER_BOUND:
+            raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
         if not is_idempotent(e):
             raise ValueError("element is not idempotent, so it cuts out no module")
 
@@ -956,8 +920,8 @@ def decompose_module(
         if not module:
             raise ValueError("empty matrix family")
         n = next(iter(module)).n
-        if n > bound:
-            raise BoundExceededError(f"decomposition limited to n <= {bound}")
+        if n > CHARACTER_BOUND:
+            raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
         traces: dict[Partition, Fraction | int] = {}
         for perm, matrix in module.items():
             if perm.n != n:

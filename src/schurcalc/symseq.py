@@ -93,7 +93,7 @@ class SymSeq:
         return cls(levels)
 
 
-def free_generator(a: int, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
+def free_generator(a: int) -> SymSeq:
     """Free sequence on one generator in level a: the regular character there.
 
     These are a free monoid under tensor: the product of the generators at a
@@ -101,12 +101,12 @@ def free_generator(a: int, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
     """
     if a < 0:
         raise ValueError("level must be nonnegative")
-    if a > bound:
-        raise BoundExceededError(f"level {a} exceeds bound {bound}")
+    if a > DEFAULT_LEVEL_BOUND:
+        raise BoundExceededError(f"level {a} exceeds bound {DEFAULT_LEVEL_BOUND}")
     return SymSeq.single(SymChar.regular(a))
 
 
-def tensor(e: SymSeq, f: SymSeq, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
+def tensor(e: SymSeq, f: SymSeq) -> SymSeq:
     """Levelwise induction product.
 
     Level l of the result collects, over all splittings l = n+m, the induced
@@ -116,9 +116,9 @@ def tensor(e: SymSeq, f: SymSeq, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
     if not e.levels or not f.levels:
         return SymSeq.zero()
     top = e.max_level() + f.max_level()
-    if top > bound:
+    if top > DEFAULT_LEVEL_BOUND:
         raise BoundExceededError(
-            f"tensor reaches level {top}, beyond bound {bound}"
+            f"tensor reaches level {top}, beyond bound {DEFAULT_LEVEL_BOUND}"
         )
     acc: dict[int, dict[Partition, int]] = {}
     for n, en in e.levels.items():
@@ -147,7 +147,7 @@ def localize(e: SymSeq, d: int) -> SymSeq:
     )
 
 
-def wedge_component(n: int, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
+def wedge_component(n: int) -> SymSeq:
     """Single-column cut of the n-th tensor power of the level-1 generator.
 
     The n-th power of the generator is the full regular character in level n,
@@ -157,8 +157,8 @@ def wedge_component(n: int, bound: int = DEFAULT_LEVEL_BOUND) -> SymSeq:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise BoundExceededError(f"level {n} exceeds bound {bound}")
+    if n > DEFAULT_LEVEL_BOUND:
+        raise BoundExceededError(f"level {n} exceeds bound {DEFAULT_LEVEL_BOUND}")
     if n == 0:
         return free_generator(0)
     return SymSeq.irreducible(Partition((1,) * n))

@@ -315,9 +315,44 @@ def test_tensor_bound_exits_3(capsys):
     code, out, err = run(
         capsys, "seq-tensor",
         '{"levels":{"5":{"5":1}}}', '{"levels":{"5":{"5":1}}}',
-        "--bound", "8",
     )
     assert code == 3
+
+
+def test_symmetrizer_of_nine_rows_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "symmetrizer", "1,1,1,1,1,1,1,1,1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "bound-exceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symmetrizer", "1,1,1,1,1,1,1,1,1,1", "--bound", "10"),
+        ("seq-tensor", '{"levels":{"1":{"1":1}}}', '{"levels":{"1":{"1":1}}}',
+         "--bound", "10"),
+        ("free-gen", "--level", "60", "--bound", "100"),
+        ("wedge-component", "--n", "9", "--bound", "9"),
+    ],
+)
+def test_bound_flag_is_gone_and_exits_2_at_once(capsys, argv):
+    """The caps are constants; a --bound that would lift one is a usage error."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --bound" in err
+
+
+def test_only_wedge_dim_takes_a_bound(capsys):
+    for command in SUBCOMMANDS:
+        code, out, err = run(capsys, command, "-h")
+        assert code == 0
+        assert ("--bound" in out) == (command == "wedge-dim"), command
 
 
 def test_selftest_quick(capsys):
@@ -373,17 +408,16 @@ _TOKEN = st.one_of(
     ]),
     _INT, _WINDOW, _PARTITION, _JSON.map(json.dumps), st.text(max_size=8),
 )
-_LEVEL_BOUND = ("--bound", _INT)
 
 # (flag or None for a positional, value strategy or None for a bare flag)
 ARGUMENTS = {
     "lr": [(None, _PARTITION)] * 3,
-    "symmetrizer": [(None, _PARTITION), _LEVEL_BOUND],
+    "symmetrizer": [(None, _PARTITION)],
     "schur-weyl": [("--d", _INT), ("--seq", _SEQ)],
-    "seq-tensor": [(None, _SEQ), (None, _SEQ), _LEVEL_BOUND],
-    "free-gen": [("--level", _INT), _LEVEL_BOUND],
+    "seq-tensor": [(None, _SEQ), (None, _SEQ)],
+    "free-gen": [("--level", _INT)],
     "localize": [("--d", _INT), (None, _SEQ)],
-    "wedge-component": [("--n", _INT), _LEVEL_BOUND],
+    "wedge-component": [("--n", _INT)],
     "wedge-dim": [(None, _GRADED), ("--bound", _INT)],
     "kimura": [(None, _GRADED)],
     "euler-chi": [(None, _GRADED)],

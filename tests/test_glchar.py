@@ -414,3 +414,9 @@ def test_glchar_json_roundtrip():
 def test_glchar_from_json_rejects_non_integers(data):
     with pytest.raises(TypeError, match="must be a JSON integer"):
         GLChar.from_json(data)
+
+
+@pytest.mark.parametrize("data", [[1], {"d": 2, "coeffs": [1]}, {"d": 2, "coeffs": "x"}])
+def test_glchar_from_json_rejects_non_objects(data):
+    with pytest.raises(TypeError, match="must be a JSON object"):
+        GLChar.from_json(data)

@@ -65,7 +65,7 @@ def test_tensor_levels_add():
 
 def test_tensor_bound():
     with pytest.raises(BoundExceededError):
-        tensor(free_generator(5), free_generator(5), bound=8)
+        tensor(free_generator(5), free_generator(5))
 
 
 def test_block_rotation_stretch():
