@@ -17,7 +17,7 @@ import time
 
 from .errors import BoundExceededError, InvariantError
 from .glchar import GLChar, lr_coeff, schur_weyl
-from .koszul import GradedObject, certify_finiteness, kimura_split, sym, wedge
+from .koszul import GradedObject, _certified_split, certify_finiteness
 from .partitions import Partition, canonical_tableau, dim_sym_irrep
 from .serre import (
     BigradedVS,
@@ -143,18 +143,18 @@ def _cmd_wedge_dim(args):
 
 def _cmd_kimura(args):
     obj = GradedObject.from_json(_load_payload(args.object))
-    plus, minus = kimura_split(obj)
-    evenly = 0
-    while not wedge(plus, evenly).is_zero():
-        evenly += 1
-    oddly = 0
-    while not sym(minus, oddly).is_zero():
-        oddly += 1
+    plus, minus, cert_plus, cert_minus = _certified_split(obj)
+    # each table runs one order past its part's total dimension, so both
+    # first zeros are in it
     output = {
         "plus": plus.to_json(),
         "minus": minus.to_json(),
-        "wedge_vanishes_at": evenly,
-        "sym_vanishes_at": oddly,
+        "wedge_vanishes_at": next(
+            m for m, power in cert_plus.wedge_powers.items() if power.is_zero()
+        ),
+        "sym_vanishes_at": next(
+            m for m, power in cert_minus.sym_powers.items() if power.is_zero()
+        ),
     }
     return {"object": obj.to_json()}, output
 

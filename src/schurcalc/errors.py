@@ -26,11 +26,16 @@ def expect_mapping(value, what: str) -> Mapping:
     return value
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool, which is a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def expect_int(value, what: str) -> int:
     """Return a decoded JSON value if it is an integer; raise TypeError if not.
 
     JSON true and false decode to bool, a subclass of int, and are refused.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise TypeError(f"{what} must be a JSON integer, got {type(value).__name__}")
     return value

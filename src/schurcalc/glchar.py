@@ -101,6 +101,10 @@ class GLChar(Counts):
         self.coeffs = self._canonical(coeffs)
 
     def _key(self, w: DominantWeight) -> DominantWeight:
+        if not isinstance(w, DominantWeight):
+            raise TypeError(
+                f"the key {w!r} must be a DominantWeight, not {type(w).__name__}"
+            )
         if w.d != self.d:
             raise ValueError(f"weight {w} has rank {w.d}, expected {self.d}")
         return w

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, expect_mapping
+from .errors import BoundExceededError, InvariantError, expect_mapping, is_int
 from .partitions import Partition
 from .symgroup import (
     GroupAlgebraElement,
@@ -38,10 +38,18 @@ class GradedObject(Counts):
     __slots__ = ("dims",)
     _negative = "negative dimension {count} in degree {key}"
     _count_text = "dimension in degree {}"
-    _key = _parse = staticmethod(int)
+    _parse = staticmethod(int)
 
     def __init__(self, dims: Mapping[int, int] | None = None):
         self.dims = self._canonical(dims)
+
+    @staticmethod
+    def _key(degree) -> int:
+        if not is_int(degree):
+            raise TypeError(
+                f"the degree {degree!r} must be an int, not {type(degree).__name__}"
+            )
+        return degree
 
     @classmethod
     def point(cls, dim: int = 1, degree: int = 0) -> "GradedObject":
@@ -286,6 +294,14 @@ def kimura_split(c: GradedObject) -> tuple[GradedObject, GradedObject]:
     odd part oddly finite; anything else is an internal error since the
     grading makes the split visible.
     """
+    plus, minus, _, _ = _certified_split(c)
+    return plus, minus
+
+
+def _certified_split(
+    c: GradedObject,
+) -> tuple[GradedObject, GradedObject, FinitenessCertificate, FinitenessCertificate]:
+    """kimura_split's two parts, each with the certificate it passed."""
     plus = GradedObject({deg: dim for deg, dim in c.dims.items() if deg % 2 == 0})
     minus = GradedObject({deg: dim for deg, dim in c.dims.items() if deg % 2 != 0})
     if plus + minus != c:
@@ -296,4 +312,4 @@ def kimura_split(c: GradedObject) -> tuple[GradedObject, GradedObject]:
     cert_minus = certify_finiteness(minus, bound=minus.total_dim())
     if not minus.is_zero() and cert_minus.kind != KIND_ODDLY_FINITE:
         raise InvariantError("odd part failed its finiteness certificate")
-    return plus, minus
+    return plus, minus, cert_plus, cert_minus

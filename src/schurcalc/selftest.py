@@ -204,7 +204,7 @@ def check_tensor_ring_laws(lim: Limits):
 def check_localization_ideal(lim: Limits):
     for d in (1, 2, 3):
         for total in range(2, lim.ideal_total + 1):
-            for lsize in range(1, total):
+            for lsize in range(1, total + 1):
                 for lam in all_partitions(lsize):
                     if lam.rows <= d:
                         continue
@@ -259,7 +259,7 @@ def check_normalize_roundtrip(lim: Limits):
                 continue
             w = glchar.DominantWeight(d, tup)
             plus, det = glchar.normalize_weight(w)
-            assert plus.rows < d + 1
+            assert plus.rows < d
             assert glchar.weight_of(plus, d, det) == w
     for d in (1, 2, 3):
         for n in range(5):
@@ -487,10 +487,11 @@ def check_cech_oracle(lim: Limits):
 
 
 def check_coordinate_ring(lim: Limits):
+    top = lim.serre_window
     for n in range(1, lim.serre_n + 1):
-        alg = serre.build_serre_algebra(n, 0, 4)
-        for r1 in range(5):
-            for r2 in range(5 - r1):
+        alg = serre.build_serre_algebra(n, 0, top)
+        for r1 in range(top + 1):
+            for r2 in range(top + 1 - r1):
                 target = set(alg.cohomology[r1 + r2].basis.get(0, ()))
                 products = set()
                 for m1 in alg.cohomology[r1].basis.get(0, ()):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError, expect_mapping
+from .errors import InvariantError, WindowExceededError, expect_mapping, is_int
 from .values import Counts, Record
 
 DIMENSION_BOUND = 3
@@ -200,7 +200,9 @@ class BigradedVS(Counts):
 
     @staticmethod
     def _key(key) -> tuple[int, int]:
-        return int(key[0]), int(key[1])
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_int, key))):
+            raise TypeError(f"the key {key!r} must be a (weight, degree) pair of ints")
+        return key
 
     @staticmethod
     def _text(key) -> str:

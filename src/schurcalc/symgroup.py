@@ -831,6 +831,10 @@ class SymChar(Counts):
         self.coeffs = self._canonical(coeffs)
 
     def _key(self, shape: Partition) -> Partition:
+        if not isinstance(shape, Partition):
+            raise TypeError(
+                f"the key {shape!r} must be a Partition, not {type(shape).__name__}"
+            )
         if shape.size != self.n:
             raise ValueError(f"shape {shape} is not a partition of {self.n}")
         return shape

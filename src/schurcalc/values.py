@@ -4,7 +4,7 @@ A subclass names its fields in __slots__, in constructor order. Equality,
 hashing, repr and copying all read the fields from there.
 """
 
-from .errors import expect_int, expect_mapping
+from .errors import expect_int, expect_mapping, is_int
 
 
 class Record:
@@ -36,9 +36,10 @@ class Counts(Record):
 
     The last field is the canonical form: a dict from keys to nonzero ints.
     A field before it is a rank that two values must share to be added.
-    A subclass checks or normalises one key in _key, writes and parses key
-    text in _text and _parse, and may set the class attributes below. Counts
-    must be ints, never bools; anything else raises TypeError.
+    A subclass checks one key in _key, raising TypeError for a key of the
+    wrong type, writes and parses key text in _text and _parse, and may set
+    the class attributes below. Counts must be ints, never bools; anything
+    else raises TypeError.
     """
 
     __slots__ = ()
@@ -51,14 +52,11 @@ class Counts(Record):
     # what one count of the JSON map is, with {} for the key text
     _count_text: str
 
-    def _key(self, key):
-        return key
-
     def _canonical(self, counts) -> dict:
         clean = {}
         for key, count in (counts or {}).items():
             key = self._key(key)
-            if not isinstance(count, int) or isinstance(count, bool):
+            if not is_int(count):
                 raise TypeError(
                     f"the count at {key!r} must be an int, not {type(count).__name__}"
                 )

@@ -108,6 +108,16 @@ def test_kimura_split_command(capsys):
     assert out["sym_vanishes_at"] == 3
 
 
+def test_kimura_of_the_empty_object(capsys):
+    out = run_json(capsys, "kimura", '{"dims":{}}')["output"]
+    assert out == {
+        "plus": {"dims": {}},
+        "minus": {"dims": {}},
+        "wedge_vanishes_at": 1,
+        "sym_vanishes_at": 1,
+    }
+
+
 def test_euler_chi_command(capsys):
     result = run_json(capsys, "euler-chi", '{"dims":{"0":2,"1":3,"4":1}}')
     assert result["output"] == {"euler": 0}

@@ -5,6 +5,7 @@ nonzero ints, with a rank (n or d) for the two characters. Every operation
 below is compared with the same computation on plain dicts.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,32 @@ MAKERS = [
 def test_counts_must_be_ints(make, count):
     with pytest.raises(TypeError, match=f"must be an int, not {type(count).__name__}"):
         make(count)
+
+
+# (class, rank, key of the wrong type); none of these is converted or read
+BAD_KEYS = [
+    (GradedObject, (), 0.5),
+    (GradedObject, (), "2"),
+    (GradedObject, (), True),
+    (GradedObject, (), None),
+    (BigradedVS, (), (0.9, "1")),
+    (BigradedVS, (), (True, 0)),
+    (BigradedVS, (), (0, 1, 2)),
+    (BigradedVS, (), (0,)),
+    (BigradedVS, (), 0),
+    (SymChar, (2,), (2,)),
+    (SymChar, (2,), "2"),
+    (GLChar, (2,), (1, 0)),
+    (GLChar, (2,), "[1,0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, rank, key", BAD_KEYS, ids=[f"{cls.__name__}-{key!r}" for cls, _, key in BAD_KEYS]
+)
+def test_keys_of_the_wrong_type_raise_naming_the_key(cls, rank, key):
+    with pytest.raises(TypeError, match=re.escape(f" {key!r} must be ")):
+        cls(*rank, {key: 1})
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=["graded", "bigraded", "symchar", "glchar"])

@@ -20,7 +20,6 @@ from schurcalc.koszul import (
     KIND_ODDLY_FINITE,
     KIND_WEDGE_FINITE,
     KOSZUL_BOUND,
-    FinitenessCertificate,
     GradedObject,
     _power_image,
     certify_finiteness,
@@ -366,20 +365,6 @@ def test_odd_line_certificate():
     # and no wedge power ever dies
     for m in range(1, 8):
         assert not wedge(GradedObject({1: 1}), m).is_zero()
-
-
-def test_even_grid_certificates():
-    for a in range(4):
-        for m in range(-2, 3):
-            cert = certify_finiteness(GradedObject({2 * m: a} if a else {}))
-            assert (cert.kind, cert.n) == (KIND_WEDGE_FINITE, a)
-
-
-def test_odd_grid_certificates():
-    for a in range(1, 4):
-        for m in range(-2, 3):
-            cert = certify_finiteness(GradedObject({2 * m + 1: a}))
-            assert (cert.kind, cert.n) == (KIND_ODDLY_FINITE, a + 1)
 
 
 def test_mixed_object_is_not_finite():

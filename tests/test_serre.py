@@ -1,6 +1,7 @@
 """Chart-cover cohomology, the twist algebra, and the degree-shift functor."""
 
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -237,6 +238,21 @@ def test_shift_is_monoidal():
         assert gm_shift_functor(v.tensor(w)) == gm_shift_functor(v).tensor(
             gm_shift_functor(w)
         )
+
+
+def test_shift_is_monoidal_on_seeded_pairs_and_leaves_the_heart():
+    rng = random.Random(20260819)
+    bad = 0
+    for _ in range(20):
+        v = BigradedVS({(rng.randint(-10, 10), rng.randint(0, 4)): rng.randint(1, 3)})
+        w = BigradedVS({(rng.randint(-10, 10), rng.randint(0, 4)): rng.randint(1, 3)})
+        joined = gm_shift_functor(v.tensor(w))
+        split = gm_shift_functor(v).tensor(gm_shift_functor(w))
+        if joined != split:
+            bad += 1
+    flat = BigradedVS({(1, 0): 1})
+    escaped = any(i != 0 for (_, i) in gm_shift_functor(flat).dims)
+    assert bad == 0 and escaped, f"{bad} non-monoidal pairs, escaped={escaped}"
 
 
 def test_shift_leaves_the_heart():
