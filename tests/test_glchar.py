@@ -31,6 +31,7 @@ from schurcalc.glchar import (
     weight_of,
 )
 from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep
+from schurcalc.symgroup import induction_multiplicity
 from schurcalc.symseq import SymSeq, free_generator
 
 
@@ -98,6 +99,15 @@ def test_pieri_row_rule():
                 assert max(conj_added) <= 1
 
 
+def test_lr_rule_matches_character_oracle():
+    for total in range(7):
+        for nu in all_partitions(total):
+            for lsize in range(total + 1):
+                for lam in all_partitions(lsize):
+                    for mu in all_partitions(total - lsize):
+                        assert lr_coeff(lam, mu, nu) == induction_multiplicity(lam, mu, nu)
+
+
 def test_lr_commutes():
     for total in range(7):
         for lsize in range(total + 1):
@@ -163,6 +173,12 @@ def test_transfer_kills_tall_shapes():
     seq = SymSeq.irreducible(P("1,1,1"))
     assert schur_weyl(seq, 2).is_zero()
     assert not schur_weyl(seq, 3).is_zero()
+
+
+def test_transfer_counts_dimensions():
+    for d in (1, 2, 3, 4):
+        for n in range(7):
+            assert schur_weyl(free_generator(n), d).dim() == d ** n
 
 
 def test_transfer_rejects_negative_rank():

@@ -367,6 +367,20 @@ def test_odd_line_certificate():
         assert not wedge(GradedObject({1: 1}), m).is_zero()
 
 
+def test_even_grid_certificates():
+    for a in range(4):
+        for m in range(-2, 3):
+            cert = certify_finiteness(GradedObject({2 * m: a} if a else {}))
+            assert (cert.kind, cert.n) == (KIND_WEDGE_FINITE, a)
+
+
+def test_odd_grid_certificates():
+    for a in range(1, 4):
+        for m in range(-2, 3):
+            cert = certify_finiteness(GradedObject({2 * m + 1: a}))
+            assert (cert.kind, cert.n) == (KIND_ODDLY_FINITE, a + 1)
+
+
 def test_mixed_object_is_not_finite():
     cert = certify_finiteness(GradedObject({0: 1, 1: 1}), bound=4)
     assert cert.kind == KIND_NOT_FINITE

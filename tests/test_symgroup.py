@@ -29,6 +29,7 @@ from schurcalc.symgroup import (
     all_permutations,
     alt_projector,
     centralizer_order,
+    char_inner_product,
     char_irrep,
     character_table,
     class_representative,
@@ -282,6 +283,14 @@ def test_hook_symmetrizer_exact_terms():
         Permutation((2, 3, 1)): -1,
     }
     assert dict(c.terms) == expected
+
+
+def test_symmetrizer_contract_small():
+    for n in range(1, 6):
+        for shape in all_partitions(n):
+            c, a = young_symmetrizer(shape)
+            assert a == Fraction(math.factorial(n), dim_sym_irrep(shape))
+            assert c * c == c.scale(a)
 
 
 def test_symmetrizer_row_shape_is_total_symmetrizer():
@@ -855,6 +864,15 @@ def test_character_column_orthogonality():
         for beta in shapes:
             total = sum(table[(lam, alpha)] * table[(lam, beta)] for lam in shapes)
             assert total == (centralizer_order(alpha) if alpha == beta else 0)
+
+
+def test_inner_product_is_kronecker_on_irreducibles():
+    for n in range(1, 6):
+        shapes = all_partitions(n)
+        for lam in shapes:
+            for mu in shapes:
+                got = char_inner_product(char_irrep(lam), char_irrep(mu), n)
+                assert got == (1 if lam == mu else 0)
 
 
 def test_induction_anchor_values():

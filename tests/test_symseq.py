@@ -3,6 +3,7 @@
 import pytest
 
 from schurcalc.errors import BoundExceededError
+from schurcalc.glchar import lr_expand
 from schurcalc.partitions import Partition, all_partitions
 from schurcalc.symgroup import SymChar
 from schurcalc.symseq import SymSeq, free_generator, localize, tensor, wedge_component
@@ -39,6 +40,12 @@ def test_tensor_anchor():
     got = tensor(SymSeq.irreducible(P("1,1")), SymSeq.irreducible(P("1")))
     assert got.levels.keys() == {3}
     assert got.levels[3].coeffs == {P("2,1"): 1, P("1,1,1"): 1}
+
+
+def test_free_monoid():
+    for a in range(5):
+        for b in range(5 - a):
+            assert tensor(free_generator(a), free_generator(b)) == free_generator(a + b)
 
 
 def test_tensor_distributes_over_sum():
@@ -95,6 +102,15 @@ def test_localize_kills_tall_tensor_factors():
         assert localize(product, 2).is_zero()
 
 
+def test_wedge_component_values():
+    assert wedge_component(0) == free_generator(0)
+    assert wedge_component(1) == free_generator(1)
+    for n in range(2, 7):
+        got = wedge_component(n)
+        assert got.levels.keys() == {n}
+        assert got.levels[n].coeffs == {Partition((1,) * n): 1}
+
+
 def test_wedge_component_rejects_other_bases():
     with pytest.raises(BoundExceededError):
         wedge_component(9)
@@ -110,3 +126,15 @@ def test_is_actual_flags_negative_multiplicities():
     virtual = SymSeq({2: SymChar(2, {P("2"): -1})})
     assert not virtual.is_actual()
     assert free_generator(2).is_actual()
+
+
+def test_localization_ideal_exhaustive_small():
+    for d in (1, 2):
+        for total in range(2, 7):
+            for lsize in range(1, total):
+                for lam in all_partitions(lsize):
+                    if lam.rows <= d:
+                        continue
+                    for mu in all_partitions(total - lsize):
+                        for nu in lr_expand(lam, mu):
+                            assert nu.rows > d
