@@ -14,12 +14,11 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import BoundExceededError, InvariantError, expect_mapping, is_int
-from .partitions import Partition
 from .symgroup import (
     GroupAlgebraElement,
+    _class_sums,
+    _idempotent_class_sums,
     alt_projector,
-    cycle_type_sums,
-    is_idempotent,
     sym_projector,
 )
 from .values import Counts, Record
@@ -86,26 +85,25 @@ def euler(c: GradedObject) -> int:
 
 
 def _power_image(
-    c: GradedObject, by_type: Mapping[Partition, Fraction | int]
+    c: GradedObject, den: int, by_lengths: Mapping[tuple[int, ...], int]
 ) -> GradedObject:
     """Graded dimension of an idempotent's image inside the signed tensor power.
 
-    by_type holds the idempotent's coefficient sums per cycle type. The trace
-    of an exact idempotent is its rank, and the graded trace of a permutation
-    on the signed power is a class function: the product over its cycles of
+    by_lengths holds the idempotent's coefficient sums per cycle type, keyed
+    by the cycle lengths, as integer numerators over den. The trace of an
+    exact idempotent is its rank, and the graded trace of a permutation on
+    the signed power is a class function: the product over its cycles of
     p_l(t) = sum over degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l
     is the cycle length (Macdonald I.7; Berele-Regev for the signs). So the
-    image has graded dimension sum_mu by_type[mu] * prod_{l in mu} p_l(t),
-    and no permutation or basis tuple is enumerated. The sums are cleared to
-    integer numerators over their common denominator, which divides each
-    total exactly once at the end.
+    image has graded dimension sum_mu by_lengths[mu] * prod_{l in mu} p_l(t)
+    / den, and no permutation or basis tuple is enumerated; each total is
+    divided by den exactly once at the end.
     """
-    den = math.lcm(*(v.denominator for v in by_type.values()))
     power_sums: dict[int, dict[int, int]] = {}
     acc: dict[int, int] = {}
-    for mu, coeff in by_type.items():
-        poly = {0: coeff.numerator * (den // coeff.denominator)}
-        for l in mu.parts:
+    for lengths, num in by_lengths.items():
+        poly = {0: num}
+        for l in lengths:
             if l not in power_sums:
                 power_sums[l] = {
                     l * deg: -dim if (l - 1) * deg % 2 else dim
@@ -131,6 +129,8 @@ def _power_image(
 
 
 def _check_power_order(n: int) -> None:
+    if not is_int(n):
+        raise TypeError(f"the power order {n!r} must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > KOSZUL_BOUND:
@@ -145,40 +145,49 @@ def graded_power_image(
     """Image dimensions of an idempotent acting on the n-th signed tensor power.
 
     The idempotence e*e = e is verified exactly by symgroup.is_idempotent, on
-    one permutation per double coset of e's own Young symmetries; the
-    dimensions then come from the cycle-type trace formula of _power_image.
-    Limited to n <= KOSZUL_BOUND.
+    one permutation per double coset of e's own Young symmetries, once per
+    distinct element in a process; the dimensions then come from the
+    cycle-type trace formula of _power_image. Limited to n <= KOSZUL_BOUND.
     """
+    if not isinstance(projector, GroupAlgebraElement):
+        raise TypeError(
+            f"the projector must be a GroupAlgebraElement, not {type(projector).__name__}"
+        )
     _check_power_order(projector.n)
-    if not is_idempotent(projector):
+    by_lengths = _idempotent_class_sums(projector)
+    if by_lengths is None:
         raise ValueError("projector is not idempotent")
-    return _power_image(c, cycle_type_sums(projector))
+    return _power_image(c, projector.den, by_lengths)
 
 
 @lru_cache(maxsize=None)
-def _alt_sums(n: int) -> dict[Partition, Fraction | int]:
-    return cycle_type_sums(alt_projector(n))
+def _alt_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    e = alt_projector(n)
+    return e.den, _class_sums(e)
 
 
 @lru_cache(maxsize=None)
-def _sym_sums(n: int) -> dict[Partition, Fraction | int]:
-    return cycle_type_sums(sym_projector(n))
+def _sym_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    e = sym_projector(n)
+    return e.den, _class_sums(e)
 
 
 def wedge(c: GradedObject, n: int) -> GradedObject:
     """n-th exterior power in the signed graded sense, for n <= KOSZUL_BOUND."""
     _check_power_order(n)
-    return _power_image(c, _alt_sums(n))
+    return _power_image(c, *_alt_sums(n))
 
 
 def sym(c: GradedObject, n: int) -> GradedObject:
     """n-th symmetric power in the signed graded sense, for n <= KOSZUL_BOUND."""
     _check_power_order(n)
-    return _power_image(c, _sym_sums(n))
+    return _power_image(c, *_sym_sums(n))
 
 
 def euler_falling_factorial(chi: int, n: int) -> Fraction:
     """chi (chi-1) ... (chi-n+1) / n!, the Euler characteristic a wedge power must have."""
+    if not is_int(n):
+        raise TypeError(f"the order {n!r} must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     num = 1
@@ -244,6 +253,8 @@ def certify_finiteness(
     """
     if bound is None:
         bound = c.total_dim() + 2
+    if not is_int(bound):
+        raise TypeError(f"the bound {bound!r} must be an int, not {type(bound).__name__}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound + 1 > KOSZUL_BOUND:

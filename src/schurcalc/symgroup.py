@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations as _tuple_permutations, repeat
 from operator import eq, itemgetter, mul, neg
+from types import MappingProxyType
 
 from .errors import BoundExceededError, InvariantError
 from .partitions import (
@@ -81,6 +82,8 @@ class Permutation(Frozen):
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition, other applied first: (s*t)(i) = s(t(i))."""
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
         s = self.images
@@ -214,7 +217,14 @@ class GroupAlgebraElement:
             return NotImplemented
         return self.n == other.n and self.den == other.den and self.nums == other.nums
 
+    def __hash__(self) -> int:
+        # the frozenset of the support reuses the key hashes the dict stores,
+        # which hashing every (images, num) pair would compute again
+        return hash((self.n, self.den, frozenset(self.nums), sum(self.nums.values())))
+
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
         den = math.lcm(self.den, other.den)
@@ -229,6 +239,8 @@ class GroupAlgebraElement:
         return self.scale(-1)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
@@ -369,6 +381,26 @@ def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
         t = _cycle_lengths(images)
         by_lengths[t] = by_lengths.get(t, 0) + num
     return by_lengths
+
+
+# distinct elements _idempotent_class_sums keeps alive: over twice the 15
+# Young idempotents a round of the graded-powers benchmark reuses, and a
+# full-support element of S_8 is about 1.25 MiB (6 MiB unless its image
+# tuples are shared), so the cache stays within about 200 MiB
+_IDEMPOTENT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_IDEMPOTENT_CACHE_SIZE)
+def _idempotent_class_sums(e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
+    """_class_sums(e) once is_idempotent(e) holds in full, or None if e*e != e.
+
+    Cached on the value of e, so each distinct element is checked once per
+    process; a BoundExceededError from the check is raised on every call and
+    never cached. Every call shares one read-only view of the sums.
+    """
+    if not is_idempotent(e):
+        return None
+    return MappingProxyType(_class_sums(e))
 
 
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
@@ -900,7 +932,8 @@ def decompose_module(
     Accepts either an idempotent e of the group algebra, read as the left
     ideal it cuts out, or a mapping from permutations to matrices over exact
     rationals covering at least one representative of every conjugacy class.
-    e*e = e is verified exactly by is_idempotent, which raises
+    e*e = e is verified exactly by is_idempotent, once per distinct element
+    in a process (see _idempotent_class_sums), which raises
     BoundExceededError when the check would cost more than
     IDEMPOTENT_CHECK_BOUND products.
     """
@@ -909,12 +942,12 @@ def decompose_module(
         n = e.n
         if n > CHARACTER_BOUND:
             raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
-        if not is_idempotent(e):
+        by_type = _idempotent_class_sums(e)
+        if by_type is None:
             raise ValueError("element is not idempotent, so it cuts out no module")
 
         # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients,
         # each h conjugate to the representative hit |centralizer| times
-        by_type = _class_sums(e)
         traces = {
             mu: centralizer_order(mu) * by_type.get(mu.parts, 0) for mu in all_partitions(n)
         }
@@ -944,4 +977,7 @@ def decompose_module(
             n, {mu: tr.numerator * (den // tr.denominator) for mu, tr in traces.items()}, den
         )
 
-    raise TypeError("expected a GroupAlgebraElement or a permutation->matrix mapping")
+    raise TypeError(
+        "expected a GroupAlgebraElement or a permutation->matrix mapping,"
+        f" not {type(module).__name__}"
+    )

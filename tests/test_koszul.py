@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurcalc import symgroup
 from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.koszul import (
     KIND_NOT_FINITE,
@@ -35,6 +36,8 @@ from schurcalc.symgroup import (
     Permutation,
     all_permutations,
     alt_projector,
+    decompose_module,
+    is_idempotent,
     sym_projector,
     young_symmetrizer,
 )
@@ -247,15 +250,16 @@ def test_graded_power_image_on_the_smallest_symmetric_groups(n):
 
 @pytest.mark.parametrize(
     "by_type, text",
+    # (den, numerators over den keyed by cycle lengths)
     [
-        ({Partition((1,)): Fraction(1, 2)}, "image dimension 1/2 in degree 0"),
-        ({Partition((1,)): -1}, "image dimension -1 in degree 0"),
-        ({Partition((1, 1)): Fraction(-1, 3)}, "image dimension -1/3 in degree 0"),
+        ((2, {(1,): 1}), "image dimension 1/2 in degree 0"),
+        ((1, {(1,): -1}), "image dimension -1 in degree 0"),
+        ((3, {(1, 1): -1}), "image dimension -1/3 in degree 0"),
     ],
 )
 def test_power_image_refuses_a_non_integer_or_negative_rank(by_type, text):
     with pytest.raises(InvariantError, match=f"^{text} is not a nonnegative integer$"):
-        _power_image(GradedObject({0: 1}), by_type)
+        _power_image(GradedObject({0: 1}), *by_type)
 
 
 def test_graded_power_rejects_non_idempotent():
@@ -273,8 +277,66 @@ def test_graded_power_rejects_unbounded_idempotence_check(monkeypatch):
         raise AssertionError("the bound must be checked before any product")
 
     monkeypatch.setattr(GroupAlgebraElement, "__mul__", no_products)
-    with pytest.raises(BoundExceededError):
-        graded_power_image(GradedObject({0: 1}), no_symmetry)
+    monkeypatch.setattr(symgroup, "_square_matches", no_products)
+    # a refusal is not cached: every call checks the bound again
+    for _ in range(2):
+        with pytest.raises(BoundExceededError):
+            graded_power_image(GradedObject({0: 1}), no_symmetry)
+        with pytest.raises(BoundExceededError):
+            decompose_module(no_symmetry)
+
+
+def _count_idempotence_checks(monkeypatch) -> list:
+    """Empty the shared cache and record each full idempotence check from now on."""
+    symgroup._idempotent_class_sums.cache_clear()
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return is_idempotent(e)
+
+    monkeypatch.setattr(symgroup, "is_idempotent", counted)
+    return calls
+
+
+SWAP_OF_FOUR = Permutation((2, 1, 3, 4))
+
+
+def test_equal_idempotents_are_checked_once(monkeypatch):
+    calls = _count_idempotence_checks(monkeypatch)
+    half = Fraction(1, 2)
+    e = GroupAlgebraElement(4, {Permutation.identity(4): half, SWAP_OF_FOUR: half})
+    same = (GroupAlgebraElement.unit(4) + GroupAlgebraElement(4, {SWAP_OF_FOUR: 1})).scale(half)
+    assert e == same and e is not same and e.nums is not same.nums
+    c = GradedObject({0: 1, 1: 1})
+    assert graded_power_image(c, e) == graded_power_image(c, same)
+    assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
+    assert decompose_module(e) == decompose_module(same)
+    assert calls == [e]
+    info = symgroup._idempotent_class_sums.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    # every caller shares the cached sums, so they are read-only
+    with pytest.raises(TypeError):
+        symgroup._idempotent_class_sums(e)[(1, 1, 1, 1)] = 0
+
+
+def test_a_non_idempotent_element_is_refused_on_every_call(monkeypatch):
+    calls = _count_idempotence_checks(monkeypatch)
+    # (1 + (1 2))^2 = 2 (1 + (1 2))
+    x = GroupAlgebraElement(4, {Permutation.identity(4): 1, SWAP_OF_FOUR: 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^projector is not idempotent$"):
+            graded_power_image(GradedObject({0: 2}), x)
+        with pytest.raises(ValueError, match="^element is not idempotent"):
+            decompose_module(x)
+    assert calls == [x]
+
+
+def test_graded_power_image_refuses_a_non_element():
+    for bad in ("x", 1, {Permutation.identity(2): 1}):
+        text = f"^the projector must be a GroupAlgebraElement, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=text):
+            graded_power_image(GradedObject({0: 1}), bad)
 
 
 @pytest.mark.parametrize(
@@ -305,6 +367,22 @@ def test_power_order_bound():
     with pytest.raises(BoundExceededError):
         certify_finiteness(GradedObject({0: 12}))
     assert certify_finiteness(line, bound=KOSZUL_BOUND - 1).kind == KIND_ODDLY_FINITE
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, "2", None])
+def test_power_orders_and_bounds_must_be_ints(order):
+    c = GradedObject({0: 1, 1: 1})
+    name = type(order).__name__
+    for power in (wedge, sym):
+        text = f"^the power order {order!r} must be an int, not {name}$"
+        with pytest.raises(TypeError, match=text):
+            power(c, order)
+    with pytest.raises(TypeError, match=f"^the order {order!r} must be an int, not {name}$"):
+        euler_falling_factorial(3, order)
+    if order is not None:
+        # a bound of None means the default
+        with pytest.raises(TypeError, match=f"^the bound {order!r} must be an int, not {name}$"):
+            certify_finiteness(c, bound=order)
 
 
 def test_full_power_dimension():

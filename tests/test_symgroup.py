@@ -269,6 +269,40 @@ def test_arithmetic_keeps_the_canonical_form(drawn, scalar):
     _assert_canonical_as_naive(x * y, _naive_product(x, y))
 
 
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ELEMENT_TERMS, k=st.integers(min_value=1, max_value=12))
+def test_equal_elements_hash_equal(drawn, k):
+    n, xt, _ = drawn
+    x = GroupAlgebraElement(n, xt)
+    again = GroupAlgebraElement(n, dict(reversed(list(xt.items()))))
+    assert x == again and hash(x) == hash(again)
+    # integer coefficients with 1 at the identity have no common factor,
+    # so dividing by k only multiplies den and shares the numerator dict
+    terms = {p: c.numerator for p, c in xt.items()}
+    terms[Permutation.identity(n)] = 1
+    whole = GroupAlgebraElement(n, terms)
+    shared = whole.scale(Fraction(1, k))
+    assert shared.nums is whole.nums
+    built = GroupAlgebraElement(n, {p: Fraction(c, k) for p, c in terms.items()})
+    assert shared == built and hash(shared) == hash(built)
+
+
+def test_arithmetic_with_a_non_element_raises_type_error():
+    swap = Permutation((2, 1))
+    unit = GroupAlgebraElement.unit(2)
+    for operation in (
+        lambda: swap * 3,
+        lambda: 3 * swap,
+        lambda: unit + 1,
+        lambda: 1 + unit,
+        lambda: unit - 1,
+        lambda: 1 - unit,
+        lambda: unit + swap,
+    ):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            operation()
+
+
 # ---------------------------------------------------------------------------
 # Young symmetrizers
 
@@ -906,6 +940,13 @@ def test_decompose_rejects_non_idempotent():
     x = GroupAlgebraElement(3, {Permutation((2, 1, 3)): 1})
     with pytest.raises(ValueError):
         decompose_module(x)
+
+
+def test_decompose_names_the_type_it_refuses():
+    for bad in ("x", 3, [GroupAlgebraElement.unit(2)]):
+        text = f"permutation->matrix mapping, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=text):
+            decompose_module(bad)
 
 
 def _left_regular_matrix(sigma: Permutation):
