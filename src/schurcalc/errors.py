@@ -31,6 +31,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def expect_ints(values, what: str) -> tuple[int, ...]:
+    """Return the entries as a tuple; a float, string or bool raises TypeError."""
+    values = tuple(values)
+    for value in values:
+        if not is_int(value):
+            raise TypeError(f"{what} must be ints, got {value!r}")
+    return values
+
+
 def expect_int(value, what: str) -> int:
     """Return a decoded JSON value if it is an integer; raise TypeError if not.
 

@@ -2,23 +2,33 @@
 
 A dominant weight is a weakly decreasing integer d-tuple; negative entries
 are allowed and correspond to determinant twists. Products are computed by
-the Littlewood-Richardson tableau rule plus truncation to at most d rows.
+the Littlewood-Richardson rule plus truncation to at most d rows.
+
+One kernel, _fillings, counts semistandard fillings by content, a row at a
+time: LR coefficients with the lattice-word condition, and without it, from
+the empty diagram, Kostka numbers, the weights of the exterior and symmetric
+powers. LR_STATE_BOUND limits its work, counted as it runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, ge, sub
 from typing import Mapping, Sequence
 
-from .errors import BoundExceededError, InvariantError, expect_int, expect_mapping
-from .partitions import Partition, all_partitions, dim_gl_irrep
+from .errors import (
+    BoundExceededError, InvariantError, expect_int, expect_ints, expect_mapping
+)
+from .partitions import Partition, compositions, dim_gl_irrep, partitions_of
 from .values import Counts, Frozen
 
 PRODUCT_FACTOR_BOUND = 4
 PRODUCT_RANK_BOUND = 4
 # schur_weyl writes a d-tuple per constituent, so its cost grows with d alone
 SCHUR_WEYL_RANK_BOUND = 256
+# row states (with repeats) and shapes tried that one question may count
+LR_STATE_BOUND = 50_000
 
 
 @total_ordering
@@ -31,7 +41,7 @@ class DominantWeight(Frozen):
     __slots__ = ("d", "entries")
 
     def __init__(self, d: int, entries: tuple[int, ...]):
-        entries = tuple(int(x) for x in entries)
+        entries = expect_ints(entries, "weight entries")
         if len(entries) != d:
             raise ValueError(f"expected {d} entries, got {entries!r}")
         if any(entries[i] < entries[i + 1] for i in range(d - 1)):
@@ -148,70 +158,111 @@ class GLChar(Counts):
 
 
 # ---------------------------------------------------------------------------
-# the Littlewood-Richardson rule, tableau route
+# semistandard fillings counted row by row: LR coefficients and Kostka numbers
+
+
+class _RowCount:
+    """Row contents found, and states reached, by the passes of one question."""
+
+    def __init__(self):
+        self.contents: dict[tuple, list[tuple[int, ...]]] = {}
+        self.work = 0
+
+    def charge(self, steps: int) -> None:
+        self.work += steps
+        if self.work > LR_STATE_BOUND:
+            raise BoundExceededError(
+                f"counting tableaux row by row is limited to {LR_STATE_BOUND} states"
+            )
+
+
+def _fillings(
+    outer: Sequence[int],
+    inner: Sequence[int],
+    caps: tuple[int, ...],
+    lattice: bool,
+    count: _RowCount | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Semistandard fillings of the skew diagram outer/inner, counted by content.
+
+    Entries are 1..len(caps), value v at most caps[v-1] times; with lattice,
+    the reverse reading word (right to left along each row, top row first)
+    must be a lattice word. A row is weakly increasing, so its content r
+    fixes it. Rows are filled top to bottom, with one count per state: the
+    content used so far and clip, the cumulative counts per value of the
+    last row's entries over the columns the next row shares. The next row
+    lies strictly below when at most offset + clip[v-2] of its entries are
+    <= v (offset: its cells left of the last row); the lattice word holds
+    when no row adds more v's than used[v-2] - used[v-1].
+    """
+    count = count or _RowCount()
+    rows, values = len(outer), len(caps)
+    inner = tuple(inner) + (0,) * (rows - len(inner))
+    below = tuple(outer) + (0,) * values
+    zero = (0,) * values
+    states = {(zero, zero): 1}
+    for i in range(rows):
+        length = outer[i] - inner[i]
+        offset = min(inner[i - 1] - inner[i], length) if i else length
+        share = max(0, outer[i + 1] - inner[i]) if i + 1 < rows else 0
+        # a cell with h cells below it holds at most values - h, so at least
+        # the cells over row i + h of this row are <= values - h
+        least = tuple(max(0, below[i + h] - inner[i]) for h in range(values - 1, -1, -1))
+        reached: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (clip, used), ways in states.items():
+            limits = map(min, caps, caps[:1] + used[:-1]) if lattice else caps
+            room = tuple(map(min, map(sub, limits, used), repeat(length)))
+            most = tuple(map(add, repeat(offset), (0,) + clip[:-1]))
+            fills = count.contents.get((length, room, least, most))
+            if fills is None:
+                fills = compositions(length, room, least, most, LR_STATE_BOUND)
+                count.contents[length, room, least, most] = fills
+            count.charge(len(fills))
+            for r in fills:
+                shared = share and tuple(x if x < share else share for x in accumulate(r))
+                state = (shared or zero, tuple(map(add, used, r)))
+                reached[state] = reached.get(state, 0) + ways
+        states = reached
+    by_content: dict[tuple[int, ...], int] = {}
+    for (_clip, used), ways in states.items():
+        by_content[used] = by_content.get(used, 0) + ways
+    return by_content
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Structure constant by direct tableau counting.
+    """Structure constant: the LR tableaux of shape nu/lam and content mu.
 
-    Counts semistandard fillings of the skew diagram nu/lam with content mu
-    whose reverse reading word (right to left along each row, top row first)
-    stays a lattice word. Cells are filled in reading order so every
-    constraint is checked incrementally.
+    These are the semistandard fillings whose reverse reading word is a
+    lattice word (Fulton, Young Tableaux, 5), counted row by row.
     """
-    if lam.size + mu.size != nu.size:
+    if lam.size + mu.size != nu.size or not nu.contains(lam):
         return 0
-    if not nu.contains(lam) or not nu.contains(mu):
-        return 0
-    k = nu.rows
-    inner = [lam.row(i) for i in range(k)]
-    outer = list(nu.parts)
-    cells = [
-        (i, j)
-        for i in range(k)
-        for j in range(outer[i] - 1, inner[i] - 1, -1)
-    ]
-    if not cells:
-        return 1
-    values = mu.rows
-    target = mu.parts
-    counts = [0] * (values + 1)
-    grid = [[0] * outer[i] for i in range(k)]
-    total = 0
+    return _fillings(nu.parts, lam.parts, mu.parts, lattice=True).get(mu.parts, 0)
 
-    def fill(idx: int):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        i, j = cells[idx]
-        hi = grid[i][j + 1] if j + 1 < outer[i] else values
-        lo = 1
-        if i > 0 and j >= inner[i - 1]:
-            lo = grid[i - 1][j] + 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= target[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            counts[v] += 1
-            grid[i][j] = v
-            fill(idx + 1)
-            counts[v] -= 1
-        grid[i][j] = 0
 
-    fill(0)
-    return total
+def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Dominance of partitions of one size: each partial sum of a is at least b's."""
+    return all(map(ge, accumulate(a), accumulate(b)))
 
 
 @lru_cache(maxsize=None)
 def _lr_expand_cached(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    n = lam.size + mu.size
+    # c^nu_{lam,mu} = 0 unless lam, mu <= nu as diagrams and lam u mu <= nu
+    # <= lam + mu in dominance; shapes tried and passes share one count
+    top = tuple(lam.row(i) + mu.row(i) for i in range(max(lam.rows, mu.rows)))
+    bottom = tuple(sorted(lam.parts + mu.parts, reverse=True))
+    count = _RowCount()
     out = []
-    for nu in all_partitions(n):
-        c = lr_coeff(lam, mu, nu)
-        if c:
-            out.append((nu, c))
+    for parts in partitions_of(lam.size + mu.size, top[0] if top else 0, len(bottom)):
+        count.charge(1)
+        if not (_dominates(top, parts) and _dominates(parts, bottom)):
+            continue
+        nu = Partition(parts)
+        if not (nu.contains(lam) and nu.contains(mu)):
+            continue
+        counts = _fillings(parts, lam.parts, mu.parts, lattice=True, count=count)
+        if counts.get(mu.parts):
+            out.append((nu, counts[mu.parts]))
     return tuple(out)
 
 
@@ -278,42 +329,17 @@ def hom_dim(a: GLChar, b: GLChar) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ssyt_contents(shape: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """Content vectors of all semistandard fillings with entries at most d."""
-    if sum(shape) == 0:
-        return ((0,) * d,)
-    if len(shape) > d:
-        return ()
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    grid = [[0] * p for p in shape]
-    content = [0] * d
-    out: list[tuple[int, ...]] = []
-
-    def fill(idx: int):
-        if idx == len(cells):
-            out.append(tuple(content))
-            return
-        i, j = cells[idx]
-        lo = grid[i][j - 1] if j > 0 else 1
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, d + 1):
-            grid[i][j] = v
-            content[v - 1] += 1
-            fill(idx + 1)
-            content[v - 1] -= 1
-
-    fill(0)
-    return tuple(sorted(out))
+def _kostka_counts(shape: tuple[int, ...], d: int) -> tuple[tuple[tuple, int], ...]:
+    """(content, Kostka number) for each content of a semistandard filling
+    of shape with entries at most d, contents in increasing order."""
+    counts = _fillings(shape, (), (sum(shape),) * d, lattice=False)
+    return tuple(sorted(counts.items()))
 
 
 def weight_monomials(w: DominantWeight) -> list[tuple[int, ...]]:
     """Weight multiset of the irreducible with highest weight w, with repeats."""
-    plus, det = normalize_weight(w)
-    return [
-        tuple(c + det for c in content)
-        for content in _ssyt_contents(plus.parts, w.d)
-    ]
+    weights = char_monomials(GLChar.irreducible(w))
+    return [m for m in sorted(weights) for _ in range(weights[m])]
 
 
 def char_monomials(a: GLChar) -> dict[tuple[int, ...], int]:
@@ -321,8 +347,10 @@ def char_monomials(a: GLChar) -> dict[tuple[int, ...], int]:
         raise ValueError("weight multiset needs an actual character, got virtual input")
     acc: dict[tuple[int, ...], int] = {}
     for w, c in a.coeffs.items():
-        for m in weight_monomials(w):
-            acc[m] = acc.get(m, 0) + c
+        plus, det = normalize_weight(w)
+        for content, count in _kostka_counts(plus.parts, w.d):
+            m = tuple(map(add, content, repeat(det)))
+            acc[m] = acc.get(m, 0) + c * count
     return acc
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, total_ordering
-from typing import Iterator
+from operator import le
+from typing import Iterator, Sequence
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, expect_ints
 from .values import Frozen
 
 TABLEAU_ENUMERATION_BOUND = 10
@@ -24,7 +25,7 @@ class Partition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = expect_ints(parts, "row lengths")
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"row lengths must be positive: {parts!r}")
@@ -72,7 +73,7 @@ class Partition(Frozen):
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment of diagrams."""
-        return all(other.row(i) <= self.row(i) for i in range(other.rows))
+        return other.rows <= self.rows and all(map(le, other.parts, self.parts))
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -102,7 +103,7 @@ class StandardTableau(Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(expect_ints(r, "tableau entries") for r in rows)
         entries = [x for r in rows for x in r]
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
@@ -155,21 +156,61 @@ def canonical_tableau(shape: Partition) -> StandardTableau:
     return StandardTableau(tuple(rows))
 
 
+def partitions_of(n: int, largest: int, rows: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most rows parts, none above largest, lazily,
+    in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+    elif n <= largest * rows:
+        for first in range(min(largest, n), 0, -1):
+            for rest in partitions_of(n - first, first, rows - 1):
+                yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in decreasing lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return tuple(Partition(parts) for parts in partitions_of(n, n, n))
 
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
 
-    return tuple(Partition(parts) for parts in gen(n, n))
+def compositions(
+    total: int,
+    caps: Sequence[int],
+    low: Sequence[int] | None = None,
+    high: Sequence[int] | None = None,
+    limit: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Tuples of nonnegative ints summing to total, in lexicographic order:
+    entry i at most caps[i], entries 0..i summing to low[i]..high[i] where
+    given. Built an entry at a time; more than limit prefixes raise."""
+    # floor[i]..ceil[i]: the sums of entries 0..i that can still reach total
+    floor, ceil = [0] * len(caps), [0] * len(caps)
+    lo = hi = total
+    for i in range(len(caps) - 1, -1, -1):
+        if low and low[i] > lo:
+            lo = low[i]
+        if high and high[i] < hi:
+            hi = high[i]
+        floor[i], ceil[i] = lo if lo > 0 else 0, hi
+        lo -= caps[i]
+    if not lo <= 0 <= hi:
+        return []
+    partial = [((), 0)]
+    for cap, least, most in zip(caps, floor, ceil):
+        partial = [
+            (prefix + (s - used,), s)
+            for prefix, used in partial
+            # max and min, written out: this is the row count's inner loop
+            for s in range(
+                used if used > least else least,
+                (used + cap if used + cap < most else most) + 1,
+            )
+        ]
+        if limit is not None and len(partial) > limit:
+            raise BoundExceededError(f"compositions of {total} limited to {limit}")
+    return [prefix for prefix, _ in partial]
 
 
 def standard_tableaux(shape: Partition) -> list[StandardTableau]:

@@ -16,6 +16,7 @@ from .partitions import (
     Partition,
     all_partitions,
     canonical_tableau,
+    compositions,
     dim_gl_irrep,
     dim_sym_irrep,
     standard_tableaux,
@@ -369,21 +370,9 @@ def check_standard_powers(lim: Limits):
 
 
 def _graded_grid(max_dim: int, degrees: tuple[int, ...]):
-    slots = len(degrees)
-
-    def rec(idx: int, left: int):
-        if idx == slots:
-            yield {}
-            return
-        for take in range(left + 1):
-            for rest in rec(idx + 1, left - take):
-                if take:
-                    yield {degrees[idx]: take, **rest}
-                else:
-                    yield dict(rest)
-
-    for dims in rec(0, max_dim):
-        yield koszul.GradedObject(dims)
+    # a last slot takes what the degrees leave of max_dim
+    for dims in compositions(max_dim, (max_dim,) * (len(degrees) + 1)):
+        yield koszul.GradedObject({deg: k for deg, k in zip(degrees, dims) if k})
 
 
 def check_falling_factorial(lim: Limits):

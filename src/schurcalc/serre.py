@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import InvariantError, WindowExceededError, expect_mapping, is_int
+from .partitions import compositions
 from .values import Counts, Record
 
 DIMENSION_BOUND = 3
@@ -58,25 +59,6 @@ def _rank(matrix: list[list[int]]) -> int:
         rows = left
         rank += 1
     return rank
-
-
-def _compositions(total: int, slots: int) -> list[tuple[int, ...]]:
-    """Nonnegative integer tuples with the given sum, lexicographic order."""
-    if total < 0:
-        return []
-    if slots == 0:
-        return [()] if total == 0 else []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, left: int):
-        if left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, left - 1)
-
-    rec((), total, slots)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -170,11 +152,12 @@ def cech_cohomology(n: int, r: int) -> CechCohomology:
                     f"pattern {pattern} has multiplicity above one: {pat_dims}"
                 )
             if len(pattern) == 0:
-                monomials = _compositions(r, n + 1)
+                monomials = compositions(r, (r,) * (n + 1))
             else:
+                excess = -r - (n + 1)
                 monomials = [
                     tuple(-1 - k for k in comp)
-                    for comp in _compositions(-r - (n + 1), n + 1)
+                    for comp in compositions(excess, (excess,) * (n + 1))
                 ]
             for p in range(n + 1):
                 if pat_dims[p]:

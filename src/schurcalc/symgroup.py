@@ -14,12 +14,13 @@ from itertools import islice, permutations as _tuple_permutations, repeat
 from operator import eq, itemgetter, mul, neg
 from types import MappingProxyType
 
-from .errors import BoundExceededError, InvariantError
+from .errors import BoundExceededError, InvariantError, expect_ints
 from .partitions import (
     Partition,
     StandardTableau,
     all_partitions,
     canonical_tableau,
+    compositions,
     dim_sym_irrep,
 )
 from .values import Counts, Frozen
@@ -37,7 +38,7 @@ class Permutation(Frozen):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        images = tuple(int(x) for x in images)
+        images = expect_ints(images, "permutation images")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         object.__setattr__(self, "images", images)
@@ -455,18 +456,6 @@ def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     )
 
 
-def _bounded_compositions(total: int, caps: list[int]):
-    """Tuples of nonnegative ints summing to total, entry i at most caps[i]."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    rest = sum(caps[1:])
-    for k in range(max(0, total - rest), min(total, caps[0]) + 1):
-        for tail in _bounded_compositions(total - k, caps[1:]):
-            yield (k,) + tail
-
-
 def _double_coset_representatives(
     left: list[tuple[int, ...]], right: list[tuple[int, ...]]
 ):
@@ -494,7 +483,7 @@ def _double_coset_representatives(
                     used[i] += k
             yield tuple(images)
             return
-        for counts in _bounded_compositions(len(left[j]), capacity):
+        for counts in compositions(len(left[j]), capacity):
             yield from fill(
                 j + 1, [c - k for c, k in zip(capacity, counts)], matrix + [counts]
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import BoundExceededError, expect_mapping
+from .errors import BoundExceededError, expect_ints, expect_mapping
 from .glchar import lr_expand
 from .partitions import Partition
 from .symgroup import SymChar
@@ -25,8 +25,9 @@ class SymSeq:
 
     def __init__(self, levels: Mapping[int, SymChar] | None = None):
         clean: dict[int, SymChar] = {}
-        for level, char in (levels or {}).items():
-            level = int(level)
+        levels = levels or {}
+        for level in expect_ints(levels, "levels"):
+            char = levels[level]
             if level < 0:
                 raise ValueError("levels must be nonnegative")
             if char.n != level:

@@ -329,6 +329,25 @@ def test_tensor_bound_exits_3(capsys):
     assert code == 3
 
 
+def test_lr_on_the_size_55_staircase_ends_within_15_s():
+    """The coefficient is 8 198 345 920. The row count either reaches it or
+    stops at LR_STATE_BOUND with exit 3; either way it ends, in a process of
+    its own that is killed after 15 s."""
+    src = str(Path(schurcalc.__file__).parent.parent)
+    staircase = ",".join(map(str, range(10, 0, -1)))
+    done = subprocess.run(
+        [sys.executable, "-m", "schurcalc.cli", "lr", staircase, staircase,
+         "15,14,13,12,11,10,9,8,6,5,4,2,1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=15,
+    )
+    if done.returncode == 0:
+        assert json.loads(done.stdout)["output"] == {"coefficient": 8198345920}
+    else:
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert json.loads(done.stderr)["error"] == "bound-exceeded"
+
+
 def test_symmetrizer_of_nine_rows_exits_3_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "symmetrizer", "1,1,1,1,1,1,1,1,1")

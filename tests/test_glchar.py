@@ -32,7 +32,7 @@ from schurcalc.glchar import (
 )
 from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep
 from schurcalc.symgroup import induction_multiplicity
-from schurcalc.symseq import SymSeq, free_generator
+from schurcalc.symseq import SymSeq, free_generator, tensor
 
 
 def P(text: str) -> Partition:
@@ -106,6 +106,61 @@ def test_lr_rule_matches_character_oracle():
                 for lam in all_partitions(lsize):
                     for mu in all_partitions(total - lsize):
                         assert lr_coeff(lam, mu, nu) == induction_multiplicity(lam, mu, nu)
+
+
+@st.composite
+def _lr_triples(draw, most: int):
+    """(lam, mu, nu) with |nu| = |lam| + |mu| <= most; nu contains lam and mu
+    when some shape does, so that most draws are not zero by size alone."""
+    n = draw(st.integers(0, most))
+    k = draw(st.integers(0, n))
+    lam = draw(st.sampled_from(all_partitions(k)))
+    mu = draw(st.sampled_from(all_partitions(n - k)))
+    over = [nu for nu in all_partitions(n) if nu.contains(lam) and nu.contains(mu)]
+    return lam, mu, draw(st.sampled_from(over or all_partitions(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lr_triples(10))
+def test_lr_rule_matches_character_induction_up_to_size_10(triple):
+    # the selftest grid stops at |nu| = 8; character induction is the
+    # independent oracle
+    assert lr_coeff(*triple) == induction_multiplicity(*triple)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lr_coeff(P("3,2,1"), P("2,1"), P("4,3,2")),
+        lambda: lr_expand(P("3,2,1"), P("2,1")),
+        lambda: gl_tensor(
+            GLChar.irreducible(DominantWeight(3, (3, 2, 1))),
+            GLChar.irreducible(DominantWeight(3, (2, 1, 0))),
+        ),
+        lambda: tensor(SymSeq.irreducible(P("3,2")), SymSeq.irreducible(P("2,1"))),
+        lambda: char_monomials(GLChar.irreducible(DominantWeight(3, (3, 2, 1)))),
+    ],
+    ids=["lr_coeff", "lr_expand", "gl_tensor", "symseq.tensor", "char_monomials"],
+)
+def test_row_count_bound_covers_every_entry_point(monkeypatch, call):
+    glchar._lr_expand_cached.cache_clear()
+    glchar._kostka_counts.cache_clear()
+    monkeypatch.setattr(glchar, "LR_STATE_BOUND", 3)
+    with pytest.raises(BoundExceededError, match="limited to 3"):
+        call()
+    glchar._lr_expand_cached.cache_clear()
+
+
+def test_row_count_bound_stops_a_long_pass_early():
+    # the size-55 staircase has coefficient 8 198 345 920; (8,6,4,2) at d = 8
+    # has 354 648 294 tableaux, which a tableau list could not hold
+    staircase = P("10,9,8,7,6,5,4,3,2,1")
+    for call in (
+        lambda: lr_coeff(staircase, staircase, P("15,14,13,12,11,10,9,8,6,5,4,2,1")),
+        lambda: weight_monomials(DominantWeight(8, (8, 6, 4, 2, 0, 0, 0, 0))),
+    ):
+        with pytest.raises(BoundExceededError, match=f"limited to {glchar.LR_STATE_BOUND}"):
+            call()
 
 
 def test_lr_commutes():
@@ -239,6 +294,18 @@ def test_dim_matches_weight_count():
                     assert GLChar.irreducible(w).dim() == len(weight_monomials(w))
     char = GLChar.standard(3).scale(2) + GLChar.determinant(3, -1).scale(-1)
     assert char.dim() == 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5), size=st.integers(0, 8), det=st.integers(-2, 2))
+def test_kostka_counts_sum_to_the_dimension_and_ignore_weight_order(data, d, size, det):
+    shape = data.draw(st.sampled_from([p for p in all_partitions(size) if p.rows <= d]))
+    char = GLChar.irreducible(weight_of(shape, d, det))
+    counts = char_monomials(char)
+    assert sum(counts.values()) == char.dim()
+    order = data.draw(st.permutations(range(d)))
+    for m, c in counts.items():
+        assert counts[tuple(m[i] for i in order)] == c
 
 
 def test_char_monomials_of_symmetric_square():

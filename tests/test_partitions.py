@@ -1,8 +1,10 @@
 """Shape arithmetic against brute-force enumeration oracles."""
 
-from itertools import permutations
+from itertools import accumulate, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurcalc.errors import BoundExceededError
 from schurcalc.partitions import (
@@ -10,8 +12,10 @@ from schurcalc.partitions import (
     StandardTableau,
     all_partitions,
     canonical_tableau,
+    compositions,
     dim_gl_irrep,
     dim_sym_irrep,
+    partitions_of,
     standard_tableaux,
 )
 
@@ -87,6 +91,43 @@ def test_enumeration_is_decreasing_lex():
         assert all(p.size == n for p in shapes)
         assert list(shapes) == sorted(shapes, key=lambda p: p.parts, reverse=True)
         assert len(set(shapes)) == len(shapes)
+
+
+def test_partitions_of_respects_the_largest_part_and_the_rows():
+    for n in range(8):
+        for largest in range(n + 2):
+            for rows in range(n + 2):
+                assert list(partitions_of(n, largest, rows)) == [
+                    p.parts for p in all_partitions(n)
+                    if p.row(0) <= largest and p.rows <= rows
+                ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(-1, 7),
+    caps=st.lists(st.integers(0, 4), max_size=4),
+    data=st.data(),
+)
+def test_compositions_match_a_filtered_product(total, caps, data):
+    """The helper behind Cech bases, double cosets and the row count,
+    against every tuple in the box filtered by each condition."""
+    bounds = st.lists(st.integers(0, 8), min_size=len(caps), max_size=len(caps)).map(sorted)
+    low = data.draw(st.none() | bounds)
+    high = data.draw(st.none() | bounds)
+    expected = [
+        c for c in product(*(range(cap + 1) for cap in caps))
+        if sum(c) == total
+        and all(
+            (low is None or low[i] <= s) and (high is None or s <= high[i])
+            for i, s in enumerate(accumulate(c))
+        )
+    ]
+    assert compositions(total, caps, low, high) == expected
+    if caps and expected:
+        assert compositions(total, caps, low, high, limit=len(expected)) == expected
+        with pytest.raises(BoundExceededError):
+            compositions(total, caps, low, high, limit=len(expected) - 1)
 
 
 def test_conjugate_example():

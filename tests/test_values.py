@@ -6,6 +6,7 @@ every set and dict keyed by these values is fixed by their fields alone.
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from schurcalc.glchar import DominantWeight
 from schurcalc.koszul import GradedObject, certify_finiteness
 from schurcalc.partitions import Partition, StandardTableau
 from schurcalc.serre import build_serre_algebra, cech_cohomology
-from schurcalc.symgroup import Permutation
+from schurcalc.symgroup import GroupAlgebraElement, Permutation, SymChar
+from schurcalc.symseq import SymSeq
 
 # (value, its fields in constructor order, its repr)
 FROZEN = [
@@ -118,6 +120,32 @@ def test_constructor_keywords_and_defaults():
     assert Permutation(images=[2, 1]).images == (2, 1)
     assert StandardTableau(rows=[[1, 2]]).rows == ((1, 2),)
     assert Permutation._unchecked((2, 1)) == Permutation((2, 1))
+
+
+# (constructor, its ints with one entry replaced by the bad value)
+INT_ENTRIES = [
+    (Permutation, lambda bad: ((bad, 1),)),
+    (Partition, lambda bad: ((bad, 1),)),
+    (StandardTableau, lambda bad: (((1, bad),),)),
+    (DominantWeight, lambda bad: (2, (bad, 1))),
+    (SymSeq, lambda bad: ({bad: SymChar.regular(2)},)),
+]
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.7, "2", True], ids=repr)
+@pytest.mark.parametrize(
+    "cls, arguments", INT_ENTRIES, ids=[cls.__name__ for cls, _ in INT_ENTRIES]
+)
+def test_int_entries_refuse_floats_strings_and_bools(cls, arguments, bad):
+    """One shared check (errors.expect_ints), where int() would truncate 2.7,
+    parse "2" and read True as 1."""
+    with pytest.raises(TypeError, match=f"must be ints, got {re.escape(repr(bad))}"):
+        cls(*arguments(bad))
+
+
+def test_group_algebra_json_refuses_a_float_or_bool_image():
+    with pytest.raises(TypeError, match="permutation images must be ints, got 2.0"):
+        GroupAlgebraElement.from_json([{"perm": [2.0, True], "num": 1}])
 
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
