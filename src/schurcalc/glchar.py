@@ -247,22 +247,21 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _lr_expand_cached(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    # c^nu_{lam,mu} = 0 unless lam, mu <= nu as diagrams and lam u mu <= nu
-    # <= lam + mu in dominance; shapes tried and passes share one count
-    top = tuple(lam.row(i) + mu.row(i) for i in range(max(lam.rows, mu.rows)))
+    # c^nu_{lam,mu} = 0 unless lam, mu <= nu (each row at least least's) and
+    # lam u mu <= nu <= lam + mu in dominance; shapes and passes share a count
+    rows = range(max(lam.rows, mu.rows))
+    top = tuple(lam.row(i) + mu.row(i) for i in rows)
+    least = tuple(max(lam.row(i), mu.row(i)) for i in rows)
     bottom = tuple(sorted(lam.parts + mu.parts, reverse=True))
     count = _RowCount()
     out = []
-    for parts in partitions_of(lam.size + mu.size, top[0] if top else 0, len(bottom)):
+    for parts in partitions_of(lam.size + mu.size, top[0] if top else 0, len(bottom), least):
         count.charge(1)
         if not (_dominates(top, parts) and _dominates(parts, bottom)):
             continue
-        nu = Partition(parts)
-        if not (nu.contains(lam) and nu.contains(mu)):
-            continue
         counts = _fillings(parts, lam.parts, mu.parts, lattice=True, count=count)
         if counts.get(mu.parts):
-            out.append((nu, counts[mu.parts]))
+            out.append((Partition(parts), counts[mu.parts]))
     return tuple(out)
 
 

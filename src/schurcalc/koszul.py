@@ -144,8 +144,8 @@ def graded_power_image(
 ) -> GradedObject:
     """Image dimensions of an idempotent acting on the n-th signed tensor power.
 
-    The idempotence e*e = e is verified exactly by symgroup.is_idempotent, on
-    one permutation per double coset of e's own Young symmetries, once per
+    The idempotence e*e = e is verified exactly by symgroup.is_idempotent
+    (on the double cosets of e's own signed Young symmetries) once per
     distinct element in a process; the dimensions then come from the
     cycle-type trace formula of _power_image. Limited to n <= KOSZUL_BOUND.
     """

@@ -156,14 +156,16 @@ def canonical_tableau(shape: Partition) -> StandardTableau:
     return StandardTableau(tuple(rows))
 
 
-def partitions_of(n: int, largest: int, rows: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most rows parts, none above largest, lazily,
-    in decreasing lexicographic order."""
-    if n == 0:
+def partitions_of(
+    n: int, largest: int, rows: int, least: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most rows parts, none above largest and part i
+    at least least[i], lazily, in decreasing lexicographic order."""
+    if n == 0 and not least:
         yield ()
     elif n <= largest * rows:
-        for first in range(min(largest, n), 0, -1):
-            for rest in partitions_of(n - first, first, rows - 1):
+        for first in range(min(largest, n - sum(least[1:])), least[0] - 1 if least else 0, -1):
+            for rest in partitions_of(n - first, first, rows - 1, least[1:]):
                 yield (first,) + rest
 
 

@@ -457,7 +457,7 @@ def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
 
 
 def _double_coset_representatives(
-    left: list[tuple[int, ...]], right: list[tuple[int, ...]]
+    left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs=None
 ):
     """Images of one permutation g in each double coset L g R, one at a time.
 
@@ -467,9 +467,14 @@ def _double_coset_representatives(
     left block j; every nonnegative integer matrix whose rows sum to the left
     block sizes and whose columns sum to the right block sizes occurs. For
     each (j, i) in turn the representative sends the next M[j][i] entries of
-    right block i to the next free entries of left block j.
+    right block i to the next free entries of left block j. With signs (one
+    list per side), M[j][i] is capped at 1 where sgn_j != sgn_i: x, y there
+    give t = (g(x) g(y)) in L with t g = g (x y), so an f with
+    f(t h) = sgn_j f(h) and f(h s) = sgn_i f(h) vanishes on L g R.
     """
     n = sum(map(len, left))
+    left_signs, right_signs = signs or ([1] * len(left), [1] * len(right))
+    cell_caps = [[n if sj == si else 1 for si in right_signs] for sj in left_signs]
 
     def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
         if j == len(left):
@@ -483,7 +488,7 @@ def _double_coset_representatives(
                     used[i] += k
             yield tuple(images)
             return
-        for counts in compositions(len(left[j]), capacity):
+        for counts in compositions(len(left[j]), list(map(min, capacity, cell_caps[j]))):
             yield from fill(
                 j + 1, [c - k for c, k in zip(capacity, counts)], matrix + [counts]
             )
@@ -511,27 +516,27 @@ def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], i
 
 def _acts_by_sign(
     coeff: dict[tuple[int, ...], int], table: list[int], sign: int | None = None
-) -> bool:
-    """Whether N_{g s} = sign N_g for every g.
+) -> int:
+    """The sign (1 or -1) with N_{g s} = sign N_g for every g, or 0 if none.
 
     N maps image tuples to coefficients and s is given by its 1-based image
-    table; sign is 1 or -1. With sign None it is read from the first term,
-    which must give 1 or -1. Checking the support of N suffices: if it passes, s maps the
-    finite support into itself injectively, hence onto, so N_{g s} = 0 = N_g
-    off it. The pass stops at the first mismatch. A left symmetry of N is a
-    right one of its inverted table (see _inverted).
+    table. With sign None it is read from the first term (N = 0 gives 1);
+    given, only that sign is tried. Checking the support of N suffices: if
+    it passes, s maps the finite support into itself injectively, hence
+    onto, so N_{g s} = 0 = N_g off it. The pass stops at the first mismatch.
+    A left symmetry of N is a right one of its inverted table (see _inverted).
     """
     if not coeff:
-        return True
+        return sign or 1
     # (g s)(i) = g(s(i)): one getter for the whole pass
     found = map(coeff.get, map(_composer(table[1:]), coeff), repeat(0))
     values = iter(coeff.values())
     if sign is None:
         w, v = next(found), next(values)
         if w != v and w != -v:
-            return False
+            return 0
         sign = 1 if w == v else -1
-    return all(map(eq, found, values if sign == 1 else map(neg, values)))
+    return sign if all(map(eq, found, values if sign == 1 else map(neg, values))) else 0
 
 
 def _square_matches(
@@ -556,47 +561,73 @@ def _square_matches(
     )
 
 
+def _square_is_multiple(
+    e: GroupAlgebraElement, scalar: Fraction | int, left=None, right=None
+) -> bool:
+    """Whether e*e == scalar*e, checked exactly and in full.
+
+    left and right are (blocks, signs): t*e = sgn_j e for the transpositions
+    t of left block j and e*t = sgn_i e for those of right block i. Given,
+    they are proved on generators of each block (the left ones on the right
+    of _inverted); else _symmetry_blocks finds them. With e = N/d,
+    N*N - scalar*d*N then has them too, so it is compared at one g per double
+    coset L g R that the signs leave (see _double_coset_representatives).
+    Each pass is one over the support; with at least |support| cosets left,
+    e*e is computed instead. The product count is checked against
+    IDEMPOTENT_CHECK_BOUND first.
+    """
+    n, coeff = e.n, e.nums
+    inverted = _inverted(coeff)
+    if left is None:
+        left, right = _symmetry_blocks(inverted, n), _symmetry_blocks(coeff, n)
+    elif not all(
+        _acts_by_sign(table_of, table, parity if sign == -1 else 1)
+        for table_of, (blocks, signs) in ((inverted, left), (coeff, right))
+        for block, sign in zip(blocks, signs)
+        for table, parity in _block_generators(block, n)
+    ):
+        return False
+    size = len(coeff)
+    # without symmetry each of the n! >= |support| permutations is a double
+    # coset, so none is listed
+    cosets = _double_coset_representatives(left[0], right[0], (left[1], right[1]))
+    reps = list(islice(cosets, size if len(left[0]) + len(right[0]) < 2 * n else 0))
+    squaring = not 0 < len(reps) < size
+    products = size * (size if squaring else len(reps))
+    if products > IDEMPOTENT_CHECK_BOUND:
+        raise BoundExceededError(
+            f"idempotence check needs {products} products, "
+            f"over the bound {IDEMPOTENT_CHECK_BOUND}"
+        )
+    if squaring:
+        return e * e == e.scale(scalar)
+    return _square_matches(coeff, inverted, reps, scalar * e.den)
+
+
 def _symmetrizer_identity_holds(
     tableau: StandardTableau, c: GroupAlgebraElement, a: Fraction | int
 ) -> bool:
     """Whether c has the symmetries of b*r for the tableau and c*c == a*c.
 
-    Both parts are exact. First c itself is checked to be sign-equivariant
-    on the left under the column group C and invariant on the right under
-    the row group R, on generators of each: c_{t g} = sgn(t) c_g and
-    c_{g s} = c_g. The left checks run on the right of the inverted table,
-    which C, being a group, equally generates. By associativity c*c - a*c
-    is then equivariant the same way, so it vanishes once it vanishes on
-    one g per double coset C g R. Each generator and each representative
-    costs one pass over the support of c. With c = N/d, c*c = a*c is
-    N*N = a*d*N.
+    The columns act by sign on the left and the rows trivially on the
+    right. A column and a row share at most one entry, so C 1 R is the only
+    double coset the signs leave (Fulton-Harris 4.2).
     """
-    n = tableau.size
-    coeff = c.nums
-    inverted = _inverted(coeff)
-    cols = tableau.column_sets()
-    rows = tableau.row_sets()
-    for col in cols:
-        for table, sign in _block_generators(col, n):
-            if not _acts_by_sign(inverted, table, sign):
-                return False
-    for row in rows:
-        for table, _ in _block_generators(row, n):
-            if not _acts_by_sign(coeff, table, 1):
-                return False
-    reps = _double_coset_representatives(cols, rows)
-    return _square_matches(coeff, inverted, reps, a * c.den)
+    cols, rows = tableau.column_sets(), tableau.row_sets()
+    return _square_is_multiple(c, a, (cols, [-1] * len(cols)), (rows, [1] * len(rows)))
 
 
-def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int) -> list[tuple[int, ...]]:
-    """Blocks of 1..n whose permutations each map N to +-N on the right.
+def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int):
+    """Blocks of 1..n whose permutations each map N to +-N on the right, and signs.
 
     Each transposition (i j) of two points not yet in one block is tried in
-    turn, and merges their blocks when N_{g (i j)} = +-N_g for every g. The
-    transpositions joining a block generate all of its permutations. The
-    blocks of the left symmetries of N are those of _inverted(N).
+    turn, and merges their blocks when N_{g (i j)} = sgn N_g for every g.
+    The block has that sign, shared by all its transpositions, which are
+    conjugate; a block of one point has sign 1. The blocks of the left
+    symmetries of N are those of _inverted(N).
     """
     parent = list(range(n + 1))
+    signs = [1] * (n + 1)
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -610,49 +641,19 @@ def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int) -> list[tuple[in
                 continue
             table = list(range(n + 1))
             table[i], table[j] = j, i
-            if _acts_by_sign(coeff, table):
-                parent[rj] = ri
+            sign = _acts_by_sign(coeff, table)
+            if sign:
+                parent[rj], signs[ri] = ri, sign
     blocks: dict[int, list[int]] = {}
     for i in range(1, n + 1):
         blocks.setdefault(root(i), []).append(i)
-    return [tuple(b) for b in blocks.values()]
+    return [tuple(b) for b in blocks.values()], [signs[r] for r in blocks]
 
 
 def is_idempotent(e: GroupAlgebraElement) -> bool:
-    """Whether e*e == e, checked exactly and in full.
-
-    With e = N/d over integer numerators N, the identity is N*N = d*N. If a
-    transposition t has t N = +-N, then t (N*N - d*N) = +-(N*N - d*N), and
-    the same holds on the right. So once the blocks L and R of e's left and
-    right symmetries are found (each a pass over the support per
-    transposition tried), N*N - d*N vanishes everywhere if it vanishes at
-    one g per double coset L g R, each a pass over the support. When there
-    would be at least |support| double cosets, e*e is computed instead.
-    Either way the number of products is checked against
-    IDEMPOTENT_CHECK_BOUND before any is taken.
-    """
-    n = e.n
-    coeff = e.nums
-    inverted = _inverted(coeff)
-    left = _symmetry_blocks(inverted, n)
-    right = _symmetry_blocks(coeff, n)
-    size = len(coeff)
-    reps: list[tuple[int, ...]] = []
-    # a double coset has at most |L| |R| elements, so there are at least
-    # n!/(|L| |R|); below |support|, representatives are listed up to |support|
-    young_orders = math.prod(math.factorial(len(b)) for b in left + right)
-    if math.factorial(n) < size * young_orders:
-        reps = list(islice(_double_coset_representatives(left, right), size))
-    squaring = not 0 < len(reps) < size
-    products = size * (size if squaring else len(reps))
-    if products > IDEMPOTENT_CHECK_BOUND:
-        raise BoundExceededError(
-            f"idempotence check needs {products} products, "
-            f"over the bound {IDEMPOTENT_CHECK_BOUND}"
-        )
-    if squaring:
-        return e * e == e
-    return _square_matches(coeff, inverted, reps, e.den)
+    """Whether e*e == e, checked exactly on e's own signed symmetries (see
+    _square_is_multiple); raises BoundExceededError past IDEMPOTENT_CHECK_BOUND."""
+    return _square_is_multiple(e, 1)
 
 
 @lru_cache(maxsize=None)
@@ -677,12 +678,10 @@ def young_symmetrizer(
     c is the column antisymmetrizer times the row symmetrizer of the tableau
     (for a bare shape, of its row reading filling), with integer coefficients.
     a always equals n! divided by the number of standard tableaux. The whole
-    identity c*c = a*c is checked exactly, in O(k * |support(c)|) steps, k
-    being at most two generators per row and per column plus the number of
-    double cosets C g R of the column group C and the row group R. c is
-    checked to be sign-equivariant under C on the left and invariant under R
-    on the right, so c*c - a*c is too, and it vanishes everywhere once it
-    vanishes on one permutation per double coset.
+    identity c*c = a*c is checked exactly: c is sign-equivariant under the
+    column group C on the left and invariant under the row group R on the
+    right (at most two passes over its support per column and row), so
+    c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
     c/a is the idempotent cutting one copy of the irreducible of the shape.
     """
     if isinstance(tableau, Partition):

@@ -163,6 +163,19 @@ def test_row_count_bound_stops_a_long_pass_early():
             call()
 
 
+def test_lr_expand_tries_only_shapes_containing_both_factors(monkeypatch):
+    # Pieri: (40) times (1^40) is (41,1^39) + (40,1^40); every shape tried
+    # contains both factors, so the answer takes under 100 charges where
+    # trying every shape under (41,1^39) ran past 50 000
+    glchar._lr_expand_cached.cache_clear()
+    monkeypatch.setattr(glchar, "LR_STATE_BOUND", 1000)
+    try:
+        got = lr_expand(P("40"), Partition((1,) * 40))
+    finally:
+        glchar._lr_expand_cached.cache_clear()
+    assert got == {Partition((41,) + (1,) * 39): 1, Partition((40,) + (1,) * 40): 1}
+
+
 def test_lr_commutes():
     for total in range(7):
         for lsize in range(total + 1):

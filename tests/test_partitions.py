@@ -103,6 +103,17 @@ def test_partitions_of_respects_the_largest_part_and_the_rows():
                 ]
 
 
+def test_partitions_of_respects_a_least_part_in_each_row():
+    for n in range(8):
+        for least in {p.parts for m in range(n + 2) for p in all_partitions(m)}:
+            for largest, rows in ((n, n), (n + 1, len(least) + 1), (3, 3)):
+                assert list(partitions_of(n, largest, rows, least)) == [
+                    p.parts for p in all_partitions(n)
+                    if p.row(0) <= largest and p.rows <= rows
+                    and all(p.row(i) >= part for i, part in enumerate(least))
+                ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     total=st.integers(-1, 7),
