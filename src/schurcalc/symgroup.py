@@ -7,11 +7,11 @@ Fraction and int values; no floating point enters at any stage.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations as _tuple_permutations, repeat
-from operator import eq, itemgetter, mul, neg
+from itertools import permutations as _tuple_permutations, repeat
+from operator import eq, mul, neg, sub
 from types import MappingProxyType
 
 from .errors import BoundExceededError, InvariantError, expect_ints
@@ -30,6 +30,9 @@ CHARACTER_BOUND = 8
 # products an idempotence check may spend: every element of Q[Sigma_7] can
 # still be squared, a full-support element of Sigma_8 (1.6e9) cannot
 IDEMPOTENT_CHECK_BOUND = math.factorial(7) ** 2
+# the largest degree an element of Q[Sigma_n] may have: its permutations are
+# keyed by their images as bytes, one byte per point
+DEGREE_BOUND = 255
 
 
 class Permutation(Frozen):
@@ -157,16 +160,18 @@ class GroupAlgebraElement:
     """Sparse element of Q[Sigma_n], held as integer numerators over one denominator.
 
     The element is the sum of (nums[g] / den) g, nums mapping the image
-    tuples of permutations to nonzero ints. The form is canonical: den is
-    the least positive common denominator, so gcd(den, *nums.values()) == 1,
-    and equality is equality of (n, den, nums). Elements are never mutated
-    once built, so two of them may share one nums dict. `terms` is a
-    read-only {Permutation: int | Fraction} view of the same coefficients.
+    bytes of permutations, bytes(g.images), to nonzero ints; so n is at
+    most DEGREE_BOUND. The form is canonical: den is the least positive
+    common denominator, so gcd(den, *nums.values()) == 1, and equality is
+    equality of (n, den, nums). Elements are never mutated once built, so
+    two of them may share one nums dict. `terms` is a read-only
+    {Permutation: int | Fraction} view of the same coefficients.
     """
 
     __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None):
+        _identity(n)  # checks n <= DEGREE_BOUND
         terms = terms or {}
         for perm, coeff in terms.items():
             if len(perm.images) != n:
@@ -177,18 +182,18 @@ class GroupAlgebraElement:
         self.n = n
         self.den = den
         self.nums = {
-            p.images: c.numerator * (den // c.denominator) for p, c in terms.items() if c
+            bytes(p.images): c.numerator * (den // c.denominator) for p, c in terms.items() if c
         }
 
     @classmethod
-    def _canonical(cls, n: int, den: int, nums: dict[tuple[int, ...], int]):
+    def _canonical(cls, n: int, den: int, nums: dict[bytes, int]):
         """The element nums/den, which must already be in canonical form."""
         e = object.__new__(cls)
         e.n, e.den, e.nums = n, den, nums
         return e
 
     @classmethod
-    def _reduced(cls, n: int, den: int, nums: dict[tuple[int, ...], int]):
+    def _reduced(cls, n: int, den: int, nums: dict[bytes, int]):
         """The element nums/den for den > 0, dropping zeros and the common factor."""
         if 0 in nums.values():
             nums = {im: c for im, c in nums.items() if c}
@@ -200,10 +205,11 @@ class GroupAlgebraElement:
 
     @classmethod
     def unit(cls, n: int) -> "GroupAlgebraElement":
-        return cls._canonical(n, 1, {tuple(range(1, n + 1)): 1})
+        return cls._canonical(n, 1, {_identity(n): 1})
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
+        _identity(n)  # checks n <= DEGREE_BOUND
         return cls._canonical(n, 1, {})
 
     @property
@@ -273,11 +279,12 @@ class GroupAlgebraElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        right = [(_composer(qim), cq) for qim, cq in other.nums.items()]
-        acc: dict[tuple[int, ...], int] = {}
+        right = list(other.nums.items())
+        acc: dict[bytes, int] = {}
         for pim, cp in self.nums.items():
-            for compose, cq in right:
-                rim = compose(pim)
+            table = _table(pim)
+            for qim, cq in right:
+                rim = qim.translate(table)
                 c = cp * cq
                 prev = acc.get(rim)
                 acc[rim] = c if prev is None else prev + c
@@ -285,20 +292,20 @@ class GroupAlgebraElement:
 
     def support(self) -> list[tuple[int, ...]]:
         """The image tuples of the permutations with a nonzero coefficient, sorted."""
-        return sorted(self.nums)
+        return [tuple(im) for im in sorted(self.nums)]
 
     def __repr__(self) -> str:
         den = self.den
         body = " + ".join(
             f"{_rational(self.nums[im], den)}*[{','.join(map(str, im))}]"
-            for im in self.support()
+            for im in sorted(self.nums)
         )
         return f"<Q[S_{self.n}] {body or '0'}>"
 
     def to_json(self) -> list[dict]:
         out = []
         den = self.den
-        for im in self.support():
+        for im in sorted(self.nums):
             c = self.nums[im]
             g = math.gcd(c, den)
             out.append({"perm": list(im), "num": c // g, "den": den // g})
@@ -330,12 +337,13 @@ class _Terms(Mapping):
         return len(self._element.nums)
 
     def __iter__(self):
-        return map(Permutation._unchecked, self._element.nums)
+        return map(Permutation._unchecked, map(tuple, self._element.nums))
 
     def __getitem__(self, perm: Permutation) -> Fraction | int:
-        if perm.__class__ is not Permutation:
+        # a degree over DEGREE_BOUND has no image bytes, and no term either
+        if perm.__class__ is not Permutation or len(perm.images) != self._element.n:
             raise KeyError(perm)
-        return _rational(self._element.nums[perm.images], self._element.den)
+        return _rational(self._element.nums[bytes(perm.images)], self._element.den)
 
 
 def _rational(num: int, den: int) -> Fraction | int:
@@ -347,32 +355,40 @@ def _expect_rational(value, what: str) -> None:
         raise TypeError(f"{what} must be an int or a Fraction, not {type(value).__name__}")
 
 
-def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map taking the images of p to the images of p*q, q given by its images.
+# byte v at index v: the translate table that changes no byte
+_IDENT = bytes(range(256))
 
-    (p*q)(i) = p(q(i)), so the images of p*q pick the entries of p's at the
-    positions q(i) - 1, which one itemgetter does in C. An itemgetter of one
-    index returns a bare item and of none raises, but Sigma_0 and Sigma_1 hold
-    only the identity, where p*q = p.
+
+def _identity(n: int) -> bytes:
+    """The image bytes of the identity of Sigma_n, for n <= DEGREE_BOUND."""
+    if n > DEGREE_BOUND:
+        raise BoundExceededError(
+            f"group algebra limited to degree n <= {DEGREE_BOUND}, got {n}"
+        )
+    return _IDENT[1 : n + 1]
+
+
+def _table(images: bytes) -> bytes:
+    """The bytes.translate table of the permutation p with these images: v -> p(v).
+
+    x.translate(_table(p)) is the image bytes of p*x, since (p*x)(i) = p(x(i)).
     """
-    if len(images) < 2:
-        return tuple
-    return itemgetter(*(j - 1 for j in images))
+    return b"\0" + images + _IDENT[len(images) + 1 :]
 
 
-def _inverted(coeff: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+def _inverted(coeff: dict[bytes, int]) -> dict[bytes, int]:
     """The table g^-1 -> N_g of the table g -> N_g, in the same order.
 
-    N_{s g} = N_g for every g exactly when M_{h s^-1} = M_h for every h, M
-    being the inverted table, so a left symmetry of N is a right one of M.
+    bytes.maketrans(g, identity) sends g(i) to i, so it is the translate
+    table of g^-1, and the identity translated by it is g^-1's image bytes.
+    N_{g s} = N_g for every g exactly when M_{s^-1 h} = M_h for every h, M
+    being the inverted table, so a right symmetry of N is a left one of M.
     """
-    out = {}
-    for im, v in coeff.items():
-        inv = [0] * len(im)
-        for i, j in enumerate(im, start=1):
-            inv[j - 1] = i
-        out[tuple(inv)] = v
-    return out
+    if not coeff:
+        return {}
+    ident = _identity(len(next(iter(coeff))))
+    tables = map(bytes.maketrans, coeff, repeat(ident))
+    return dict(zip(map(ident.translate, tables), coeff.values()))
 
 
 def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
@@ -386,8 +402,8 @@ def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
 
 # distinct elements _idempotent_class_sums keeps alive: over twice the 15
 # Young idempotents a round of the graded-powers benchmark reuses, and a
-# full-support element of S_8 is about 1.25 MiB (6 MiB unless its image
-# tuples are shared), so the cache stays within about 200 MiB
+# full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
+# image-bytes keys of 41 B), so the cache stays within about 90 MiB
 _IDEMPOTENT_CACHE_SIZE = 32
 
 
@@ -412,54 +428,75 @@ def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) sum of all permutations, the total symmetrizer."""
+    _identity(n)  # the degree is checked before n! permutations are listed
     return GroupAlgebraElement._canonical(
-        n, math.factorial(n), {p.images: 1 for p in all_permutations(n)}
+        n, math.factorial(n), {bytes(p.images): 1 for p in all_permutations(n)}
     )
 
 
 def alt_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) signed sum of all permutations, the total antisymmetrizer."""
+    _identity(n)  # the degree is checked before n! permutations are listed
     return GroupAlgebraElement._canonical(
-        n, math.factorial(n), {p.images: p.sign() for p in all_permutations(n)}
+        n, math.factorial(n), {bytes(p.images): p.sign() for p in all_permutations(n)}
     )
 
 
-def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Images of all permutations fixing each block setwise (the Young subgroup)."""
-    images = [tuple(range(1, n + 1))]
+@lru_cache(maxsize=None)
+def _rearrangement_signs(k: int) -> tuple[int, ...]:
+    """The signs of the rearrangements of k entries, in the order permutations yields them.
+
+    Lexicographic order takes each entry i in turn first; moving it to the
+    front is i transpositions, and the rest follow in their own order.
+    """
+    if k < 2:
+        return (1,)
+    rest = _rearrangement_signs(k - 1)
+    return tuple(s if i % 2 == 0 else -s for i in range(k) for s in rest)
+
+
+def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> tuple[list[bytes], list[int]]:
+    """Image bytes and signs of all permutations fixing each block setwise (the Young subgroup)."""
+    images, signs = [_identity(n)], [1]
     for block in blocks:
-        extended = []
+        extended: list[bytes] = []
+        source = bytes(block)
         for rearranged in _tuple_permutations(block):
             # the earlier blocks' permutations fix this block pointwise
-            for base in images:
-                im = list(base)
-                for src, dst in zip(block, rearranged):
-                    im[src - 1] = dst
-                extended.append(tuple(im))
+            table = bytes.maketrans(source, bytes(rearranged))
+            extended += map(bytes.translate, images, repeat(table))
         images = extended
-    return images
+        signs = [r * s for r in _rearrangement_signs(len(block)) for s in signs]
+    return images, signs
 
 
 def row_symmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     """Unsigned sum over permutations preserving each row of the tableau."""
     n = tableau.size
-    return GroupAlgebraElement._canonical(
-        n, 1, dict.fromkeys(_subgroup_perms(tableau.row_sets(), n), 1)
-    )
+    images, _signs = _subgroup_perms(tableau.row_sets(), n)
+    return GroupAlgebraElement._canonical(n, 1, dict.fromkeys(images, 1))
 
 
 def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     """Signed sum over permutations preserving each column of the tableau."""
     n = tableau.size
     return GroupAlgebraElement._canonical(
-        n, 1, {im: _sign(im) for im in _subgroup_perms(tableau.column_sets(), n)}
+        n, 1, dict(zip(*_subgroup_perms(tableau.column_sets(), n)))
     )
+
+
+def _cell_caps(left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs):
+    """The cap on each entry M[j][i] of a double coset's matrix: 1 where the
+    signs of left block j and right block i differ, else n (no cap)."""
+    n = sum(map(len, left))
+    left_signs, right_signs = signs or ([1] * len(left), [1] * len(right))
+    return [[n if sj == si else 1 for si in right_signs] for sj in left_signs]
 
 
 def _double_coset_representatives(
     left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs=None
 ):
-    """Images of one permutation g in each double coset L g R, one at a time.
+    """Image bytes of one permutation g in each double coset L g R, one at a time.
 
     L and R are the Young subgroups of the left and right blocks, each list
     a set partition of 1..n. The double coset of g is fixed by the matrix M
@@ -473,8 +510,7 @@ def _double_coset_representatives(
     f(t h) = sgn_j f(h) and f(h s) = sgn_i f(h) vanishes on L g R.
     """
     n = sum(map(len, left))
-    left_signs, right_signs = signs or ([1] * len(left), [1] * len(right))
-    cell_caps = [[n if sj == si else 1 for si in right_signs] for sj in left_signs]
+    cell_caps = _cell_caps(left, right, signs)
 
     def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
         if j == len(left):
@@ -486,7 +522,7 @@ def _double_coset_representatives(
                     for entry in right[i][used[i]:used[i] + k]:
                         images[entry - 1] = next(free)
                     used[i] += k
-            yield tuple(images)
+            yield bytes(images)
             return
         for counts in compositions(len(left[j]), list(map(min, capacity, cell_caps[j]))):
             yield from fill(
@@ -496,40 +532,66 @@ def _double_coset_representatives(
     return fill(0, [len(b) for b in right], [])
 
 
-def _block_generators(block: tuple[int, ...], n: int) -> list[tuple[list[int], int]]:
-    """Generators of the permutations of the block, as 1-based image tables with sign.
+def _double_coset_count(
+    left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs, limit: int
+) -> int:
+    """How many representatives _double_coset_representatives lists, up to limit.
+
+    It counts the same capped matrices a left block at a time, keeping one
+    count per state of the right blocks' remaining capacities, and stops a
+    count once it reaches limit, so a state keeps its count or one of at
+    least limit: the result is min(count, limit).
+    """
+    cell_caps = _cell_caps(left, right, signs)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def count(j: int, capacity: tuple[int, ...]) -> int:
+        if j == len(left):
+            return 1
+        key = (j, capacity)
+        if key not in memo:
+            total = 0
+            for counts in compositions(len(left[j]), list(map(min, capacity, cell_caps[j]))):
+                total += count(j + 1, tuple(map(sub, capacity, counts)))
+                if total >= limit:
+                    break
+            memo[key] = total
+        return memo[key]
+
+    return min(count(0, tuple(map(len, right))), limit)
+
+
+def _block_generators(block: tuple[int, ...]) -> list[tuple[bytes, int]]:
+    """Generators of the permutations of the block, as translate tables with sign.
 
     A transposition of two entries and the cycle through all of them generate
-    the symmetric group of the block; table[i] is the image of i, table[0]
-    is unused.
+    the symmetric group of the block; table[v] is the image of v.
     """
     if len(block) < 2:
         return []
     gens = []
     for cycle in [block[:2], block] if len(block) > 2 else [block]:
-        table = list(range(n + 1))
+        table = bytearray(_IDENT)
         for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
             table[src] = dst
-        gens.append((table, (-1) ** (len(cycle) - 1)))
+        gens.append((bytes(table), (-1) ** (len(cycle) - 1)))
     return gens
 
 
-def _acts_by_sign(
-    coeff: dict[tuple[int, ...], int], table: list[int], sign: int | None = None
-) -> int:
-    """The sign (1 or -1) with N_{g s} = sign N_g for every g, or 0 if none.
+def _acts_by_sign(coeff: dict[bytes, int], table: bytes, sign: int | None = None) -> int:
+    """The sign (1 or -1) with N_{s g} = sign N_g for every g, or 0 if none.
 
-    N maps image tuples to coefficients and s is given by its 1-based image
-    table. With sign None it is read from the first term (N = 0 gives 1);
-    given, only that sign is tried. Checking the support of N suffices: if
-    it passes, s maps the finite support into itself injectively, hence
-    onto, so N_{g s} = 0 = N_g off it. The pass stops at the first mismatch.
-    A left symmetry of N is a right one of its inverted table (see _inverted).
+    N maps image bytes to coefficients and s is given by its translate
+    table, so each key g becomes s*g in one bytes.translate. With sign None
+    it is read from the first term (N = 0 gives 1); given, only that sign is
+    tried. Checking the support of N suffices: if it passes, s maps the
+    finite support into itself injectively, hence onto, so N_{s g} = 0 = N_g
+    off it. The pass stops at the first mismatch. A right symmetry of N is
+    a left one of its inverted table (see _inverted).
     """
     if not coeff:
         return sign or 1
-    # (g s)(i) = g(s(i)): one getter for the whole pass
-    found = map(coeff.get, map(_composer(table[1:]), coeff), repeat(0))
+    found = map(coeff.get, map(bytes.translate, coeff, repeat(table)), repeat(0))
     values = iter(coeff.values())
     if sign is None:
         w, v = next(found), next(values)
@@ -540,25 +602,23 @@ def _acts_by_sign(
 
 
 def _square_matches(
-    coeff: dict[tuple[int, ...], int],
-    inverted: dict[tuple[int, ...], int],
-    reps,
-    scalar: Fraction | int,
+    coeff: dict[bytes, int], inverted: dict[bytes, int], reps, scalar: Fraction | int
 ) -> bool:
     """Whether (N*N)_g == scalar * N_g at every g in reps.
 
-    N maps image tuples to coefficients and inverted is _inverted(N);
-    (N*N)_g = sum over h of N_{h^-1} * N_{h g}, one pass over the support
-    of N per g.
+    N maps image bytes to coefficients and inverted is _inverted(N), N'.
+    (N*N)_g = sum over h of N_h * N_{h^-1 g} = N_h * N'_{g^-1 h}: one pass
+    over the support of N per g, each h translated by the table of g^-1.
     """
-    get = coeff.get
-    values = list(inverted.values())
-    # (h g)(i) = h(g(i)), the images of h * g
-    return all(
-        sum(map(mul, values, map(get, map(_composer(g), inverted), repeat(0))))
-        == scalar * get(g, 0)
-        for g in reps
-    )
+    get, get_inverted = coeff.get, inverted.get
+    values = list(coeff.values())
+
+    def square_at(g: bytes) -> int:
+        inverse_table = bytes.maketrans(g, _identity(len(g)))
+        moved = map(bytes.translate, coeff, repeat(inverse_table))
+        return sum(map(mul, values, map(get_inverted, moved, repeat(0))))
+
+    return all(square_at(g) == scalar * get(g, 0) for g in reps)
 
 
 def _square_is_multiple(
@@ -568,32 +628,36 @@ def _square_is_multiple(
 
     left and right are (blocks, signs): t*e = sgn_j e for the transpositions
     t of left block j and e*t = sgn_i e for those of right block i. Given,
-    they are proved on generators of each block (the left ones on the right
-    of _inverted); else _symmetry_blocks finds them. With e = N/d,
-    N*N - scalar*d*N then has them too, so it is compared at one g per double
-    coset L g R that the signs leave (see _double_coset_representatives).
-    Each pass is one over the support; with at least |support| cosets left,
-    e*e is computed instead. The product count is checked against
-    IDEMPOTENT_CHECK_BOUND first.
+    they are proved on generators of each block (the right ones on the left
+    of _inverted, where their inverses generate the same group); else
+    _symmetry_blocks finds them. With e = N/d, N*N - scalar*d*N then has
+    them too, so it is compared at one g per double coset L g R that the
+    signs leave (see _double_coset_representatives), one pass over the
+    support each. The cosets are counted first, up to |support|; with that
+    many left, e*e is computed instead. The product count is checked
+    against IDEMPOTENT_CHECK_BOUND before any coset is listed.
     """
     n, coeff = e.n, e.nums
     inverted = _inverted(coeff)
     if left is None:
-        left, right = _symmetry_blocks(inverted, n), _symmetry_blocks(coeff, n)
+        left, right = _symmetry_blocks(coeff, n), _symmetry_blocks(inverted, n)
     elif not all(
         _acts_by_sign(table_of, table, parity if sign == -1 else 1)
-        for table_of, (blocks, signs) in ((inverted, left), (coeff, right))
+        for table_of, (blocks, signs) in ((coeff, left), (inverted, right))
         for block, sign in zip(blocks, signs)
-        for table, parity in _block_generators(block, n)
+        for table, parity in _block_generators(block)
     ):
         return False
     size = len(coeff)
+    signs = (left[1], right[1])
     # without symmetry each of the n! >= |support| permutations is a double
-    # coset, so none is listed
-    cosets = _double_coset_representatives(left[0], right[0], (left[1], right[1]))
-    reps = list(islice(cosets, size if len(left[0]) + len(right[0]) < 2 * n else 0))
-    squaring = not 0 < len(reps) < size
-    products = size * (size if squaring else len(reps))
+    # coset, so none is counted
+    if len(left[0]) + len(right[0]) < 2 * n:
+        cosets = _double_coset_count(left[0], right[0], signs, size)
+    else:
+        cosets = 0
+    squaring = not 0 < cosets < size
+    products = size * (size if squaring else cosets)
     if products > IDEMPOTENT_CHECK_BOUND:
         raise BoundExceededError(
             f"idempotence check needs {products} products, "
@@ -601,6 +665,7 @@ def _square_is_multiple(
         )
     if squaring:
         return e * e == e.scale(scalar)
+    reps = list(_double_coset_representatives(left[0], right[0], signs))
     return _square_matches(coeff, inverted, reps, scalar * e.den)
 
 
@@ -617,13 +682,13 @@ def _symmetrizer_identity_holds(
     return _square_is_multiple(c, a, (cols, [-1] * len(cols)), (rows, [1] * len(rows)))
 
 
-def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int):
-    """Blocks of 1..n whose permutations each map N to +-N on the right, and signs.
+def _symmetry_blocks(coeff: dict[bytes, int], n: int):
+    """Blocks of 1..n whose permutations each map N to +-N on the left, and signs.
 
     Each transposition (i j) of two points not yet in one block is tried in
-    turn, and merges their blocks when N_{g (i j)} = sgn N_g for every g.
+    turn, and merges their blocks when N_{(i j) g} = sgn N_g for every g.
     The block has that sign, shared by all its transpositions, which are
-    conjugate; a block of one point has sign 1. The blocks of the left
+    conjugate; a block of one point has sign 1. The blocks of the right
     symmetries of N are those of _inverted(N).
     """
     parent = list(range(n + 1))
@@ -639,9 +704,9 @@ def _symmetry_blocks(coeff: dict[tuple[int, ...], int], n: int):
             ri, rj = root(i), root(j)
             if ri == rj:
                 continue
-            table = list(range(n + 1))
+            table = bytearray(_IDENT)
             table[i], table[j] = j, i
-            sign = _acts_by_sign(coeff, table)
+            sign = _acts_by_sign(coeff, bytes(table))
             if sign:
                 parent[rj], signs[ri] = ri, sign
     blocks: dict[int, list[int]] = {}

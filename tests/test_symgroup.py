@@ -5,9 +5,12 @@ trace of each permutation acting by left multiplication on an explicit
 rational basis of the left ideal cut out by the normalized symmetrizer.
 """
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from schurcalc.partitions import (
     standard_tableaux,
 )
 from schurcalc.symgroup import (
+    DEGREE_BOUND,
     IDEMPOTENT_CHECK_BOUND,
     GroupAlgebraElement,
     Permutation,
@@ -304,6 +308,42 @@ def test_arithmetic_with_a_non_element_raises_type_error():
             operation()
 
 
+def test_degree_bound_of_image_bytes(monkeypatch):
+    # a permutation is keyed by one byte per point, so n = 255 is the last degree
+    top = DEGREE_BOUND
+    assert top == 255
+    ident = Permutation.identity(top)
+    first = Permutation((2, 1, *range(3, top + 1)))
+    last = Permutation((*range(1, top - 1), top, top - 1))
+    x = GroupAlgebraElement(top, {ident: 1, first: Fraction(1, 2), last: -3})
+    unit = GroupAlgebraElement.unit(top)
+    assert unit * x == x * unit == x and GroupAlgebraElement.zero(top).is_zero()
+    assert (x * x).terms == _naive_product(x, x)
+    assert symgroup._inverted(x.nums) == x.nums
+    assert x.support() == [ident.images, last.images, first.images]
+    assert GroupAlgebraElement.from_json(x.to_json()) == x
+    assert is_idempotent(unit) and not is_idempotent(x)
+
+    def no_enumeration(_n):
+        raise AssertionError("the degree must be checked before any permutation is listed")
+
+    monkeypatch.setattr(symgroup, "all_permutations", no_enumeration)
+    big = Permutation.identity(top + 1)
+    for build in (
+        lambda: GroupAlgebraElement(top + 1),
+        lambda: GroupAlgebraElement(top + 1, {big: 1}),
+        lambda: GroupAlgebraElement.unit(top + 1),
+        lambda: GroupAlgebraElement.zero(top + 1),
+        lambda: GroupAlgebraElement.from_json([{"perm": list(big.images), "num": 1}]),
+        lambda: sym_projector(top + 1),
+        lambda: alt_projector(top + 1),
+        lambda: row_symmetrizer(canonical_tableau(Partition((1,) * (top + 1)))),
+    ):
+        with pytest.raises(BoundExceededError, match="degree n <= 255, got 256"):
+            build()
+    assert big not in x.terms
+
+
 # ---------------------------------------------------------------------------
 # Young symmetrizers
 
@@ -353,6 +393,28 @@ def test_normalising_keeps_the_cached_symmetrizer():
 def test_symmetrizer_bound():
     with pytest.raises(BoundExceededError):
         young_symmetrizer(Partition((5, 4)))
+
+
+def _digests(c: GroupAlgebraElement) -> dict:
+    """sha256 of each printed form of c: JSON, support, repr and the terms in order."""
+    texts = {
+        "to_json": json.dumps(c.to_json()),
+        "support": repr(c.support()),
+        "repr": repr(c),
+        "terms": repr(list(c.terms.items())),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
+def test_symmetrizers_keep_their_printed_forms():
+    # recorded from the image-tuple kernels that the image-bytes ones replaced:
+    # the key type changes no output, no order and no coefficient
+    golden = json.loads((Path(__file__).parent / "data" / "symmetrizer_golden.json").read_text())
+    shapes = [shape for n in range(8) for shape in all_partitions(n)]
+    assert list(golden) == [",".join(map(str, shape.parts)) for shape in shapes]
+    for shape in shapes:
+        c, _a = young_symmetrizer(shape)
+        assert _digests(c) == golden[",".join(map(str, shape.parts))], shape
 
 
 SMALL_TABLEAUX = [
@@ -481,7 +543,7 @@ def test_every_size_eight_symmetrizer_checks_one_double_coset(monkeypatch):
         assert a == math.factorial(8) // dim_sym_irrep(shape)
     elapsed = time.perf_counter() - start
     assert len(shapes) == 22 and passes == [1] * 22
-    # 1.24 s from a fresh interpreter (Python 3.11.7, 2 vCPUs) against 2.15 s
+    # 0.41 s from a fresh interpreter (Python 3.11.7, 2 vCPUs), against 2.15 s
     # when every double coset C g R was compared; the ceiling allows for
     # slower machines and only catches a fall back to many cosets or squaring
     assert elapsed < 6, f"22 symmetrizers of size 8 took {elapsed:.2f} s"
@@ -703,19 +765,19 @@ def test_signed_representatives_of_a_tableau_are_the_identity():
                 reps = symgroup._double_coset_representatives(
                     cols, rows, ([-1] * len(cols), [1] * len(rows))
                 )
-                assert list(reps) == [tuple(range(1, n + 1))], _tableau_id(t)
+                assert list(reps) == [bytes(range(1, n + 1))], _tableau_id(t)
 
 
 def _assert_symmetry_blocks_hold(x):
     """Every transposition inside a found block maps x to its sign times x,
     by convolution, and a block of one point has sign 1.
 
-    The left blocks are the right blocks of the inverted table.
+    The right blocks are the left blocks of the inverted table.
     """
     n = x.n
     sides = []
     for on_left in (True, False):
-        table = symgroup._inverted(x.nums) if on_left else x.nums
+        table = x.nums if on_left else symgroup._inverted(x.nums)
         blocks, signs = symgroup._symmetry_blocks(table, n)
         assert sorted(p for b in blocks for p in b) == list(range(1, n + 1))
         assert len(signs) == len(blocks) and set(signs) <= {1, -1}
@@ -762,18 +824,38 @@ def test_idempotence_check_bound(monkeypatch):
         is_idempotent(no_symmetry)
     with pytest.raises(BoundExceededError):
         decompose_module(no_symmetry)
-    # one left symmetry (1 2) leaves 20160 double cosets of 40320 terms each
+    with pytest.raises(BoundExceededError, match="812851200 products"):
+        is_idempotent(_one_left_symmetry_of_size_eight())
+
+
+def _one_left_symmetry_of_size_eight():
+    """A full-support element of S_8 whose only symmetry is (1 2) on the left."""
+
     def swapped(images):
         return tuple({1: 2, 2: 1}.get(x, x) for x in images)
 
     index: dict = {}
     for p in all_permutations(8):
         index.setdefault(min(p.images, swapped(p.images)), len(index) + 1)
-    one_symmetry = GroupAlgebraElement(
+    return GroupAlgebraElement(
         8, {p: index[min(p.images, swapped(p.images))] for p in all_permutations(8)}
     )
+
+
+def test_idempotence_bound_is_checked_on_the_coset_count(monkeypatch):
+    # one left symmetry (1 2) leaves 20160 double cosets of 40320 terms each;
+    # they are counted, and the bound refuses them before any is listed
+    left, right = [(1, 2), *((i,) for i in range(3, 9))], [(i,) for i in range(1, 9)]
+    assert symgroup._double_coset_count(left, right, None, math.factorial(8)) == 20160
+    assert symgroup._double_coset_count(left, right, None, 100) == 100
+
+    def no_listing(*_args):
+        raise AssertionError("the bound must be checked before any coset is listed")
+
+    monkeypatch.setattr(symgroup, "_double_coset_representatives", no_listing)
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", no_listing)
     with pytest.raises(BoundExceededError, match="812851200 products"):
-        is_idempotent(one_symmetry)
+        is_idempotent(_one_left_symmetry_of_size_eight())
 
 
 @pytest.mark.parametrize("shape", [(8,), (1,) * 8], ids=["8", "1^8"])
@@ -830,6 +912,11 @@ def _naive_cycle_type_sums(x: GroupAlgebraElement) -> dict:
     return acc
 
 
+def _translate_table(s: Permutation) -> bytes:
+    """The bytes.translate table sending v to s(v) for v in 1..n and fixing every other byte."""
+    return bytes([0, *s.images, *range(s.n + 1, 256)])
+
+
 def _naive_acts_by_sign(x: GroupAlgebraElement, s: Permutation, left: bool, sign: int) -> bool:
     """N_{s g} == sign N_g (left) or N_{g s} == sign N_g (right) at every g of Sigma_n."""
     get = x.terms.get
@@ -867,8 +954,10 @@ def test_kernels_on_the_smallest_symmetric_groups(n):
         inverted = symgroup._inverted(x.nums)
         for s in all_permutations(n):
             for left in (True, False):
-                # N_{s g} = sign N_g for all g is M_{h s^-1} = sign M_h on M = _inverted(N)
-                coeff, table = (inverted, [0, *s.inverse().images]) if left else (x.nums, [0, *s.images])
+                # N_{g s} = sign N_g for all g is M_{s^-1 h} = sign M_h on M = _inverted(N)
+                coeff, table = (x.nums, _translate_table(s)) if left else (
+                    inverted, _translate_table(s.inverse())
+                )
                 holds = {sign: _naive_acts_by_sign(x, s, left, sign) for sign in (1, -1)}
                 for sign in (1, -1):
                     assert symgroup._acts_by_sign(coeff, table, sign) == (
@@ -893,26 +982,26 @@ class _CountingDict(dict):
 def test_acts_by_sign_finds_any_mismatch_and_stops_at_the_first(n):
     # the first term of a sign-free pass fixes the sign, and one wrong
     # coefficient fails the pass whatever its place in the support
-    # on the left the pass runs on the right of the inverted table; the swap
+    # on the right the pass runs on the left of the inverted table; the swap
     # is its own inverse, so the same table serves both sides
     perms = all_permutations(n)
-    swap = [0, 2, 1, *range(3, n + 1)]
+    swap = _translate_table(Permutation((2, 1, *range(3, n + 1))))
     for left in (True, False):
 
         def side(coeff):
-            return symgroup._inverted(coeff) if left else coeff
+            return coeff if left else symgroup._inverted(coeff)
 
         for bad in range(len(perms)):
-            coeff = {p.images: p.sign() for p in perms}
+            coeff = {bytes(p.images): p.sign() for p in perms}
             assert symgroup._acts_by_sign(side(coeff), swap) == -1
             assert symgroup._acts_by_sign(side(coeff), swap, -1) == -1
             assert not symgroup._acts_by_sign(side(coeff), swap, 1)
-            coeff[perms[bad].images] *= 2
+            coeff[bytes(perms[bad].images)] *= 2
             assert not symgroup._acts_by_sign(side(coeff), swap)
             assert not symgroup._acts_by_sign(side(coeff), swap, -1)
         for sign in (None, 1):
-            coeff = {p.images: p.sign() for p in perms}
-            coeff[perms[0].images] = 2
+            coeff = {bytes(p.images): p.sign() for p in perms}
+            coeff[bytes(perms[0].images)] = 2
             counting = _CountingDict(side(coeff))
             assert not symgroup._acts_by_sign(counting, swap, sign)
             assert counting.lookups == 1
@@ -930,6 +1019,37 @@ def test_convolution_and_class_sums_match_naive_loops(n, data):
     )
     assert (x * y).terms == _naive_product(x, y)
     assert list(cycle_type_sums(x).items()) == list(_naive_cycle_type_sums(x).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 5), data=st.data())
+def test_byte_kernels_match_permutation_arithmetic(n, data):
+    perms = all_permutations(n)
+    x, y = (
+        GroupAlgebraElement(
+            n, data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=8))
+        )
+        for _ in range(2)
+    )
+    assert (x * y).terms == _naive_product(x, y)
+    assert list(symgroup._inverted(x.nums).items()) == [
+        (bytes(p.inverse().images), c.numerator * (x.den // c.denominator))
+        for p, c in ((p, Fraction(c)) for p, c in x.terms.items())
+    ]
+    labels = data.draw(st.lists(_LABELS_OF_FIVE, min_size=2, max_size=2))
+    left, right = (_blocks_from_labels(side[:n]) for side in labels)
+    images, signs = symgroup._subgroup_perms(left, n)
+    assert sorted(zip(images, signs)) == sorted(
+        (bytes(p.images), p.sign()) for p in _group_of_blocks(left, n)
+    )
+    block_signs = [
+        data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(side), max_size=len(side)))
+        for side in (left, right)
+    ]
+    reps = len(list(symgroup._double_coset_representatives(left, right, block_signs)))
+    limit = data.draw(st.integers(0, reps + 2))
+    assert symgroup._double_coset_count(left, right, block_signs, limit) == min(reps, limit)
+    assert symgroup._double_coset_count(left, right, block_signs, reps + 1) == reps
 
 
 # ---------------------------------------------------------------------------
