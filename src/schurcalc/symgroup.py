@@ -10,11 +10,11 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _tuple_permutations, repeat
+from itertools import combinations, islice, permutations as _tuple_permutations, repeat
 from operator import eq, mul, neg, sub
 from types import MappingProxyType
 
-from .errors import BoundExceededError, InvariantError, expect_ints
+from .errors import BoundExceededError, InvariantError, expect_ints, is_int
 from .partitions import (
     Partition,
     StandardTableau,
@@ -33,6 +33,12 @@ IDEMPOTENT_CHECK_BOUND = math.factorial(7) ** 2
 # the largest degree an element of Q[Sigma_n] may have: its permutations are
 # keyed by their images as bytes, one byte per point
 DEGREE_BOUND = 255
+# the largest n whose n! permutations may be listed: S_9 takes about 0.5 s,
+# S_10 would take about 5 s and 600 MB
+PERMUTATION_BOUND = 9
+# the largest n of a full character table: p(14)^2 = 18 225 entries take
+# 0.5 to 0.9 s, and the table grows with p(n)^2
+CHARACTER_TABLE_BOUND = 14
 
 
 class Permutation(Frozen):
@@ -150,9 +156,19 @@ def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
+def _check_permutation_degree(n: int) -> None:
+    """Refuse an n whose n! permutations may not be listed, before any is."""
+    _identity(n)
+    if n > PERMUTATION_BOUND:
+        raise BoundExceededError(
+            f"permutations limited to n <= {PERMUTATION_BOUND}, got {n}"
+        )
+
+
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
-    """All of Sigma_n in lexicographic one line order."""
+    """All of Sigma_n in lexicographic one line order, for n <= PERMUTATION_BOUND."""
+    _check_permutation_degree(n)
     return tuple(map(Permutation._unchecked, _tuple_permutations(range(1, n + 1))))
 
 
@@ -171,7 +187,7 @@ class GroupAlgebraElement:
     __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None):
-        _identity(n)  # checks n <= DEGREE_BOUND
+        _identity(n)  # checks the degree
         terms = terms or {}
         for perm, coeff in terms.items():
             if len(perm.images) != n:
@@ -209,7 +225,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
-        _identity(n)  # checks n <= DEGREE_BOUND
+        _identity(n)  # checks the degree
         return cls._canonical(n, 1, {})
 
     @property
@@ -360,7 +376,15 @@ _IDENT = bytes(range(256))
 
 
 def _identity(n: int) -> bytes:
-    """The image bytes of the identity of Sigma_n, for n <= DEGREE_BOUND."""
+    """The image bytes of the identity of Sigma_n, for an int 0 <= n <= DEGREE_BOUND.
+
+    The one check of a degree: a bool or a non-int raises TypeError and a
+    negative n ValueError.
+    """
+    if not is_int(n):
+        raise TypeError(f"the degree {n!r} must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"the degree must be nonnegative, got {n}")
     if n > DEGREE_BOUND:
         raise BoundExceededError(
             f"group algebra limited to degree n <= {DEGREE_BOUND}, got {n}"
@@ -400,24 +424,80 @@ def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
     return by_lengths
 
 
-# distinct elements _idempotent_class_sums keeps alive: over twice the 15
-# Young idempotents a round of the graded-powers benchmark reuses, and a
-# full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
-# image-bytes keys of 41 B), so the cache stays within about 90 MiB
+# distinct elements the store of proved idempotents keeps alive: over twice
+# the 15 Young idempotents a round of the graded-powers benchmark reuses, and
+# a full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
+# image-bytes keys of 41 B), so the store stays within about 90 MiB
 _IDEMPOTENT_CACHE_SIZE = 32
 
 
-@lru_cache(maxsize=_IDEMPOTENT_CACHE_SIZE)
-def _idempotent_class_sums(e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
-    """_class_sums(e) once is_idempotent(e) holds in full, or None if e*e != e.
+class _IdempotentStore:
+    """The elements whose idempotence was settled in full in this process.
 
-    Cached on the value of e, so each distinct element is checked once per
-    process; a BoundExceededError from the check is raised on every call and
-    never cached. Every call shares one read-only view of the sums.
+    Keyed on the value of the element, with at most _IDEMPOTENT_CACHE_SIZE
+    entries; a new one evicts the least recently used. An entry is False
+    for a refusal (e*e != e), True for a proved element whose class sums
+    were not read yet, and then the one read-only view of them. Each entry
+    sits in a [last use, entry] pair, so a read marks its use without a
+    second lookup. hits and misses count the reads of class_sums.
     """
-    if not is_idempotent(e):
-        return None
-    return MappingProxyType(_class_sums(e))
+
+    __slots__ = ("entries", "clock", "hits", "misses")
+
+    def __init__(self):
+        self.entries: dict[GroupAlgebraElement, list] = {}
+        self.clock = self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.clock = self.hits = self.misses = 0
+
+    def _add(self, e: GroupAlgebraElement, entry: bool) -> list:
+        entries = self.entries
+        if len(entries) >= _IDEMPOTENT_CACHE_SIZE:
+            oldest, _slot = min(entries.items(), key=lambda item: item[1][0])
+            del entries[oldest]
+        slot = entries[e] = [0, entry]
+        return slot
+
+    def record_proved(self, e: GroupAlgebraElement) -> None:
+        """Keep e, whose e*e == e the caller has just checked in full."""
+        slot = self.entries.get(e) or self._add(e, True)
+        self.clock += 1
+        slot[0] = self.clock
+
+    def class_sums(self, e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
+        """_class_sums(e) once e*e == e holds in full, or None if e*e != e.
+
+        Each distinct element is checked in full once per process while it
+        stays among the _IDEMPOTENT_CACHE_SIZE most recently used, by one of
+        two routes: the tableau check of young_symmetrizer proves c/a when
+        it builds c (record_proved), and an element the store lacks is
+        checked here by is_idempotent. A BoundExceededError from the check
+        is raised on every call and never stored. Every call shares one
+        read-only view of the sums.
+        """
+        slot = self.entries.get(e)
+        if slot is None:
+            self.misses += 1
+            # a BoundExceededError leaves nothing behind, so it is raised again
+            slot = self._add(e, is_idempotent(e))
+        else:
+            self.hits += 1
+        self.clock += 1
+        slot[0] = self.clock
+        if slot[1] is True:
+            slot[1] = MappingProxyType(_class_sums(e))
+        entry = slot[1]
+        return None if entry is False else entry
+
+
+_PROVED_IDEMPOTENTS = _IdempotentStore()
+# the one read of the store, shared by decompose_module and graded_power_image
+_idempotent_class_sums = _PROVED_IDEMPOTENTS.class_sums
 
 
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
@@ -427,16 +507,17 @@ def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | 
 
 
 def sym_projector(n: int) -> GroupAlgebraElement:
-    """(1/n!) sum of all permutations, the total symmetrizer."""
-    _identity(n)  # the degree is checked before n! permutations are listed
+    """(1/n!) sum of all permutations, the total symmetrizer, for n <= PERMUTATION_BOUND."""
+    _check_permutation_degree(n)
     return GroupAlgebraElement._canonical(
         n, math.factorial(n), {bytes(p.images): 1 for p in all_permutations(n)}
     )
 
 
 def alt_projector(n: int) -> GroupAlgebraElement:
-    """(1/n!) signed sum of all permutations, the total antisymmetrizer."""
-    _identity(n)  # the degree is checked before n! permutations are listed
+    """(1/n!) signed sum of all permutations, the total antisymmetrizer, for
+    n <= PERMUTATION_BOUND."""
+    _check_permutation_degree(n)
     return GroupAlgebraElement._canonical(
         n, math.factorial(n), {bytes(p.images): p.sign() for p in all_permutations(n)}
     )
@@ -578,7 +659,9 @@ def _block_generators(block: tuple[int, ...]) -> list[tuple[bytes, int]]:
     return gens
 
 
-def _acts_by_sign(coeff: dict[bytes, int], table: bytes, sign: int | None = None) -> int:
+def _acts_by_sign(
+    coeff: dict[bytes, int], table: bytes, sign: int | None = None, keys=None
+) -> int:
     """The sign (1 or -1) with N_{s g} = sign N_g for every g, or 0 if none.
 
     N maps image bytes to coefficients and s is given by its translate
@@ -587,12 +670,17 @@ def _acts_by_sign(coeff: dict[bytes, int], table: bytes, sign: int | None = None
     tried. Checking the support of N suffices: if it passes, s maps the
     finite support into itself injectively, hence onto, so N_{s g} = 0 = N_g
     off it. The pass stops at the first mismatch. A right symmetry of N is
-    a left one of its inverted table (see _inverted).
+    a left one of its inverted table (see _inverted). keys, a list of terms
+    of N, restricts the check to those g: every symmetry passes it, but a
+    pass proves nothing.
     """
     if not coeff:
         return sign or 1
-    found = map(coeff.get, map(bytes.translate, coeff, repeat(table)), repeat(0))
-    values = iter(coeff.values())
+    if keys is None:
+        keys, values = coeff, iter(coeff.values())
+    else:
+        values = map(coeff.__getitem__, keys)
+    found = map(coeff.get, map(bytes.translate, keys, repeat(table)), repeat(0))
     if sign is None:
         w, v = next(found), next(values)
         if w != v and w != -v:
@@ -682,42 +770,83 @@ def _symmetrizer_identity_holds(
     return _square_is_multiple(c, a, (cols, [-1] * len(cols)), (rows, [1] * len(rows)))
 
 
-def _symmetry_blocks(coeff: dict[bytes, int], n: int):
-    """Blocks of 1..n whose permutations each map N to +-N on the left, and signs.
+def _transposition_blocks(coeff: dict[bytes, int], points, keys=None):
+    """The blocks of the points joined by transpositions acting on N by a sign.
 
     Each transposition (i j) of two points not yet in one block is tried in
-    turn, and merges their blocks when N_{(i j) g} = sgn N_g for every g.
-    The block has that sign, shared by all its transpositions, which are
-    conjugate; a block of one point has sign 1. The blocks of the right
-    symmetries of N are those of _inverted(N).
+    turn (on the keys only, if given; see _acts_by_sign), and merges their
+    blocks when it passes. Returns (block, sign) pairs, the sign that of the
+    last transposition that merged the block, 1 for a single point.
     """
-    parent = list(range(n + 1))
-    signs = [1] * (n + 1)
+    parent = {i: i for i in points}
+    signs = dict.fromkeys(points, 1)
 
     def root(i: int) -> int:
         while parent[i] != i:
             i = parent[i]
         return i
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ri, rj = root(i), root(j)
-            if ri == rj:
-                continue
-            table = bytearray(_IDENT)
-            table[i], table[j] = j, i
-            sign = _acts_by_sign(coeff, bytes(table))
-            if sign:
-                parent[rj], signs[ri] = ri, sign
+    for i, j in combinations(points, 2):
+        ri, rj = root(i), root(j)
+        if ri == rj:
+            continue
+        table = bytearray(_IDENT)
+        table[i], table[j] = j, i
+        sign = _acts_by_sign(coeff, bytes(table), keys=keys)
+        if sign:
+            parent[rj], signs[ri] = ri, sign
     blocks: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
+    for i in points:
         blocks.setdefault(root(i), []).append(i)
-    return [tuple(b) for b in blocks.values()], [signs[r] for r in blocks]
+    return [(tuple(b), signs[r]) for r, b in blocks.items()]
+
+
+# terms of N, spread over its support, on which _symmetry_blocks screens the
+# transpositions before it proves any block on the whole support
+_SCREEN_TERMS = 32
+
+
+def _symmetry_blocks(coeff: dict[bytes, int], n: int):
+    """Blocks of 1..n whose permutations each map N to +-N on the left, and signs.
+
+    The transpositions acting by a sign generate a Young subgroup, and all
+    those of one block act by the same sign, as they are conjugate in it; a
+    block of one point has sign 1. The blocks are first screened
+    (_transposition_blocks on _SCREEN_TERMS terms spread over the support):
+    a symmetry always passes the screen, so the true blocks refine the
+    screened ones. Each screened block is then proved on the two generators
+    of its permutations (_block_generators), one full pass each: a block
+    that passes lies inside a true block, so it is one. A block that fails
+    is split by trying its transpositions on the full support. The blocks
+    are listed by least point, each in increasing order. The blocks of the
+    right symmetries of N are those of _inverted(N).
+    """
+    # terms come in runs whose lengths are products of factorials, whose
+    # prime factors are 2, 3, 5 and 7 up to 10!: a step prime to 210 does
+    # not fall on the same place in every run
+    step = max(1, len(coeff) // _SCREEN_TERMS)
+    while math.gcd(step, 210) != 1:
+        step += 1
+    screen = list(islice(coeff, 0, None, step))
+    found = []
+    for block, sign in _transposition_blocks(coeff, range(1, n + 1), screen):
+        if all(
+            _acts_by_sign(coeff, table, parity if sign == -1 else 1)
+            for table, parity in _block_generators(block)
+        ):
+            found.append((block, sign))
+        else:
+            found += _transposition_blocks(coeff, block)
+    found.sort()
+    return [block for block, _sign in found], [sign for _block, sign in found]
 
 
 def is_idempotent(e: GroupAlgebraElement) -> bool:
     """Whether e*e == e, checked exactly on e's own signed symmetries (see
-    _square_is_multiple); raises BoundExceededError past IDEMPOTENT_CHECK_BOUND."""
+    _square_is_multiple) on every call; raises BoundExceededError past
+    IDEMPOTENT_CHECK_BOUND."""
+    if not isinstance(e, GroupAlgebraElement):
+        raise TypeError(f"expected a GroupAlgebraElement, not {type(e).__name__}")
     return _square_is_multiple(e, 1)
 
 
@@ -732,6 +861,9 @@ def _young_symmetrizer_cached(tableau: StandardTableau):
         raise InvariantError(
             f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
         )
+    # the check compared N*N with a*N for c = N, which is (c/a)^2 == c/a; c/a
+    # shares c's numerator dict
+    _PROVED_IDEMPOTENTS.record_proved(c.scale(Fraction(1, a)))
     return c, Fraction(a)
 
 
@@ -748,6 +880,10 @@ def young_symmetrizer(
     right (at most two passes over its support per column and row), so
     c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
     c/a is the idempotent cutting one copy of the irreducible of the shape.
+    That check is (c/a)^2 == c/a in full, so when it first builds c the
+    process records c/a as proved (see _idempotent_class_sums), and
+    decompose_module and graded_power_image then read c/a, or any element
+    equal to it, without checking it again.
     """
     if isinstance(tableau, Partition):
         tableau = canonical_tableau(tableau)
@@ -813,9 +949,18 @@ def char_irrep(shape: Partition) -> dict[Partition, int]:
     return {mu: table[(shape, mu)] for mu in all_partitions(n)}
 
 
+def _check_character_table_degree(n: int) -> None:
+    if n > CHARACTER_TABLE_BOUND:
+        raise BoundExceededError(
+            f"full character table limited to n <= {CHARACTER_TABLE_BOUND}, got {n}"
+        )
+
+
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Full character table of Sigma_n: (shape, cycle type) -> value."""
+    """Full character table of Sigma_n: (shape, cycle type) -> value, for
+    n <= CHARACTER_TABLE_BOUND."""
+    _check_character_table_degree(n)
     table = {}
     for lam in all_partitions(n):
         for mu in all_partitions(n):
@@ -867,9 +1012,10 @@ def induction_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Computed purely through characters: Frobenius reciprocity turns the
     question into an inner product over the Young subgroup, so this shares no
-    code with the tableau counting route.
+    code with the tableau counting route. Limited to |nu| <= CHARACTER_TABLE_BOUND.
     """
     l, m = lam.size, mu.size
+    _check_character_table_degree(max(l, m, nu.size))
     if l + m != nu.size:
         return 0
     table_l = character_table(l)
@@ -985,10 +1131,11 @@ def decompose_module(
     Accepts either an idempotent e of the group algebra, read as the left
     ideal it cuts out, or a mapping from permutations to matrices over exact
     rationals covering at least one representative of every conjugacy class.
-    e*e = e is verified exactly by is_idempotent, once per distinct element
-    in a process (see _idempotent_class_sums), which raises
-    BoundExceededError when the check would cost more than
-    IDEMPOTENT_CHECK_BOUND products.
+    e*e = e is verified exactly once per distinct element in a process (see
+    _idempotent_class_sums): by the tableau check of young_symmetrizer when
+    e is a Young idempotent c/a whose c this process built, else by
+    is_idempotent, which raises BoundExceededError when the check would
+    cost more than IDEMPOTENT_CHECK_BOUND products.
     """
     if isinstance(module, GroupAlgebraElement):
         e = module

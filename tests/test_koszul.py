@@ -30,14 +30,17 @@ from schurcalc.koszul import (
     sym,
     wedge,
 )
-from schurcalc.partitions import Partition, all_partitions, standard_tableaux
+from schurcalc.partitions import Partition, all_partitions, canonical_tableau, standard_tableaux
 from schurcalc.symgroup import (
     GroupAlgebraElement,
     Permutation,
+    SymChar,
     all_permutations,
     alt_projector,
+    column_antisymmetrizer,
     decompose_module,
     is_idempotent,
+    row_symmetrizer,
     sym_projector,
     young_symmetrizer,
 )
@@ -287,8 +290,9 @@ def test_graded_power_rejects_unbounded_idempotence_check(monkeypatch):
 
 
 def _count_idempotence_checks(monkeypatch) -> list:
-    """Empty the shared cache and record each full idempotence check from now on."""
-    symgroup._idempotent_class_sums.cache_clear()
+    """Empty the store of proved idempotents and record each full idempotence
+    check from now on."""
+    symgroup._PROVED_IDEMPOTENTS.clear()
     calls = []
 
     def counted(e):
@@ -313,8 +317,8 @@ def test_equal_idempotents_are_checked_once(monkeypatch):
     assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
     assert decompose_module(e) == decompose_module(same)
     assert calls == [e]
-    info = symgroup._idempotent_class_sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    store = symgroup._PROVED_IDEMPOTENTS
+    assert (store.hits, store.misses, len(store)) == (4, 1, 1)
     # every caller shares the cached sums, so they are read-only
     with pytest.raises(TypeError):
         symgroup._idempotent_class_sums(e)[(1, 1, 1, 1)] = 0
@@ -330,6 +334,130 @@ def test_a_non_idempotent_element_is_refused_on_every_call(monkeypatch):
         with pytest.raises(ValueError, match="^element is not idempotent"):
             decompose_module(x)
     assert calls == [x]
+
+
+def _forget_symmetrizers() -> None:
+    """Forget every symmetrizer built and every idempotent settled so far."""
+    symgroup._young_symmetrizer_cached.cache_clear()
+    symgroup._PROVED_IDEMPOTENTS.clear()
+
+
+def _tableaux(max_size: int) -> list:
+    return [
+        t
+        for size in range(1, max_size + 1)
+        for shape in all_partitions(size)
+        for t in standard_tableaux(shape)
+    ]
+
+
+def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
+    _forget_symmetrizers()
+    checks = []
+    real = symgroup._square_is_multiple
+
+    def recorded(e, *args):
+        checks.append(e)
+        return real(e, *args)
+
+    monkeypatch.setattr(symgroup, "_square_is_multiple", recorded)
+    c2 = GradedObject({0: 1, 1: 1})
+    tableaux = _tableaux(5)
+    assert len(tableaux) == 43
+    for tableau in tableaux:
+        c, a = young_symmetrizer(tableau)
+        assert checks == [c]
+        checks.clear()
+        e = c.scale(Fraction(1) / a)
+        assert e.nums is c.nums
+        assert decompose_module(e) == SymChar.irreducible(tableau.shape)
+        assert graded_power_image(c2, e).dims == _image_dims_by_matrix(c2, e)
+        assert checks == [], tableau
+    store = symgroup._PROVED_IDEMPOTENTS
+    assert (store.hits, store.misses, len(store)) == (2 * 43, 0, 32)
+
+
+def _no_square_checks(monkeypatch) -> None:
+    def refused(*_args):
+        raise AssertionError("an element proved idempotent was checked again")
+
+    monkeypatch.setattr(symgroup, "_square_is_multiple", refused)
+
+
+def test_an_equal_element_built_apart_reads_the_proof(monkeypatch):
+    _forget_symmetrizers()
+    c, a = young_symmetrizer(Partition((3, 2)))
+    e = GroupAlgebraElement.from_json(c.scale(Fraction(1) / a).to_json())
+    assert e.nums is not c.nums
+    _no_square_checks(monkeypatch)
+    assert decompose_module(e) == SymChar.irreducible(Partition((3, 2)))
+    assert graded_power_image(GradedObject({1: 2}), e) == graded_power_image(
+        GradedObject({1: 2}), c.scale(Fraction(1) / a)
+    )
+    store = symgroup._PROVED_IDEMPOTENTS
+    assert (store.hits, store.misses, len(store)) == (3, 0, 1)
+
+
+def test_elements_not_proved_in_this_process_are_checked_in_full(monkeypatch):
+    _forget_symmetrizers()
+    calls = _count_idempotence_checks(monkeypatch)
+    tableau = canonical_tableau(Partition((2, 1)))
+    # a Young idempotent whose symmetrizer this process never built
+    e = (column_antisymmetrizer(tableau) * row_symmetrizer(tableau)).scale(Fraction(1, 3))
+    assert decompose_module(e) == SymChar.irreducible(Partition((2, 1)))
+    assert calls == [e]
+    c, a = young_symmetrizer(tableau)
+    assert c.scale(Fraction(1) / a) == e
+    unit = GroupAlgebraElement.unit(3)
+    complement = unit - e
+    near = e + GroupAlgebraElement(3, {Permutation.identity(3): Fraction(1, 100)})
+    assert decompose_module(complement) == SymChar(
+        3, {Partition((3,)): 1, Partition((2, 1)): 1, Partition((1, 1, 1)): 1}
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^element is not idempotent, so it cuts out no module$"):
+            decompose_module(near)
+        with pytest.raises(ValueError, match="^projector is not idempotent$"):
+            graded_power_image(GradedObject({0: 1}), near)
+    assert calls == [e, complement, near]
+
+
+def test_a_failed_tableau_check_records_nothing(monkeypatch):
+    _forget_symmetrizers()
+    with monkeypatch.context() as patch:
+        patch.setattr(symgroup, "_symmetrizer_identity_holds", lambda *_args: False)
+        with pytest.raises(InvariantError, match="^symmetrizer square is not 3 times"):
+            young_symmetrizer(Partition((2, 1)))
+    assert len(symgroup._PROVED_IDEMPOTENTS) == 0
+    calls = _count_idempotence_checks(monkeypatch)
+    tableau = canonical_tableau(Partition((2, 1)))
+    e = (column_antisymmetrizer(tableau) * row_symmetrizer(tableau)).scale(Fraction(1, 3))
+    assert decompose_module(e) == SymChar.irreducible(Partition((2, 1)))
+    assert calls == [e]
+
+
+def test_the_store_evicts_the_least_recently_used(monkeypatch):
+    calls = _count_idempotence_checks(monkeypatch)
+    size = symgroup._IDEMPOTENT_CACHE_SIZE
+    assert size == 32
+    # k * 1 squares to k^2 * 1: each is refused, and the refusal is stored
+    scaled = [GroupAlgebraElement.unit(2).scale(k) for k in range(2, size + 3)]
+    for x in scaled[:size]:
+        assert symgroup._idempotent_class_sums(x) is None
+    assert symgroup._idempotent_class_sums(scaled[0]) is None  # now the newest
+    assert symgroup._idempotent_class_sums(scaled[size]) is None  # evicts scaled[1]
+    assert len(symgroup._PROVED_IDEMPOTENTS) == size
+    assert symgroup._idempotent_class_sums(scaled[0]) is None
+    assert calls == scaled[: size + 1]
+    assert symgroup._idempotent_class_sums(scaled[1]) is None
+    assert calls == scaled[: size + 1] + [scaled[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tableau=st.sampled_from(_tableaux(6)))
+def test_young_idempotent_cuts_out_its_irreducible(tableau):
+    c, a = young_symmetrizer(tableau)
+    assert decompose_module(c.scale(Fraction(1) / a)).coeffs == {tableau.shape: 1}
 
 
 def test_graded_power_image_refuses_a_non_element():

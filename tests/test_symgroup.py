@@ -26,8 +26,10 @@ from schurcalc.partitions import (
     standard_tableaux,
 )
 from schurcalc.symgroup import (
+    CHARACTER_TABLE_BOUND,
     DEGREE_BOUND,
     IDEMPOTENT_CHECK_BOUND,
+    PERMUTATION_BOUND,
     GroupAlgebraElement,
     Permutation,
     SymChar,
@@ -342,6 +344,66 @@ def test_degree_bound_of_image_bytes(monkeypatch):
         with pytest.raises(BoundExceededError, match="degree n <= 255, got 256"):
             build()
     assert big not in x.terms
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        GroupAlgebraElement,
+        GroupAlgebraElement.unit,
+        GroupAlgebraElement.zero,
+        all_permutations,
+        sym_projector,
+        alt_projector,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_one_degree_check(build):
+    all_permutations(1)  # a cached S_1 must not answer for True
+    for bad in (True, False, 2.0, "3", None):
+        with pytest.raises(TypeError, match=f"^the degree {bad!r} must be an int, not "):
+            build(bad)
+    with pytest.raises(ValueError, match="^the degree must be nonnegative, got -1$"):
+        build(-1)
+
+
+def test_is_idempotent_refuses_a_non_element():
+    for bad in (3, "x", {Permutation.identity(2): 1}):
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            is_idempotent(bad)
+
+
+def test_permutation_bound_is_checked_before_any_permutation(monkeypatch):
+    # S_9 takes about 0.5 s; S_10 would take about 5 s and 600 MB
+    assert PERMUTATION_BOUND == 9
+
+    def no_enumeration(*_args):
+        raise AssertionError("the bound must be checked before any permutation is listed")
+
+    monkeypatch.setattr(symgroup, "_tuple_permutations", no_enumeration)
+    for build in (all_permutations, sym_projector, alt_projector):
+        for n in (PERMUTATION_BOUND + 1, 12, DEGREE_BOUND):
+            with pytest.raises(BoundExceededError, match=f"n <= 9, got {n}$"):
+                build(n)
+
+
+def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
+    # p(14)^2 = 18 225 entries take 0.5 to 0.9 s
+    assert CHARACTER_TABLE_BOUND == 14
+    one = Partition((1,))
+    big = Partition((CHARACTER_TABLE_BOUND,))
+
+    def no_enumeration(*_args):
+        raise AssertionError("the bound must be checked before any partition is listed")
+
+    monkeypatch.setattr(symgroup, "all_partitions", no_enumeration)
+    monkeypatch.setattr(symgroup, "_mn_value", no_enumeration)
+    over = CHARACTER_TABLE_BOUND + 1
+    with pytest.raises(BoundExceededError, match=f"n <= 14, got {over}$"):
+        character_table(over)
+    for triple in [(big, one, Partition((over,))), (Partition((over,)), one, big)]:
+        with pytest.raises(BoundExceededError, match=f"n <= 14, got {over}$"):
+            induction_multiplicity(*triple)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +832,9 @@ def test_signed_representatives_of_a_tableau_are_the_identity():
 
 def _assert_symmetry_blocks_hold(x):
     """Every transposition inside a found block maps x to its sign times x,
-    by convolution, and a block of one point has sign 1.
+    by convolution, a block of one point has sign 1, and no transposition
+    joining two blocks maps x to +-x. The blocks are listed by least point,
+    each in increasing order.
 
     The right blocks are the left blocks of the inverted table.
     """
@@ -780,18 +844,21 @@ def _assert_symmetry_blocks_hold(x):
         table = x.nums if on_left else symgroup._inverted(x.nums)
         blocks, signs = symgroup._symmetry_blocks(table, n)
         assert sorted(p for b in blocks for p in b) == list(range(1, n + 1))
+        assert blocks == sorted(blocks) and all(list(b) == sorted(b) for b in blocks)
         assert len(signs) == len(blocks) and set(signs) <= {1, -1}
         sides.append(blocks)
-        for block, sign in zip(blocks, signs):
-            assert len(block) > 1 or sign == 1
-            for i in block:
-                for j in block:
-                    if i < j:
-                        images = list(range(1, n + 1))
-                        images[i - 1], images[j - 1] = j, i
-                        tau = GroupAlgebraElement(n, {Permutation(tuple(images)): 1})
-                        moved = tau * x if on_left else x * tau
-                        assert moved == x.scale(sign)
+        block_of = {p: k for k, b in enumerate(blocks) for p in b}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                images = list(range(1, n + 1))
+                images[i - 1], images[j - 1] = j, i
+                tau = GroupAlgebraElement(n, {Permutation(tuple(images)): 1})
+                moved = tau * x if on_left else x * tau
+                if block_of[i] == block_of[j]:
+                    assert moved == x.scale(signs[block_of[i]])
+                else:
+                    assert moved not in (x, -x)
+        assert all(len(b) > 1 or sign == 1 for b, sign in zip(blocks, signs))
     return sides
 
 
@@ -808,6 +875,66 @@ def test_symmetry_blocks_of_random_elements(n, data):
     perms = all_permutations(n)
     terms = data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=6))
     _assert_symmetry_blocks_hold(GroupAlgebraElement(n, terms))
+
+
+def _full_passes(monkeypatch) -> list:
+    """Record from now on whether each _acts_by_sign pass ran on the whole support."""
+    full = []
+    real = symgroup._acts_by_sign
+
+    def recorded(coeff, table, sign=None, keys=None):
+        full.append(keys is None)
+        return real(coeff, table, sign, keys)
+
+    monkeypatch.setattr(symgroup, "_acts_by_sign", recorded)
+    return full
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetry_blocks_prove_each_block_in_two_full_passes(monkeypatch, n):
+    full = _full_passes(monkeypatch)
+    for shape in all_partitions(n):
+        for tableau in standard_tableaux(shape):
+            e = _young_idempotent(tableau)
+            for table in (e.nums, symgroup._inverted(e.nums)):
+                full.clear()
+                blocks, _signs = symgroup._symmetry_blocks(table, n)
+                assert sum(full) <= 2 * sum(len(b) > 1 for b in blocks), _tableau_id(tableau)
+
+
+@pytest.mark.parametrize("shape", [(8,), (1,) * 8], ids=["8", "1^8"])
+def test_full_support_blocks_take_two_passes_a_side(monkeypatch, shape):
+    # one block of 8 points on each side: a transposition and an 8-cycle,
+    # where merging one transposition at a time took 7 passes a side
+    e = _young_idempotent(Partition(shape))
+    full = _full_passes(monkeypatch)
+    sign = -1 if shape == (1,) * 8 else 1
+    for table in (e.nums, symgroup._inverted(e.nums)):
+        assert symgroup._symmetry_blocks(table, 8) == ([tuple(range(1, 9))], [sign])
+    assert sum(full) == 4
+
+
+def test_symmetry_blocks_split_a_block_the_screen_let_through(monkeypatch):
+    # screened on the identity alone, (1 2) and (1 3) both pass, but
+    # (1 2)(1 3) is off the support: no transposition acts on the left
+    x = GroupAlgebraElement(
+        3, {Permutation.identity(3): 1, Permutation((2, 1, 3)): 1, Permutation((3, 2, 1)): 1}
+    )
+    monkeypatch.setattr(symgroup, "_SCREEN_TERMS", 1)
+    assert symgroup._symmetry_blocks(x.nums, 3) == ([(1,), (2,), (3,)], [1, 1, 1])
+    _assert_symmetry_blocks_hold(x)
+    for tableau in SMALL_TABLEAUX:
+        _assert_symmetry_blocks_hold(_young_idempotent(tableau))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_symmetry_blocks_of_random_elements_screened_on_one_term(n, data):
+    perms = all_permutations(n)
+    terms = data.draw(st.dictionaries(st.sampled_from(perms), _RANDOM_COEFFS, max_size=8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symgroup, "_SCREEN_TERMS", 1)
+        _assert_symmetry_blocks_hold(GroupAlgebraElement(n, terms))
 
 
 def test_idempotence_check_bound(monkeypatch):
