@@ -180,11 +180,12 @@ class GroupAlgebraElement:
     most DEGREE_BOUND. The form is canonical: den is the least positive
     common denominator, so gcd(den, *nums.values()) == 1, and equality is
     equality of (n, den, nums). Elements are never mutated once built, so
-    two of them may share one nums dict. `terms` is a read-only
-    {Permutation: int | Fraction} view of the same coefficients.
+    two of them may share one nums dict, and the hash is computed once and
+    kept. `terms` is a read-only {Permutation: int | Fraction} view of the
+    same coefficients.
     """
 
-    __slots__ = ("n", "den", "nums")
+    __slots__ = ("n", "den", "nums", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None):
         _identity(n)  # checks the degree
@@ -200,12 +201,13 @@ class GroupAlgebraElement:
         self.nums = {
             bytes(p.images): c.numerator * (den // c.denominator) for p, c in terms.items() if c
         }
+        self._hash = None
 
     @classmethod
     def _canonical(cls, n: int, den: int, nums: dict[bytes, int]):
         """The element nums/den, which must already be in canonical form."""
         e = object.__new__(cls)
-        e.n, e.den, e.nums = n, den, nums
+        e.n, e.den, e.nums, e._hash = n, den, nums, None
         return e
 
     @classmethod
@@ -238,12 +240,23 @@ class GroupAlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return self.n == other.n and self.den == other.den and self.nums == other.nums
+        # c/a normalised again shares c's numerator dict with the c/a the
+        # store holds, so a warm read compares no coefficient
+        return (
+            self.n == other.n
+            and self.den == other.den
+            and (self.nums is other.nums or self.nums == other.nums)
+        )
 
     def __hash__(self) -> int:
-        # the frozenset of the support reuses the key hashes the dict stores,
-        # which hashing every (images, num) pair would compute again
-        return hash((self.n, self.den, frozenset(self.nums), sum(self.nums.values())))
+        h = self._hash
+        if h is None:
+            # the frozenset of the support reuses the key hashes the dict
+            # stores, which hashing every (images, num) pair would compute again
+            h = self._hash = hash(
+                (self.n, self.den, frozenset(self.nums), sum(self.nums.values()))
+            )
+        return h
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if not isinstance(other, GroupAlgebraElement):
@@ -415,12 +428,27 @@ def _inverted(coeff: dict[bytes, int]) -> dict[bytes, int]:
     return dict(zip(map(ident.translate, tables), coeff.values()))
 
 
+# image bytes -> cycle lengths, read by _class_sums: at most 8! entries, a
+# full-support element of Sigma_8 (about 2.8 MiB with their image bytes);
+# past the bound a cycle type is computed each time and not kept
+_CYCLE_TYPE_BOUND = math.factorial(8)
+_CYCLE_TYPES: dict[bytes, tuple[int, ...]] = {}
+# one tuple per cycle type, shared by every entry of _CYCLE_TYPES
+_CYCLE_TYPE_TUPLES: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
     """Numerators of the coefficient sums over each cycle type, over element.den."""
+    memo = _CYCLE_TYPES
     by_lengths: dict[tuple[int, ...], int] = {}
+    get = by_lengths.get
     for images, num in element.nums.items():
-        t = _cycle_lengths(images)
-        by_lengths[t] = by_lengths.get(t, 0) + num
+        t = memo.get(images)
+        if t is None:
+            t = _cycle_lengths(images)
+            if len(memo) < _CYCLE_TYPE_BOUND:
+                t = memo[images] = _CYCLE_TYPE_TUPLES.setdefault(t, t)
+        by_lengths[t] = get(t, 0) + num
     return by_lengths
 
 
@@ -464,7 +492,8 @@ class _IdempotentStore:
         return slot
 
     def record_proved(self, e: GroupAlgebraElement) -> None:
-        """Keep e, whose e*e == e the caller has just checked in full."""
+        """Keep e, whose e*e == e the caller has checked in full in this
+        process, as the most recently used element."""
         slot = self.entries.get(e) or self._add(e, True)
         self.clock += 1
         slot[0] = self.clock
@@ -475,8 +504,9 @@ class _IdempotentStore:
         Each distinct element is checked in full once per process while it
         stays among the _IDEMPOTENT_CACHE_SIZE most recently used, by one of
         two routes: the tableau check of young_symmetrizer proves c/a when
-        it builds c (record_proved), and an element the store lacks is
-        checked here by is_idempotent. A BoundExceededError from the check
+        it builds c, and every young_symmetrizer call records that c/a again
+        (record_proved); an element the store lacks is checked here by
+        is_idempotent. A BoundExceededError from the check
         is raised on every call and never stored. Every call shares one
         read-only view of the sums.
         """
@@ -566,11 +596,11 @@ def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     )
 
 
-def _cell_caps(left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs):
-    """The cap on each entry M[j][i] of a double coset's matrix: 1 where the
-    signs of left block j and right block i differ, else n (no cap)."""
-    n = sum(map(len, left))
-    left_signs, right_signs = signs or ([1] * len(left), [1] * len(right))
+def _cell_caps(n: int, left_blocks: int, right_blocks: int, signs):
+    """The cap on each entry M[j][i] of the matrix of a double coset, for that
+    many left and right blocks each partitioning 1..n: 1 where the signs of
+    left block j and right block i differ, else n (no cap)."""
+    left_signs, right_signs = signs or ([1] * left_blocks, [1] * right_blocks)
     return [[n if sj == si else 1 for si in right_signs] for sj in left_signs]
 
 
@@ -591,7 +621,7 @@ def _double_coset_representatives(
     f(t h) = sgn_j f(h) and f(h s) = sgn_i f(h) vanishes on L g R.
     """
     n = sum(map(len, left))
-    cell_caps = _cell_caps(left, right, signs)
+    cell_caps = _cell_caps(n, len(left), len(right), signs)
 
     def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
         if j == len(left):
@@ -618,12 +648,30 @@ def _double_coset_count(
 ) -> int:
     """How many representatives _double_coset_representatives lists, up to limit.
 
-    It counts the same capped matrices a left block at a time, keeping one
-    count per state of the right blocks' remaining capacities, and stops a
-    count once it reaches limit, so a state keeps its count or one of at
-    least limit: the result is min(count, limit).
+    The count depends only on the block sizes, the signs and limit, so it is
+    kept per those (_capped_matrix_count); for a tableau it is always 1.
     """
-    cell_caps = _cell_caps(left, right, signs)
+    return _capped_matrix_count(
+        tuple(map(len, left)),
+        tuple(map(len, right)),
+        signs and (tuple(signs[0]), tuple(signs[1])),
+        limit,
+    )
+
+
+@lru_cache(maxsize=1024)
+def _capped_matrix_count(
+    left: tuple[int, ...], right: tuple[int, ...], signs, limit: int
+) -> int:
+    """How many matrices with row sums left and column sums right, capped by
+    _cell_caps, there are, up to limit.
+
+    It counts them a row at a time, keeping one count per state of the
+    columns' remaining capacities, and stops a count once it reaches limit,
+    so a state keeps its count or one of at least limit: the result is
+    min(count, limit).
+    """
+    cell_caps = _cell_caps(sum(left), len(left), len(right), signs)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def count(j: int, capacity: tuple[int, ...]) -> int:
@@ -632,14 +680,14 @@ def _double_coset_count(
         key = (j, capacity)
         if key not in memo:
             total = 0
-            for counts in compositions(len(left[j]), list(map(min, capacity, cell_caps[j]))):
+            for counts in compositions(left[j], list(map(min, capacity, cell_caps[j]))):
                 total += count(j + 1, tuple(map(sub, capacity, counts)))
                 if total >= limit:
                     break
             memo[key] = total
         return memo[key]
 
-    return min(count(0, tuple(map(len, right))), limit)
+    return min(count(0, right), limit)
 
 
 def _block_generators(block: tuple[int, ...]) -> list[tuple[bytes, int]]:
@@ -863,8 +911,7 @@ def _young_symmetrizer_cached(tableau: StandardTableau):
         )
     # the check compared N*N with a*N for c = N, which is (c/a)^2 == c/a; c/a
     # shares c's numerator dict
-    _PROVED_IDEMPOTENTS.record_proved(c.scale(Fraction(1, a)))
-    return c, Fraction(a)
+    return c, Fraction(a), c.scale(Fraction(1, a))
 
 
 def young_symmetrizer(
@@ -880,10 +927,11 @@ def young_symmetrizer(
     right (at most two passes over its support per column and row), so
     c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
     c/a is the idempotent cutting one copy of the irreducible of the shape.
-    That check is (c/a)^2 == c/a in full, so when it first builds c the
-    process records c/a as proved (see _idempotent_class_sums), and
-    decompose_module and graded_power_image then read c/a, or any element
-    equal to it, without checking it again.
+    That check is (c/a)^2 == c/a in full. It runs when c is first built,
+    and every call records that same c/a as proved again (see
+    _idempotent_class_sums), so decompose_module and graded_power_image
+    then read c/a, or any element equal to it, without checking it again,
+    even after the store had evicted it.
     """
     if isinstance(tableau, Partition):
         tableau = canonical_tableau(tableau)
@@ -891,7 +939,9 @@ def young_symmetrizer(
         raise BoundExceededError(
             f"symmetrizer limited to size {SYMMETRIZER_BOUND}, got {tableau.size}"
         )
-    return _young_symmetrizer_cached(tableau)
+    c, a, idempotent = _young_symmetrizer_cached(tableau)
+    _PROVED_IDEMPOTENTS.record_proved(idempotent)
+    return c, a
 
 
 # ---------------------------------------------------------------------------
@@ -1099,20 +1149,42 @@ class SymChar(Counts):
         return cls(n, cls._read_map(data, f"level {n} character"))
 
 
-def _decompose_class_function(n: int, chi: Mapping[Partition, int], den: int) -> SymChar:
-    """Multiplicities of the irreducibles in the class function mu -> chi[mu] / den."""
+@lru_cache(maxsize=None)
+def _character_columns(n: int):
+    """The shapes of n, the column (chi^lam(mu) for each shape lam, in that
+    order) of each cycle type mu keyed by its parts, and the hook-length
+    dimensions of the shapes, for n <= CHARACTER_BOUND."""
     table = character_table(n)
     shapes = all_partitions(n)
-    weighted = [(mu, conjugacy_class_size(mu) * chi[mu]) for mu in shapes]
-    whole = math.factorial(n) * den
+    columns = {mu.parts: tuple(table[(lam, mu)] for lam in shapes) for mu in shapes}
+    return shapes, columns, tuple(map(dim_sym_irrep, shapes))
+
+
+def _multiplicities(n: int, sums: Mapping[tuple[int, ...], int], den: int) -> SymChar:
+    """The irreducible multiplicities of the Sigma_n module with character f.
+
+    sums maps the parts of each cycle type mu to the numerator of
+    |class of mu| f(mu) / n!, over den; the multiplicity of lam is then
+    <f, chi^lam> = sum over mu of chi^lam(mu) sums[mu] / den, and every
+    one is checked to be a nonnegative integer. For the left ideal
+    Q[Sigma_n] e, f(mu) is the centralizer order of mu times e's coefficient
+    sum over the class, so sums are e's class sums and the multiplicity of
+    lam is chi^lam(e): no class size is needed (Fulton-Harris 4.1, Serre
+    2.4). The rank, the sum of mult * dim, must equal f(1) =
+    n! sums[(1^n)] / den: the hook-length dimensions check the table's
+    column orthogonality at 1, or InvariantError.
+    """
+    shapes, columns, dims = _character_columns(n)
+    weights = list(sums.values())
     coeffs: dict[Partition, int] = {}
-    for lam in shapes:
-        total = sum(w * table[(lam, mu)] for mu, w in weighted)
-        mult, rest = divmod(total, whole)
+    rank = 0
+    for lam, dim, chis in zip(shapes, dims, zip(*map(columns.__getitem__, sums))):
+        total = sum(map(mul, chis, weights))
+        mult, rest = divmod(total, den)
         if rest:
             raise ValueError(
                 "trace data is not the character of a module "
-                f"(multiplicity {Fraction(total, whole)} at {lam})"
+                f"(multiplicity {Fraction(total, den)} at {lam})"
             )
         if mult < 0:
             raise ValueError(
@@ -1120,6 +1192,13 @@ def _decompose_class_function(n: int, chi: Mapping[Partition, int], den: int) ->
             )
         if mult:
             coeffs[lam] = mult
+            rank += mult * dim
+    at_one = math.factorial(n) * sums.get((1,) * n, 0)
+    if rank * den != at_one:
+        raise InvariantError(
+            f"the multiplicities give rank {rank}, not the "
+            f"{Fraction(at_one, den)} of the character at 1"
+        )
     return SymChar(n, coeffs)
 
 
@@ -1135,23 +1214,18 @@ def decompose_module(
     _idempotent_class_sums): by the tableau check of young_symmetrizer when
     e is a Young idempotent c/a whose c this process built, else by
     is_idempotent, which raises BoundExceededError when the check would
-    cost more than IDEMPOTENT_CHECK_BOUND products.
+    cost more than IDEMPOTENT_CHECK_BOUND products. The multiplicity of
+    each shape lam is then chi^lam(e) (see _multiplicities).
     """
     if isinstance(module, GroupAlgebraElement):
         e = module
         n = e.n
         if n > CHARACTER_BOUND:
             raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
-        by_type = _idempotent_class_sums(e)
-        if by_type is None:
+        sums = _idempotent_class_sums(e)
+        if sums is None:
             raise ValueError("element is not idempotent, so it cuts out no module")
-
-        # trace of g |-> sigma*g on the ideal: conjugacy sum of coefficients,
-        # each h conjugate to the representative hit |centralizer| times
-        traces = {
-            mu: centralizer_order(mu) * by_type.get(mu.parts, 0) for mu in all_partitions(n)
-        }
-        return _decompose_class_function(n, traces, e.den)
+        return _multiplicities(n, sums, e.den)
 
     if isinstance(module, Mapping):
         if not module:
@@ -1173,9 +1247,11 @@ def decompose_module(
         if missing:
             raise ValueError(f"no representative for classes {missing}")
         den = math.lcm(*(tr.denominator for tr in traces.values()))
-        return _decompose_class_function(
-            n, {mu: tr.numerator * (den // tr.denominator) for mu, tr in traces.items()}, den
-        )
+        sums = {
+            mu.parts: conjugacy_class_size(mu) * tr.numerator * (den // tr.denominator)
+            for mu, tr in traces.items()
+        }
+        return _multiplicities(n, sums, math.factorial(n) * den)
 
     raise TypeError(
         "expected a GroupAlgebraElement or a permutation->matrix mapping,"

@@ -294,6 +294,32 @@ def test_equal_elements_hash_equal(drawn, k):
     assert shared == built and hash(shared) == hash(built)
 
 
+def _fresh_hash(x: GroupAlgebraElement) -> int:
+    return hash((x.n, x.den, frozenset(x.nums), sum(x.nums.values())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_ELEMENT_TERMS, k=st.integers(min_value=1, max_value=12))
+def test_the_kept_hash_is_the_hash_of_the_value(drawn, k):
+    n, xt, yt = drawn
+    x, y = GroupAlgebraElement(n, xt), GroupAlgebraElement(n, yt)
+    apart = GroupAlgebraElement.from_json(x.to_json(), n)
+    # scaling a nonzero x by 1 shares its numerator dict; by -1 twice builds
+    # an equal one
+    shared, twice = x.scale(1), x.scale(-1).scale(-1)
+    assert shared.nums is x.nums or x.is_zero()
+    derived = [x * y, x + y, x - y, x.scale(Fraction(1, k)), -x]
+    for e in [x, y, apart, shared, twice, *derived]:
+        assert e._hash is None
+        assert hash(e) == _fresh_hash(e)
+        # the second read returns the kept value, still that of the value
+        assert e._hash == hash(e) == _fresh_hash(e)
+    assert hash(apart) == hash(shared) == hash(twice) == hash(x)
+    assert shared == x == apart == twice
+    # the same numerator dict over another denominator is another element
+    assert x.is_zero() or GroupAlgebraElement._canonical(n, x.den * 2, x.nums) != x
+
+
 def test_arithmetic_with_a_non_element_raises_type_error():
     swap = Permutation((2, 1))
     unit = GroupAlgebraElement.unit(2)
@@ -985,6 +1011,22 @@ def test_idempotence_bound_is_checked_on_the_coset_count(monkeypatch):
         is_idempotent(_one_left_symmetry_of_size_eight())
 
 
+def test_a_tableau_leaves_one_double_coset_counted_once_per_block_sizes():
+    # Gale-Ryser: one 0-1 matrix has the column lengths as row sums and the
+    # row lengths as column sums
+    symgroup._capped_matrix_count.cache_clear()
+    tableaux = [t for t in SMALL_TABLEAUX if t.size]
+    tableaux += standard_tableaux(Partition((3, 2, 1)))
+    for tableau in tableaux:
+        cols, rows = tableau.column_sets(), tableau.row_sets()
+        signs = ([-1] * len(cols), [1] * len(rows))
+        assert symgroup._double_coset_count(cols, rows, signs, math.factorial(tableau.size)) == 1
+    # the count is kept per block sizes, signs and limit: one per shape
+    info = symgroup._capped_matrix_count.cache_info()
+    shapes = {t.shape for t in tableaux}
+    assert info.misses == len(shapes) and info.hits == len(tableaux) - len(shapes)
+
+
 @pytest.mark.parametrize("shape", [(8,), (1,) * 8], ids=["8", "1^8"])
 def test_full_support_idempotents_of_size_eight_decompose(shape):
     e = _young_idempotent(Partition(shape))
@@ -1025,6 +1067,26 @@ def test_cycle_lengths_and_sums_match_the_cycles():
         t = Partition(tuple(sorted(map(len, p.cycles()), reverse=True)))
         expected[t] = expected.get(t, 0) + v
     assert list(cycle_type_sums(x).items()) == list(expected.items())
+
+
+def _cycle_lengths_of(images: bytes) -> tuple:
+    return Permutation(tuple(images)).cycle_lengths()
+
+
+def test_the_cycle_type_memo_stops_at_its_bound(monkeypatch):
+    assert symgroup._CYCLE_TYPE_BOUND == math.factorial(8)
+    memo: dict = {}
+    monkeypatch.setattr(symgroup, "_CYCLE_TYPES", memo)
+    monkeypatch.setattr(symgroup, "_CYCLE_TYPE_BOUND", 50)
+    x = GroupAlgebraElement(5, {p: i % 5 - 2 for i, p in enumerate(all_permutations(5))})
+    expected = _naive_cycle_type_sums(x)
+    for _ in range(2):
+        # the first pass fills the memo up to its bound, the second reads it
+        assert cycle_type_sums(x) == expected
+        assert len(memo) == 50
+    assert all(memo[im] == _cycle_lengths_of(im) for im in memo)
+    # one tuple per cycle type, shared by every entry of that type
+    assert len({id(t) for t in memo.values()}) == len(set(memo.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -1356,6 +1418,121 @@ def test_decompose_rejects_non_integral_multiplicities():
         decompose_module(_one_by_one_family(0, -2, 0))
     with pytest.raises(TypeError, match="int or a Fraction, not float"):
         decompose_module(_one_by_one_family(1.0, 1.0, 1.0))
+
+
+def _decomposition_by_centralizers(n: int, traces) -> dict:
+    """Reference: <f, chi^lam> = sum of |class mu| f(mu) chi^lam(mu) / n! for
+    the class function f = traces (Partition -> value), as Fractions."""
+    return {
+        lam: sum(
+            conjugacy_class_size(mu) * traces.get(mu, 0) * char_irrep(lam)[mu]
+            for mu in all_partitions(n)
+        )
+        / Fraction(math.factorial(n))
+        for lam in all_partitions(n)
+    }
+
+
+def _ideal_traces(e: GroupAlgebraElement) -> dict:
+    """The character of Q[Sigma_n] e: the trace of sigma is the order of its
+    centralizer times e's coefficient sum over its class."""
+    return {mu: centralizer_order(mu) * s for mu, s in cycle_type_sums(e).items()}
+
+
+def _conjugate(e: GroupAlgebraElement, g: Permutation) -> GroupAlgebraElement:
+    g_inv = g.inverse()
+    return GroupAlgebraElement(e.n, {g * p * g_inv: v for p, v in e.terms.items()})
+
+
+def _non_young_idempotents() -> list:
+    e31 = _young_idempotent(canonical_tableau(Partition((3, 1))))
+    tableau = canonical_tableau(Partition((2, 2)))
+    # r*b/a, the row and column factors in the other order
+    row_first = (row_symmetrizer(tableau) * column_antisymmetrizer(tableau)).scale(
+        Fraction(1, 12)
+    )
+    return [
+        GroupAlgebraElement.unit(4),
+        GroupAlgebraElement.zero(3),
+        GroupAlgebraElement.unit(4) - e31,
+        _conjugate(e31, Permutation((3, 1, 4, 2))),
+        row_first,
+        sym_projector(4) + alt_projector(4),
+        GroupAlgebraElement.unit(5) - sym_projector(5),
+    ]
+
+
+@pytest.mark.parametrize(
+    "e", _non_young_idempotents(), ids=lambda e: f"S{e.n}-{len(e.nums)}-terms"
+)
+def test_non_young_idempotents_agree_with_the_centralizer_formula(e):
+    assert is_idempotent(e)
+    reference = _decomposition_by_centralizers(e.n, _ideal_traces(e))
+    assert decompose_module(e).coeffs == {lam: m for lam, m in reference.items() if m}
+
+
+def _natural_matrix(sigma: Permutation, scale=1):
+    n = sigma.n
+    return [[scale if sigma(j + 1) == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _matrix_families() -> list:
+    def family(n, matrix):
+        return {
+            class_representative(mu): matrix(class_representative(mu)) for mu in all_partitions(n)
+        }
+
+    def natural_squared(sigma):
+        m = _natural_matrix(sigma)
+        n = sigma.n
+        return [[m[i // n][j // n] * m[i % n][j % n] for j in range(n * n)] for i in range(n * n)]
+
+    return [
+        family(3, _left_regular_matrix),
+        family(4, _left_regular_matrix),
+        family(5, _natural_matrix),
+        family(4, lambda s: [[s.sign() * x for x in row] for row in _natural_matrix(s)]),
+        family(4, natural_squared),
+        # Fraction entries: blocks of 1/2 and 3/2 times the natural matrices,
+        # whose traces add up to twice the natural character
+        {
+            p: [row + [0] * 4 for row in _natural_matrix(p, Fraction(1, 2))]
+            + [[0] * 4 + row for row in _natural_matrix(p, Fraction(3, 2))]
+            for p in all_permutations(4)
+        },
+    ]
+
+
+@pytest.mark.parametrize(
+    "family", _matrix_families(), ids=lambda f: f"{len(f)}-of-size-{len(next(iter(f.values())))}"
+)
+def test_matrix_families_agree_with_the_centralizer_formula(family):
+    n = next(iter(family)).n
+    traces = {p.cycle_type(): sum(m[i][i] for i in range(len(m))) for p, m in family.items()}
+    reference = _decomposition_by_centralizers(n, traces)
+    got = decompose_module(family)
+    assert got.coeffs == {lam: m for lam, m in reference.items() if m}
+    assert got.dim() == traces[Partition((1,) * n)]
+
+
+def test_a_character_table_off_the_hook_dimensions_raises_invariant_error(monkeypatch):
+    shapes, columns, dims = symgroup._character_columns(3)
+    for wrong in (
+        # a dimension off by one
+        (dims[0] + 1,) + dims[1:],
+        # the standard and the sign dimensions swapped
+        (dims[0], dims[2], dims[1]),
+    ):
+        monkeypatch.setattr(
+            symgroup, "_character_columns", lambda n, wrong=wrong: (shapes, columns, wrong)
+        )
+        with pytest.raises(InvariantError, match="^the multiplicities give rank"):
+            decompose_module(GroupAlgebraElement.unit(3))
+    # a changed identity column still gives whole multiplicities, 1, 2 and 2
+    tampered = {**columns, (1, 1, 1): (1, 2, 2)}
+    monkeypatch.setattr(symgroup, "_character_columns", lambda n: (shapes, tampered, dims))
+    with pytest.raises(InvariantError, match="rank 7, not the 6 of the character at 1$"):
+        decompose_module(GroupAlgebraElement.unit(3))
 
 
 def test_symchar_json_roundtrip():
