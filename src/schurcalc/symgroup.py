@@ -210,6 +210,11 @@ class GroupAlgebraElement:
         e.n, e.den, e.nums, e._hash = n, den, nums, None
         return e
 
+    def __reduce__(self):
+        # the kept hash is left out: it is built from bytes hashes, which
+        # differ from one process to the next
+        return (GroupAlgebraElement._canonical, (self.n, self.den, self.nums))
+
     @classmethod
     def _reduced(cls, n: int, den: int, nums: dict[bytes, int]):
         """The element nums/den for den > 0, dropping zeros and the common factor."""
@@ -596,11 +601,11 @@ def column_antisymmetrizer(tableau: StandardTableau) -> GroupAlgebraElement:
     )
 
 
-def _cell_caps(n: int, left_blocks: int, right_blocks: int, signs):
-    """The cap on each entry M[j][i] of the matrix of a double coset, for that
-    many left and right blocks each partitioning 1..n: 1 where the signs of
-    left block j and right block i differ, else n (no cap)."""
-    left_signs, right_signs = signs or ([1] * left_blocks, [1] * right_blocks)
+def _cell_caps(left: list[tuple[int, ...]], right: list[tuple[int, ...]], signs):
+    """The cap on each entry M[j][i] of a double coset's matrix: 1 where the
+    signs of left block j and right block i differ, else n (no cap)."""
+    n = sum(map(len, left))
+    left_signs, right_signs = signs or ([1] * len(left), [1] * len(right))
     return [[n if sj == si else 1 for si in right_signs] for sj in left_signs]
 
 
@@ -621,7 +626,7 @@ def _double_coset_representatives(
     f(t h) = sgn_j f(h) and f(h s) = sgn_i f(h) vanishes on L g R.
     """
     n = sum(map(len, left))
-    cell_caps = _cell_caps(n, len(left), len(right), signs)
+    cell_caps = _cell_caps(left, right, signs)
 
     def fill(j: int, capacity: list[int], matrix: list[tuple[int, ...]]):
         if j == len(left):
@@ -648,30 +653,12 @@ def _double_coset_count(
 ) -> int:
     """How many representatives _double_coset_representatives lists, up to limit.
 
-    The count depends only on the block sizes, the signs and limit, so it is
-    kept per those (_capped_matrix_count); for a tableau it is always 1.
+    It counts the same capped matrices a left block at a time, keeping one
+    count per state of the right blocks' remaining capacities, and stops a
+    count once it reaches limit, so a state keeps its count or one of at
+    least limit: the result is min(count, limit).
     """
-    return _capped_matrix_count(
-        tuple(map(len, left)),
-        tuple(map(len, right)),
-        signs and (tuple(signs[0]), tuple(signs[1])),
-        limit,
-    )
-
-
-@lru_cache(maxsize=1024)
-def _capped_matrix_count(
-    left: tuple[int, ...], right: tuple[int, ...], signs, limit: int
-) -> int:
-    """How many matrices with row sums left and column sums right, capped by
-    _cell_caps, there are, up to limit.
-
-    It counts them a row at a time, keeping one count per state of the
-    columns' remaining capacities, and stops a count once it reaches limit,
-    so a state keeps its count or one of at least limit: the result is
-    min(count, limit).
-    """
-    cell_caps = _cell_caps(sum(left), len(left), len(right), signs)
+    cell_caps = _cell_caps(left, right, signs)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def count(j: int, capacity: tuple[int, ...]) -> int:
@@ -680,14 +667,14 @@ def _capped_matrix_count(
         key = (j, capacity)
         if key not in memo:
             total = 0
-            for counts in compositions(left[j], list(map(min, capacity, cell_caps[j]))):
+            for counts in compositions(len(left[j]), list(map(min, capacity, cell_caps[j]))):
                 total += count(j + 1, tuple(map(sub, capacity, counts)))
                 if total >= limit:
                     break
             memo[key] = total
         return memo[key]
 
-    return min(count(0, right), limit)
+    return min(count(0, tuple(map(len, right))), limit)
 
 
 def _block_generators(block: tuple[int, ...]) -> list[tuple[bytes, int]]:

@@ -5,9 +5,14 @@ trace of each permutation acting by left multiplication on an explicit
 rational basis of the left ideal cut out by the normalized symmetrizer.
 """
 
+import copy
 import hashlib
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -318,6 +323,34 @@ def test_the_kept_hash_is_the_hash_of_the_value(drawn, k):
     assert shared == x == apart == twice
     # the same numerator dict over another denominator is another element
     assert x.is_zero() or GroupAlgebraElement._canonical(n, x.den * 2, x.nums) != x
+
+
+_PICKLE_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from schurcalc.partitions import Partition
+from schurcalc.symgroup import young_symmetrizer
+c, _ = young_symmetrizer(Partition((3, 2)))
+hash(c)
+sys.stdout.buffer.write(pickle.dumps(c))
+"""
+
+
+def test_copies_and_pickles_leave_the_kept_hash_behind():
+    c, _ = young_symmetrizer(Partition((3, 2)))
+    hash(c)
+    for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert again._hash is None
+        assert again == c and hash(again) == _fresh_hash(c)
+    # bytes hashes differ between processes, so an element pickled after it
+    # was hashed under another hash seed must hash as one built here
+    src = str(Path(symgroup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _PICKLE_IN_ANOTHER_PROCESS], env=env, capture_output=True, check=True
+    ).stdout
+    loaded = pickle.loads(out)
+    assert loaded == c and hash(loaded) == hash(c) == _fresh_hash(loaded)
+    assert {loaded: 1}[c] == 1
 
 
 def test_arithmetic_with_a_non_element_raises_type_error():
@@ -1011,20 +1044,15 @@ def test_idempotence_bound_is_checked_on_the_coset_count(monkeypatch):
         is_idempotent(_one_left_symmetry_of_size_eight())
 
 
-def test_a_tableau_leaves_one_double_coset_counted_once_per_block_sizes():
+def test_a_tableau_leaves_one_double_coset():
     # Gale-Ryser: one 0-1 matrix has the column lengths as row sums and the
     # row lengths as column sums
-    symgroup._capped_matrix_count.cache_clear()
     tableaux = [t for t in SMALL_TABLEAUX if t.size]
     tableaux += standard_tableaux(Partition((3, 2, 1)))
     for tableau in tableaux:
         cols, rows = tableau.column_sets(), tableau.row_sets()
         signs = ([-1] * len(cols), [1] * len(rows))
         assert symgroup._double_coset_count(cols, rows, signs, math.factorial(tableau.size)) == 1
-    # the count is kept per block sizes, signs and limit: one per shape
-    info = symgroup._capped_matrix_count.cache_info()
-    shapes = {t.shape for t in tableaux}
-    assert info.misses == len(shapes) and info.hits == len(tableaux) - len(shapes)
 
 
 @pytest.mark.parametrize("shape", [(8,), (1,) * 8], ids=["8", "1^8"])
