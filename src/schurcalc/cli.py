@@ -84,8 +84,9 @@ def _cmd_lr(args):
 
 def _cmd_symmetrizer(args):
     shape = _partition(args.shape)
+    # the size bound is checked before any tableau is built
+    c, a = young_symmetrizer(shape)
     tableau = canonical_tableau(shape)
-    c, a = young_symmetrizer(tableau)
     output = {
         "tableau": [list(row) for row in tableau.rows],
         "dim": dim_sym_irrep(shape),

@@ -8,6 +8,12 @@ One kernel, _fillings, counts semistandard fillings by content, a row at a
 time: LR coefficients with the lattice-word condition, and without it, from
 the empty diagram, Kostka numbers, the weights of the exterior and symmetric
 powers. LR_STATE_BOUND limits its work, counted as it runs.
+
+Exterior and symmetric powers are built in the Schur basis and list no
+monomial beyond the weights of the character: Newton's identities build e_n
+and h_n from the power sums of those weights, each power held as a_delta
+times it, on strictly decreasing keys. POWER_WORK_BOUND limits that loop,
+also counted as it runs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ PRODUCT_RANK_BOUND = 4
 SCHUR_WEYL_RANK_BOUND = 256
 # row states (with repeats) and shapes tried that one question may count
 LR_STATE_BOUND = 50_000
+# work of the Newton loop for one power: a key-weight step costs 1.5-3 us up
+# to d = 16 and about 0.4 d us beyond, so it is charged 1 + d // 8 units
+POWER_WORK_BOUND = 400_000
 
 
 @total_ordering
@@ -353,44 +362,50 @@ def char_monomials(a: GLChar) -> dict[tuple[int, ...], int]:
     return acc
 
 
-def _expand_in_schur_basis(mono: Mapping[tuple[int, ...], int], d: int) -> GLChar:
-    """Schur expansion of a symmetric Laurent polynomial by straightening:
-    s_w = a_{w+delta}/a_delta, so m adds +-coeff to w = sort(m + delta) - delta.
-    """
-    for m, c in mono.items():
-        for i in range(d - 1):
-            swapped = m[:i] + (m[i + 1], m[i]) + m[i + 2 :]
-            if mono.get(swapped, 0) != c:
-                raise InvariantError(f"polynomial is not symmetric: {m} vs {swapped}")
-    coeffs: dict[DominantWeight, int] = {}
-    for m, c in mono.items():
-        s = [x + d - 1 - i for i, x in enumerate(m)]
-        sign = (-1) ** sum(s[i] < s[j] for i in range(d) for j in range(i + 1, d))
-        s.sort(reverse=True)
-        if len(set(s)) == d:
-            w = DominantWeight(d, tuple(x - d + 1 + i for i, x in enumerate(s)))
-            coeffs[w] = coeffs.get(w, 0) + sign * c
-    return GLChar(d, coeffs)
-
-
 def _power(a: GLChar, n: int, exterior: bool) -> GLChar:
-    """e_n or h_n of the weights of a. series[k] holds degree k; each weight m
-    multiplies in 1 + x^m t (k falling) or 1/(1 - x^m t) (k rising).
+    """e_n or h_n of the weight multiset W of a, by Newton's identities
+    m h_m = sum_k p_k h_(m-k) and m e_m = sum_k (-1)^(k-1) p_k e_(m-k) (Macdonald
+    I.2), each power f held as a_delta f: its Schur coefficients keyed by
+    w + delta (I.3). p_k is symmetric, so a_v p_k sums a_(v + k w) over w in W,
+    each key sorted and signed by its inversions, or 0 if an entry repeats.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return GLChar.unit(a.d)
-    series = [{(0,) * a.d: 1}] + [{} for _ in range(n)]
-    degrees = range(n, 0, -1) if exterior else range(1, n + 1)
-    for m, c in char_monomials(a).items():
-        for _ in range(c):
-            for k in degrees:
-                target = series[k]
-                for v, cv in series[k - 1].items():
-                    key = tuple(map(add, v, m))
-                    target[key] = target.get(key, 0) + cv
-    return _expand_in_schur_basis(series[n], a.d)
+    d, weights = a.d, char_monomials(a)
+    for w, c in weights.items():
+        if any(weights.get(w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) != c for i in range(d - 1)):
+            raise InvariantError(f"weights are not symmetric at {w}")
+    # e_n of N weights vanishes for n > N, and so does h_n of none
+    if n > sum(weights.values()) and (exterior or not weights):
+        return GLChar.zero(d)
+    delta = tuple(range(d - 1, -1, -1))
+    powers = [{delta: 1}]
+    work = 0
+    for m in range(1, n + 1):
+        work += (1 + d // 8) * len(weights) * sum(map(len, powers))
+        if work > POWER_WORK_BOUND:
+            raise BoundExceededError(f"powers are limited to {POWER_WORK_BOUND} units of work")
+        acc: dict[tuple[int, ...], int] = {}
+        for k in range(1, m + 1):
+            sign = -1 if exterior and k % 2 == 0 else 1
+            for v, cv in powers[m - k].items():
+                for w, cw in weights.items():
+                    key = [x + k * y for x, y in zip(v, w)]
+                    if len(set(key)) < d:
+                        continue
+                    top = sorted(key, reverse=True)
+                    if key != top:
+                        cw *= (-1) ** sum(x < y for i, x in enumerate(key) for y in key[i + 1 :])
+                    key = tuple(top)
+                    acc[key] = acc.get(key, 0) + sign * cv * cw
+        if any(total % m for total in acc.values()):
+            raise InvariantError(f"Newton step {m} does not divide by {m}")
+        powers.append({key: total // m for key, total in acc.items() if total})
+    return GLChar(d, {
+        DominantWeight(d, tuple(map(sub, v, delta))): c for v, c in powers[n].items()
+    })
 
 
 def exterior_power(a: GLChar, n: int) -> GLChar:

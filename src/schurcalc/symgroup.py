@@ -468,40 +468,36 @@ class _IdempotentStore:
     """The elements whose idempotence was settled in full in this process.
 
     Keyed on the value of the element, with at most _IDEMPOTENT_CACHE_SIZE
-    entries; a new one evicts the least recently used. An entry is False
-    for a refusal (e*e != e), True for a proved element whose class sums
-    were not read yet, and then the one read-only view of them. Each entry
-    sits in a [last use, entry] pair, so a read marks its use without a
-    second lookup. hits and misses count the reads of class_sums.
+    entries in order of last use; a new one evicts the first, the least
+    recently used. An entry is False for a refusal (e*e != e), True for a
+    proved element whose class sums were not read yet, and then the one
+    read-only view of them. hits and misses count the reads of class_sums.
     """
 
-    __slots__ = ("entries", "clock", "hits", "misses")
+    __slots__ = ("entries", "hits", "misses")
 
     def __init__(self):
-        self.entries: dict[GroupAlgebraElement, list] = {}
-        self.clock = self.hits = self.misses = 0
+        self.entries: dict[GroupAlgebraElement, bool | Mapping] = {}
+        self.hits = self.misses = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def clear(self) -> None:
         self.entries.clear()
-        self.clock = self.hits = self.misses = 0
+        self.hits = self.misses = 0
 
-    def _add(self, e: GroupAlgebraElement, entry: bool) -> list:
+    def _put_last(self, e: GroupAlgebraElement, entry: bool | Mapping) -> None:
+        """Store entry for e, which is not in the store, as the last used."""
         entries = self.entries
         if len(entries) >= _IDEMPOTENT_CACHE_SIZE:
-            oldest, _slot = min(entries.items(), key=lambda item: item[1][0])
-            del entries[oldest]
-        slot = entries[e] = [0, entry]
-        return slot
+            del entries[next(iter(entries))]
+        entries[e] = entry
 
     def record_proved(self, e: GroupAlgebraElement) -> None:
         """Keep e, whose e*e == e the caller has checked in full in this
         process, as the most recently used element."""
-        slot = self.entries.get(e) or self._add(e, True)
-        self.clock += 1
-        slot[0] = self.clock
+        self._put_last(e, self.entries.pop(e, True))
 
     def class_sums(self, e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
         """_class_sums(e) once e*e == e holds in full, or None if e*e != e.
@@ -515,18 +511,16 @@ class _IdempotentStore:
         is raised on every call and never stored. Every call shares one
         read-only view of the sums.
         """
-        slot = self.entries.get(e)
-        if slot is None:
+        entry = self.entries.pop(e, None)
+        if entry is None:
             self.misses += 1
             # a BoundExceededError leaves nothing behind, so it is raised again
-            slot = self._add(e, is_idempotent(e))
+            entry = is_idempotent(e)
         else:
             self.hits += 1
-        self.clock += 1
-        slot[0] = self.clock
-        if slot[1] is True:
-            slot[1] = MappingProxyType(_class_sums(e))
-        entry = slot[1]
+        self._put_last(e, entry)
+        if entry is True:
+            entry = self.entries[e] = MappingProxyType(_class_sums(e))
         return None if entry is False else entry
 
 
@@ -886,7 +880,10 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _young_symmetrizer_cached(tableau: StandardTableau):
+def _young_symmetrizer_cached(tableau: StandardTableau | Partition):
+    # a shape within SYMMETRIZER_BOUND shares its row reading tableau's entry
+    if isinstance(tableau, Partition):
+        return _young_symmetrizer_cached(canonical_tableau(tableau))
     n = tableau.size
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
     f = dim_sym_irrep(tableau.shape)
@@ -907,7 +904,8 @@ def young_symmetrizer(
     """Unnormalized Young symmetrizer c and the exact scalar a with c*c = a*c.
 
     c is the column antisymmetrizer times the row symmetrizer of the tableau
-    (for a bare shape, of its row reading filling), with integer coefficients.
+    (for a bare shape, of its row reading filling, built only once the size
+    is within SYMMETRIZER_BOUND), with integer coefficients.
     a always equals n! divided by the number of standard tableaux. The whole
     identity c*c = a*c is checked exactly: c is sign-equivariant under the
     column group C on the left and invariant under the row group R on the
@@ -920,8 +918,6 @@ def young_symmetrizer(
     then read c/a, or any element equal to it, without checking it again,
     even after the store had evicted it.
     """
-    if isinstance(tableau, Partition):
-        tableau = canonical_tableau(tableau)
     if tableau.size > SYMMETRIZER_BOUND:
         raise BoundExceededError(
             f"symmetrizer limited to size {SYMMETRIZER_BOUND}, got {tableau.size}"

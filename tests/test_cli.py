@@ -321,6 +321,20 @@ def test_koszul_bound_exits_3_before_any_power(capsys):
     assert json.loads(err)["error"] == "bound-exceeded"
 
 
+def test_symmetrizer_bound_exits_3_before_any_tableau(capsys, monkeypatch):
+    def no_tableau(shape):
+        raise AssertionError(f"a tableau of {shape} was built")
+
+    monkeypatch.setattr(schurcalc.cli, "canonical_tableau", no_tableau)
+    monkeypatch.setattr(schurcalc.symgroup, "canonical_tableau", no_tableau)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "symmetrizer", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "bound-exceeded"
+
+
 def test_tensor_bound_exits_3(capsys):
     code, out, err = run(
         capsys, "seq-tensor",

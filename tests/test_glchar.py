@@ -6,6 +6,7 @@ product are independent implementations and must agree everywhere.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.glchar import (
     DominantWeight,
     GLChar,
-    _expand_in_schur_basis,
     char_monomials,
     exterior_power,
     gl_tensor,
@@ -368,11 +368,130 @@ def test_powers_of_virtual_character_at_zero_are_the_unit():
     assert symmetric_power(virtual, 0) == GLChar.unit(2)
 
 
-def test_schur_expansion_rejects_non_symmetric_polynomials():
-    with pytest.raises(InvariantError, match="not symmetric"):
-        _expand_in_schur_basis({(1, 0): 1}, 2)
-    with pytest.raises(InvariantError, match="not symmetric"):
-        _expand_in_schur_basis({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2}, 3)
+def test_powers_reject_non_symmetric_weights(monkeypatch):
+    for d, weights in (
+        (2, {(1, 0): 1}),
+        (3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2}),
+    ):
+        monkeypatch.setattr(glchar, "char_monomials", lambda a, weights=weights: weights)
+        for power in (exterior_power, symmetric_power):
+            with pytest.raises(InvariantError, match="not symmetric"):
+                power(GLChar.standard(d), 1)
+
+
+def test_power_work_bound(monkeypatch):
+    # S^8 of S^2 C^8 takes 4320 key-weight steps on keys of 8 entries, and
+    # each is charged 1 + 8 // 8 units
+    a = GLChar.irreducible(DominantWeight(8, (2,) + (0,) * 7))
+    monkeypatch.setattr(glchar, "POWER_WORK_BOUND", 8640)
+    assert symmetric_power(a, 8).dim() == math.comb(36 + 7, 8)
+    monkeypatch.setattr(glchar, "POWER_WORK_BOUND", 8639)
+    with pytest.raises(BoundExceededError, match="8639 units"):
+        symmetric_power(a, 8)
+
+
+def test_power_work_bound_corner():
+    # S^n C^1 charges n (n + 1) / 2: 399 171 units at n = 893, the largest
+    # under the bound, which answers in 0.9 s (Python 3.11.7, 2 vCPUs)
+    line = GLChar.standard(1)
+    start = time.perf_counter()
+    assert symmetric_power(line, 893) == GLChar.irreducible(DominantWeight(1, (893,)))
+    elapsed = time.perf_counter() - start
+    with pytest.raises(BoundExceededError):
+        symmetric_power(line, 894)
+    # the ceiling allows for slower machines
+    assert elapsed < 5, f"the corner took {elapsed:.2f} s"
+
+
+def _power_by_monomials(a: GLChar, n: int, exterior: bool) -> GLChar:
+    """e_n or h_n through the monomial basis, a reference independent of the
+    Newton loop: the weight series multiplied out one weight copy at a time,
+    each weight multiplying in 1 + x^m t (degrees falling) or 1/(1 - x^m t)
+    (degrees rising), then every monomial straightened, as
+    s_w = a_(w+delta)/a_delta gives m the sign of sorting m + delta.
+    """
+    if n == 0:
+        return GLChar.unit(a.d)
+    d = a.d
+    series = [{(0,) * d: 1}] + [{} for _ in range(n)]
+    degrees = range(n, 0, -1) if exterior else range(1, n + 1)
+    for m, c in char_monomials(a).items():
+        for _ in range(c):
+            for k in degrees:
+                for v, cv in series[k - 1].items():
+                    key = tuple(x + y for x, y in zip(v, m))
+                    series[k][key] = series[k].get(key, 0) + cv
+    coeffs: dict[DominantWeight, int] = {}
+    for m, c in series[n].items():
+        s = [x + d - 1 - i for i, x in enumerate(m)]
+        sign = (-1) ** sum(s[i] < s[j] for i in range(d) for j in range(i + 1, d))
+        s.sort(reverse=True)
+        if len(set(s)) == d:
+            w = DominantWeight(d, tuple(x - d + 1 + i for i, x in enumerate(s)))
+            coeffs[w] = coeffs.get(w, 0) + sign * c
+    return GLChar(d, coeffs)
+
+
+@st.composite
+def _twisted_characters(draw):
+    """Up to three irreducibles of size <= 3 and d <= 4, twisted by -2..3,
+    with multiplicity 1 or 2."""
+    d = draw(st.integers(0, 4))
+    shapes = [p for s in range(4) for p in all_partitions(s) if p.rows <= d]
+    char = GLChar.zero(d)
+    for shape, twist, mult in draw(st.lists(
+        st.tuples(st.sampled_from(shapes), st.integers(-2, 3), st.integers(1, 2)),
+        min_size=1, max_size=3,
+    )):
+        char = char + GLChar.irreducible(weight_of(shape, d, twist)).scale(mult)
+    return char
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_twisted_characters(), n=st.integers(0, 5))
+def test_newton_powers_match_the_monomial_series(a, n):
+    assert exterior_power(a, n).to_json() == _power_by_monomials(a, n, True).to_json()
+    assert symmetric_power(a, n).to_json() == _power_by_monomials(a, n, False).to_json()
+
+
+@pytest.mark.parametrize(
+    "shape, d, n, exterior",
+    [
+        ((2,), 8, 8, False),
+        ((3,), 6, 8, False),
+        ((2,), 10, 12, False),
+        ((1,), 12, 40, False),
+        ((2,), 6, 11, True),
+        ((3,), 4, 9, True),
+    ],
+)
+def test_large_powers_have_the_binomial_dimension(shape, d, n, exterior):
+    # once inputs with no answer in 60 s, or a MemoryError (S^40 C^12)
+    a = GLChar.irreducible(weight_of(Partition(shape), d))
+    start = time.perf_counter()
+    power = exterior_power(a, n) if exterior else symmetric_power(a, n)
+    elapsed = time.perf_counter() - start
+    dim = a.dim()
+    assert power.is_actual()
+    assert power.dim() == (math.comb(dim, n) if exterior else math.comb(dim + n - 1, n))
+    assert elapsed < 2, f"the power took {elapsed:.2f} s"
+
+
+def test_exterior_powers_past_the_dimension_are_zero():
+    # e_n of N weights vanishes for n > N, however large n is
+    a = GLChar.standard(3) + GLChar.determinant(3)
+    assert exterior_power(a, 5).is_zero()
+    assert exterior_power(a, 4) == GLChar.determinant(3, 2)
+    assert exterior_power(a, 10**9).is_zero()
+    assert symmetric_power(GLChar.zero(2), 10**9).is_zero()
+
+
+def test_newton_loop_on_a_past_bound_input_ends_within_2_s():
+    a = GLChar.irreducible(weight_of(Partition((3,)), 8))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError):
+        exterior_power(a, 10)
+    assert time.perf_counter() - start < 2
 
 
 @st.composite

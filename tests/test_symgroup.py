@@ -516,6 +516,24 @@ def test_symmetrizer_bound():
         young_symmetrizer(Partition((5, 4)))
 
 
+def _no_tableau(shape):
+    raise AssertionError(f"a tableau of {shape} was built")
+
+
+def test_symmetrizer_bound_comes_before_any_tableau(monkeypatch):
+    monkeypatch.setattr(symgroup, "canonical_tableau", _no_tableau)
+    with pytest.raises(BoundExceededError, match="got 10000000"):
+        young_symmetrizer(Partition((10**7,)))
+
+
+def test_a_warm_shape_reuses_its_tableau(monkeypatch):
+    shape = Partition((3, 2))
+    first = young_symmetrizer(shape)
+    monkeypatch.setattr(symgroup, "canonical_tableau", _no_tableau)
+    again = young_symmetrizer(shape)
+    assert again[0] is first[0] and again == young_symmetrizer(canonical_tableau(shape))
+
+
 def _digests(c: GroupAlgebraElement) -> dict:
     """sha256 of each printed form of c: JSON, support, repr and the terms in order."""
     texts = {
