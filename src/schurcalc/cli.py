@@ -65,25 +65,21 @@ def _load_payload(text: str):
         raise ValueError("JSON payload nests too deeply") from None
 
 
-def _partition(text: str) -> Partition:
-    return Partition.from_string(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (inputs, output)
 
 
 def _cmd_lr(args):
-    lam = _partition(args.lam)
-    mu = _partition(args.mu)
-    nu = _partition(args.nu)
+    lam = Partition.from_string(args.lam)
+    mu = Partition.from_string(args.mu)
+    nu = Partition.from_string(args.nu)
     coeff = lr_coeff(lam, mu, nu)
     inputs = {"lam": str(lam), "mu": str(mu), "nu": str(nu)}
     return inputs, {"coefficient": coeff}
 
 
 def _cmd_symmetrizer(args):
-    shape = _partition(args.shape)
+    shape = Partition.from_string(args.shape)
     # the size bound is checked before any tableau is built
     c, a = young_symmetrizer(shape)
     tableau = canonical_tableau(shape)

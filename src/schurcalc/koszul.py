@@ -144,12 +144,12 @@ def graded_power_image(
 ) -> GradedObject:
     """Image dimensions of an idempotent acting on the n-th signed tensor power.
 
-    The idempotence e*e = e is verified exactly once per distinct element in
-    a process (see symgroup._idempotent_class_sums): by the tableau check of
-    young_symmetrizer for a Young idempotent c/a whose c this process built,
-    else by symgroup.is_idempotent (on the double cosets of e's own signed
-    Young symmetries). The dimensions then come from the cycle-type trace
-    formula of _power_image. Limited to n <= KOSZUL_BOUND.
+    The idempotence e*e = e is read from symgroup._idempotent_class_sums:
+    proved by the tableau check of young_symmetrizer for a Young idempotent
+    c/a whose c this process built, else checked by symgroup.is_idempotent
+    (on the double cosets of e's own signed Young symmetries). The
+    dimensions then come from the cycle-type trace formula of _power_image.
+    Limited to n <= KOSZUL_BOUND.
     """
     if not isinstance(projector, GroupAlgebraElement):
         raise TypeError(

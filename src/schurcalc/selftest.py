@@ -76,6 +76,13 @@ QUICK = Limits(
 )
 
 
+def _check(ok: bool, message: str = "") -> None:
+    """Fail the check with the message unless ok; unlike assert, never
+    stripped by python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _irr(parts: tuple[int, ...]) -> symseq.SymSeq:
     return symseq.SymSeq.irreducible(Partition(parts))
 
@@ -88,21 +95,22 @@ def check_conjugate_involution(lim: Limits):
     for n in range(lim.partition_n + 1):
         for p in all_partitions(n):
             q = p.conjugate()
-            assert q.size == n
-            assert q.conjugate() == p, f"conjugation not involutive at {p}"
+            _check(q.size == n)
+            _check(q.conjugate() == p, f"conjugation not involutive at {p}")
 
 
 def check_hook_square_sum(lim: Limits):
     for n in range(min(lim.partition_n, 8) + 1):
         total = sum(dim_sym_irrep(p) ** 2 for p in all_partitions(n))
-        assert total == math.factorial(n), f"sum of squares failed at n={n}"
+        _check(total == math.factorial(n), f"sum of squares failed at n={n}")
 
 
 def check_tableau_count(lim: Limits):
     for n in range(lim.tableau_n + 1):
         for p in all_partitions(n):
-            assert len(standard_tableaux(p)) == dim_sym_irrep(p), (
-                f"enumeration disagrees with hook count at {p}"
+            _check(
+                len(standard_tableaux(p)) == dim_sym_irrep(p),
+                f"enumeration disagrees with hook count at {p}",
             )
 
 
@@ -111,8 +119,8 @@ def check_gl_dim_vanishing(lim: Limits):
         for p in all_partitions(n):
             for d in range(5):
                 dim = dim_gl_irrep(p, d)
-                assert (dim == 0) == (p.rows > d), f"vanishing wrong at {p}, d={d}"
-                assert dim >= 0
+                _check((dim == 0) == (p.rows > d), f"vanishing wrong at {p}, d={d}")
+                _check(dim >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +131,21 @@ def check_projectors(lim: Limits):
     for n in range(lim.symmetrizer_n + 1):
         alt = symgroup.alt_projector(n)
         tot = symgroup.sym_projector(n)
-        assert alt * alt == alt
-        assert tot * tot == tot
+        _check(alt * alt == alt)
+        _check(tot * tot == tot)
         if n >= 2:
             zero = symgroup.GroupAlgebraElement.zero(n)
-            assert alt * tot == zero
-            assert tot * alt == zero
+            _check(alt * tot == zero)
+            _check(tot * alt == zero)
 
 
 def check_young_symmetrizer(lim: Limits):
     for n in range(1, lim.symmetrizer_n + 1):
         for p in all_partitions(n):
             c, a = symgroup.young_symmetrizer(canonical_tableau(p))
-            assert a == Fraction(math.factorial(n), dim_sym_irrep(p))
+            _check(a == Fraction(math.factorial(n), dim_sym_irrep(p)))
             e = c.scale(Fraction(1, 1) / a)
-            assert e * e == e, f"normalized symmetrizer not idempotent at {p}"
+            _check(e * e == e, f"normalized symmetrizer not idempotent at {p}")
 
 
 def check_character_orthogonality(lim: Limits):
@@ -148,20 +156,21 @@ def check_character_orthogonality(lim: Limits):
             for mu in shapes:
                 expected = 1 if lam == mu else 0
                 got = symgroup.char_inner_product(chars[lam], chars[mu], n)
-                assert got == expected, f"orthogonality failed at {lam}, {mu}"
+                _check(got == expected, f"orthogonality failed at {lam}, {mu}")
 
 
 def check_regular_decomposition(lim: Limits):
     for n in range(lim.decompose_n + 1):
         unit = symgroup.GroupAlgebraElement.unit(n)
         decomposed = symgroup.decompose_module(unit)
-        assert decomposed == symgroup.SymChar.regular(n), f"regular module wrong at n={n}"
+        _check(decomposed == symgroup.SymChar.regular(n), f"regular module wrong at n={n}")
     for n in range(1, min(lim.decompose_n, 5) + 1):
         for p in all_partitions(n):
             c, a = symgroup.young_symmetrizer(canonical_tableau(p))
             e = c.scale(Fraction(1) / a)
-            assert symgroup.decompose_module(e) == symgroup.SymChar.irreducible(p), (
-                f"symmetrizer module is not the single irreducible at {p}"
+            _check(
+                symgroup.decompose_module(e) == symgroup.SymChar.irreducible(p),
+                f"symmetrizer module is not the single irreducible at {p}",
             )
 
 
@@ -174,8 +183,9 @@ def check_free_monoid(lim: Limits):
         for b in range(lim.free_monoid_total + 1 - a):
             left = symseq.free_generator(a)
             right = symseq.free_generator(b)
-            assert symseq.tensor(left, right) == symseq.free_generator(a + b), (
-                f"free generators do not multiply at ({a}, {b})"
+            _check(
+                symseq.tensor(left, right) == symseq.free_generator(a + b),
+                f"free generators do not multiply at ({a}, {b})",
             )
 
 
@@ -188,18 +198,18 @@ def check_tensor_ring_laws(lim: Limits):
     ]
     unit = symseq.free_generator(0)
     for e in samples:
-        assert symseq.tensor(e, unit) == e
-        assert symseq.tensor(unit, e) == e
+        _check(symseq.tensor(e, unit) == e)
+        _check(symseq.tensor(unit, e) == e)
     for e in samples:
         for f in samples:
-            assert symseq.tensor(e, f) == symseq.tensor(f, e)
+            _check(symseq.tensor(e, f) == symseq.tensor(f, e))
     small = samples[1:3]
     for e in small:
         for f in small:
             for g in small:
                 left = symseq.tensor(symseq.tensor(e, f), g)
                 right = symseq.tensor(e, symseq.tensor(f, g))
-                assert left == right, "tensor not associative"
+                _check(left == right, "tensor not associative")
 
 
 def check_localization_ideal(lim: Limits):
@@ -211,8 +221,9 @@ def check_localization_ideal(lim: Limits):
                         continue
                     for mu in all_partitions(total - lsize):
                         expansion = glchar.lr_expand(lam, mu)
-                        assert all(nu.rows > d for nu in expansion), (
-                            f"ideal leak: {lam} x {mu} at d={d}"
+                        _check(
+                            all(nu.rows > d for nu in expansion),
+                            f"ideal leak: {lam} x {mu} at d={d}",
                         )
 
 
@@ -225,12 +236,12 @@ def check_localize_monoidal(lim: Limits):
     for d in (1, 2, 3):
         for e, f in pairs:
             once = symseq.localize(e, d)
-            assert symseq.localize(once, d) == once
+            _check(symseq.localize(once, d) == once)
             direct = symseq.localize(symseq.tensor(e, f), d)
             staged = symseq.localize(
                 symseq.tensor(symseq.localize(e, d), symseq.localize(f, d)), d
             )
-            assert direct == staged, "localization does not absorb the ideal"
+            _check(direct == staged, "localization does not absorb the ideal")
 
 
 def check_wedge_component(lim: Limits):
@@ -240,11 +251,10 @@ def check_wedge_component(lim: Limits):
         column = Partition((1,) * n)
         cut = symseq.wedge_component(n)
         expected = {n: {column: 1}} if n else {0: {Partition(()): 1}}
-        assert {
-            level: char.coeffs for level, char in cut.levels.items()
-        } == expected
+        levels = {level: char.coeffs for level, char in cut.levels.items()}
+        _check(levels == expected)
         mult = power.levels[n].coeffs.get(column, 0) if n in power.levels else 0
-        assert mult == 1, f"sign constituent count wrong in power {n}"
+        _check(mult == 1, f"sign constituent count wrong in power {n}")
         power = symseq.tensor(power, gen) if n < lim.free_monoid_total else power
 
 
@@ -260,8 +270,8 @@ def check_normalize_roundtrip(lim: Limits):
                 continue
             w = glchar.DominantWeight(d, tup)
             plus, det = glchar.normalize_weight(w)
-            assert plus.rows < d
-            assert glchar.weight_of(plus, d, det) == w
+            _check(plus.rows < d)
+            _check(glchar.weight_of(plus, d, det) == w)
     for d in (1, 2, 3):
         for n in range(5):
             for p in all_partitions(n):
@@ -271,14 +281,14 @@ def check_normalize_roundtrip(lim: Limits):
                     w = glchar.weight_of(p, d, m)
                     plus, det = glchar.normalize_weight(w)
                     if p.rows < d:
-                        assert (plus, det) == (p, m), f"not canonical at {p}, {m}"
+                        _check((plus, det) == (p, m), f"not canonical at {p}, {m}")
                     else:
                         # a full column of boxes is absorbed into the det power
                         depth = p.row(d - 1)
                         trimmed = Partition(
                             tuple(x - depth for x in p.parts if x > depth)
                         )
-                        assert (plus, det) == (trimmed, m + depth)
+                        _check((plus, det) == (trimmed, m + depth))
 
 
 def check_lr_against_characters(lim: Limits):
@@ -289,9 +299,10 @@ def check_lr_against_characters(lim: Limits):
                     for mu in all_partitions(total - lsize):
                         tableaux = glchar.lr_coeff(lam, mu, nu)
                         characters = symgroup.induction_multiplicity(lam, mu, nu)
-                        assert tableaux == characters, (
+                        _check(
+                            tableaux == characters,
                             f"tableau rule {tableaux} vs character {characters} "
-                            f"at ({lam}; {mu}; {nu})"
+                            f"at ({lam}; {mu}; {nu})",
                         )
 
 
@@ -299,7 +310,7 @@ def check_schur_weyl_dimensions(lim: Limits):
     for d in range(1, lim.sw_d + 1):
         for n in range(lim.sw_n + 1):
             image = glchar.schur_weyl(symseq.free_generator(n), d)
-            assert image.dim() == d ** n, f"dimension count failed at d={d}, n={n}"
+            _check(image.dim() == d ** n, f"dimension count failed at d={d}, n={n}")
 
 
 def check_schur_weyl_monoidal(lim: Limits):
@@ -314,8 +325,9 @@ def check_schur_weyl_monoidal(lim: Limits):
                         split = glchar.gl_tensor(
                             glchar.schur_weyl(e, d), glchar.schur_weyl(f, d)
                         )
-                        assert joined == split, (
-                            f"transfer not monoidal at ({lam}, {mu}), d={d}"
+                        _check(
+                            joined == split,
+                            f"transfer not monoidal at ({lam}, {mu}), d={d}",
                         )
 
 
@@ -332,7 +344,7 @@ def check_hom_faithful(lim: Limits):
                 e = glchar.schur_weyl(symseq.SymSeq.irreducible(lam), d)
                 f = glchar.schur_weyl(symseq.SymSeq.irreducible(mu), d)
                 expected = 1 if lam == mu else 0
-                assert glchar.hom_dim(e, f) == expected
+                _check(glchar.hom_dim(e, f) == expected)
 
 
 def check_det_twist(lim: Limits):
@@ -345,7 +357,7 @@ def check_det_twist(lim: Limits):
                 det = glchar.GLChar.determinant(d, m)
                 result = glchar.gl_tensor(glchar.GLChar.irreducible(w), det)
                 shifted = glchar.DominantWeight(d, tuple(x + m for x in tup))
-                assert result.coeffs == {shifted: 1}, f"det twist failed at {w}, m={m}"
+                _check(result.coeffs == {shifted: 1}, f"det twist failed at {w}, m={m}")
 
 
 def check_standard_powers(lim: Limits):
@@ -354,15 +366,15 @@ def check_standard_powers(lim: Limits):
         for n in range(d + 3):
             ext = glchar.exterior_power(k, n)
             if n > d:
-                assert ext.is_zero()
+                _check(ext.is_zero())
             else:
                 column = Partition((1,) * n) if n else Partition(())
-                assert ext.coeffs == {glchar.weight_of(column, d): 1}
-                assert ext.dim() == math.comb(d, n)
+                _check(ext.coeffs == {glchar.weight_of(column, d): 1})
+                _check(ext.dim() == math.comb(d, n))
             s = glchar.symmetric_power(k, n)
             row = Partition((n,)) if n else Partition(())
-            assert s.coeffs == {glchar.weight_of(row, d): 1}
-            assert s.dim() == math.comb(d + n - 1, n)
+            _check(s.coeffs == {glchar.weight_of(row, d): 1})
+            _check(s.dim() == math.comb(d + n - 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +394,7 @@ def check_falling_factorial(lim: Limits):
         for n in range(lim.koszul_power + 1):
             got = Fraction(koszul.wedge(c, n).euler())
             want = koszul.euler_falling_factorial(chi, n)
-            assert got == want, f"trace identity failed at {c.dims}, n={n}"
+            _check(got == want, f"trace identity failed at {c.dims}, n={n}")
 
 
 def check_parity_flip(lim: Limits):
@@ -391,7 +403,7 @@ def check_parity_flip(lim: Limits):
         for n in range(min(lim.koszul_power, 4) + 1):
             left = koszul.wedge(c.shift(1), n)
             right = koszul.sym(c, n).shift(n)
-            assert left == right, f"parity flip failed at {c.dims}, n={n}"
+            _check(left == right, f"parity flip failed at {c.dims}, n={n}")
 
 
 def check_projector_complement(lim: Limits):
@@ -407,13 +419,13 @@ def check_projector_complement(lim: Limits):
             full = koszul.graded_power_image(c, unit)
             alt = koszul.graded_power_image(c, symgroup.alt_projector(n))
             rest = koszul.graded_power_image(c, unit - symgroup.alt_projector(n))
-            assert alt + rest == full, "projector and complement do not split the power"
+            _check(alt + rest == full, "projector and complement do not split the power")
         # isotypic count: the n = 3 power is wedge + sym + two mixed copies
         c3 = koszul.graded_power_image(c, symgroup.GroupAlgebraElement.unit(3))
         mixed_c, mixed_a = symgroup.young_symmetrizer(Partition((2, 1)))
         mixed = koszul.graded_power_image(c, mixed_c.scale(Fraction(1) / mixed_a))
         total = koszul.wedge(c, 3) + koszul.sym(c, 3) + mixed + mixed
-        assert total == c3, "isotypic pieces do not add up at n=3"
+        _check(total == c3, "isotypic pieces do not add up at n=3")
 
 
 def check_certification_grid(lim: Limits):
@@ -421,16 +433,18 @@ def check_certification_grid(lim: Limits):
         for m in range(-2, 3):
             even = koszul.GradedObject({2 * m: a})
             cert = koszul.certify_finiteness(even)
-            assert cert.kind == koszul.KIND_WEDGE_FINITE and cert.n == a, (
-                f"even object misclassified at a={a}, m={m}: {cert.kind}({cert.n})"
+            _check(
+                cert.kind == koszul.KIND_WEDGE_FINITE and cert.n == a,
+                f"even object misclassified at a={a}, m={m}: {cert.kind}({cert.n})",
             )
             odd = koszul.GradedObject({2 * m + 1: a})
             cert = koszul.certify_finiteness(odd)
             if a == 0:
-                assert cert.kind == koszul.KIND_WEDGE_FINITE and cert.n == 0
+                _check(cert.kind == koszul.KIND_WEDGE_FINITE and cert.n == 0)
             else:
-                assert cert.kind == koszul.KIND_ODDLY_FINITE and cert.n == a + 1, (
-                    f"odd object misclassified at a={a}, m={m}: {cert.kind}({cert.n})"
+                _check(
+                    cert.kind == koszul.KIND_ODDLY_FINITE and cert.n == a + 1,
+                    f"odd object misclassified at a={a}, m={m}: {cert.kind}({cert.n})",
                 )
 
 
@@ -443,13 +457,14 @@ def check_kimura_split(lim: Limits):
     ]
     for c in samples:
         plus, minus = koszul.kimura_split(c)
-        assert plus + minus == c
-        assert all(deg % 2 == 0 for deg in plus.dims)
-        assert all(deg % 2 == 1 for deg in minus.dims)
+        _check(plus + minus == c)
+        _check(all(deg % 2 == 0 for deg in plus.dims))
+        _check(all(deg % 2 == 1 for deg in minus.dims))
         if plus.dims and minus.dims:
             cert = koszul.certify_finiteness(c, bound=c.total_dim())
-            assert cert.kind == koszul.KIND_NOT_FINITE, (
-                "mixed object certified finite without splitting"
+            _check(
+                cert.kind == koszul.KIND_NOT_FINITE,
+                "mixed object certified finite without splitting",
             )
 
 
@@ -468,11 +483,11 @@ def check_cech_oracle(lim: Limits):
                 expected[0] = expected_h0
             if expected_hn:
                 expected[n] = expected_hn
-            assert coh.dims == expected, f"cohomology wrong at n={n}, r={r}"
+            _check(coh.dims == expected, f"cohomology wrong at n={n}, r={r}")
             for m in coh.basis.get(0, ()):
-                assert all(x >= 0 for x in m) and sum(m) == r
+                _check(all(x >= 0 for x in m) and sum(m) == r)
             for m in coh.basis.get(n, ()):
-                assert all(x <= -1 for x in m) and sum(m) == r
+                _check(all(x <= -1 for x in m) and sum(m) == r)
 
 
 def check_coordinate_ring(lim: Limits):
@@ -486,12 +501,13 @@ def check_coordinate_ring(lim: Limits):
                 for m1 in alg.cohomology[r1].basis.get(0, ()):
                     for m2 in alg.cohomology[r2].basis.get(0, ()):
                         prod = alg.multiply((r1, 0, m1), (r2, 0, m2))
-                        assert prod is not None and list(prod.values()) == [1]
+                        _check(prod is not None and list(prod.values()) == [1])
                         (rr, pp, mm) = next(iter(prod))
-                        assert rr == r1 + r2 and pp == 0
+                        _check(rr == r1 + r2 and pp == 0)
                         products.add(mm)
-                assert products == target, (
-                    f"degree 0 slice is not the polynomial ring at n={n}, ({r1},{r2})"
+                _check(
+                    products == target,
+                    f"degree 0 slice is not the polynomial ring at n={n}, ({r1},{r2})",
                 )
 
 
@@ -500,8 +516,8 @@ def check_algebra_laws(lim: Limits):
     keys = alg.basis_keys()
     unit = alg.unit_key()
     for a in keys:
-        assert alg.multiply(unit, a) == {a: 1}
-        assert alg.multiply(a, unit) == {a: 1}
+        _check(alg.multiply(unit, a) == {a: 1})
+        _check(alg.multiply(a, unit) == {a: 1})
     for a in keys:
         for b in keys:
             ab = alg.multiply(a, b)
@@ -510,7 +526,7 @@ def check_algebra_laws(lim: Limits):
             # or the product is zero, so no sign appears
             if ab is None or ba is None:
                 continue
-            assert ab == ba, f"commutativity failed at {a}, {b}"
+            _check(ab == ba, f"commutativity failed at {a}, {b}")
     for a in keys:
         for b in keys:
             ab = alg.multiply(a, b)
@@ -524,7 +540,7 @@ def check_algebra_laws(lim: Limits):
                 right = _extend(alg, {k: v for k, v in bc.items()}, a, reverse=True)
                 if left is None or right is None:
                     continue
-                assert left == right, f"associativity failed at {a}, {b}, {c}"
+                _check(left == right, f"associativity failed at {a}, {b}, {c}")
 
 
 def _extend(alg, partial: dict, key, reverse: bool = False):
@@ -544,8 +560,8 @@ def check_duality(lim: Limits):
             n, -lim.serre_window, lim.serre_window
         )
         report = serre.verify_serre_duality(alg)
-        assert report["checked"], "duality check had nothing to verify"
-        assert report["all_perfect"], f"duality failed: {report}"
+        _check(report["checked"], "duality check had nothing to verify")
+        _check(report["all_perfect"], f"duality failed: {report}")
 
 
 def check_gm_shift(lim: Limits):
@@ -557,11 +573,11 @@ def check_gm_shift(lim: Limits):
     for v, w in pairs:
         joined = serre.gm_shift_functor(v.tensor(w))
         split = serre.gm_shift_functor(v).tensor(serre.gm_shift_functor(w))
-        assert joined == split, "weight shift is not monoidal"
+        _check(joined == split, "weight shift is not monoidal")
     flat = serre.BigradedVS({(1, 0): 1})
     shifted = serre.gm_shift_functor(flat)
-    assert all(i == 0 for (_, i) in flat.dims)
-    assert any(i != 0 for (_, i) in shifted.dims), "shift kept the heart"
+    _check(all(i == 0 for (_, i) in flat.dims))
+    _check(any(i != 0 for (_, i) in shifted.dims), "shift kept the heart")
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +587,25 @@ def check_gm_shift(lim: Limits):
 def check_json_roundtrip(lim: Limits):
     for n in range(7):
         for p in all_partitions(n):
-            assert Partition.from_string(str(p)) == p
+            _check(Partition.from_string(str(p)) == p)
     for perm in symgroup.all_permutations(3):
-        assert symgroup.Permutation.from_one_line(perm.one_line()) == perm
+        _check(symgroup.Permutation.from_one_line(perm.one_line()) == perm)
     for text in ("[2,-1]", "[0,0,0]", "[3,1,0]", "[]"):
         w = glchar.DominantWeight.from_string(text)
-        assert str(w) == text
+        _check(str(w) == text)
     alt = symgroup.alt_projector(3)
-    assert symgroup.GroupAlgebraElement.from_json(alt.to_json()) == alt
+    _check(symgroup.GroupAlgebraElement.from_json(alt.to_json()) == alt)
     seq = symseq.tensor(symseq.free_generator(1), symseq.free_generator(2))
-    assert symseq.SymSeq.from_json(seq.to_json()) == seq
+    _check(symseq.SymSeq.from_json(seq.to_json()) == seq)
     char = glchar.schur_weyl(seq, 2)
-    assert glchar.GLChar.from_json(char.to_json()) == char
+    _check(glchar.GLChar.from_json(char.to_json()) == char)
     obj = koszul.GradedObject({-1: 2, 0: 1, 3: 1})
-    assert koszul.GradedObject.from_json(obj.to_json()) == obj
+    _check(koszul.GradedObject.from_json(obj.to_json()) == obj)
     big = serre.BigradedVS({(-1, 0): 2, (2, 5): 1})
-    assert serre.BigradedVS.from_json(big.to_json()) == big
+    _check(serre.BigradedVS.from_json(big.to_json()) == big)
     cert = koszul.certify_finiteness(koszul.GradedObject({0: 2}))
     data = cert.to_json()
-    assert data["kind"] == koszul.KIND_WEDGE_FINITE and data["n"] == 2
+    _check(data["kind"] == koszul.KIND_WEDGE_FINITE and data["n"] == 2)
 
 
 CHECKS = [

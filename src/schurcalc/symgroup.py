@@ -245,8 +245,8 @@ class GroupAlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        # c/a normalised again shares c's numerator dict with the c/a the
-        # store holds, so a warm read compares no coefficient
+        # c/a normalised again shares c's numerator dict with the c/a of the
+        # proved set, so a warm read compares no coefficient
         return (
             self.n == other.n
             and self.den == other.den
@@ -457,76 +457,29 @@ def _class_sums(element: GroupAlgebraElement) -> dict[tuple[int, ...], int]:
     return by_lengths
 
 
-# distinct elements the store of proved idempotents keeps alive: over twice
-# the 15 Young idempotents a round of the graded-powers benchmark reuses, and
-# a full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
-# image-bytes keys of 41 B), so the store stays within about 90 MiB
+# the c/a that _young_symmetrizer_cached proved, as long-lived as its c
+_YOUNG_IDEMPOTENTS: set[GroupAlgebraElement] = set()
+# distinct elements _idempotent_class_sums keeps: over twice the 15 Young
+# idempotents a round of the graded-powers benchmark reuses, and a
+# full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
+# image-bytes keys of 41 B), so the cache stays within about 90 MiB
 _IDEMPOTENT_CACHE_SIZE = 32
 
 
-class _IdempotentStore:
-    """The elements whose idempotence was settled in full in this process.
+@lru_cache(maxsize=_IDEMPOTENT_CACHE_SIZE)
+def _idempotent_class_sums(e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
+    """_class_sums(e) once e*e == e holds in full, or None if e*e != e.
 
-    Keyed on the value of the element, with at most _IDEMPOTENT_CACHE_SIZE
-    entries in order of last use; a new one evicts the first, the least
-    recently used. An entry is False for a refusal (e*e != e), True for a
-    proved element whose class sums were not read yet, and then the one
-    read-only view of them. hits and misses count the reads of class_sums.
+    Shared by decompose_module and graded_power_image. An element equal to
+    a Young idempotent c/a whose c this process built was proved by the
+    tableau check and is never checked again; any other is checked by
+    is_idempotent once while among the _IDEMPOTENT_CACHE_SIZE most recently
+    read. A refusal is cached, a BoundExceededError raised on every call.
+    Every call shares one read-only view of the sums.
     """
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self):
-        self.entries: dict[GroupAlgebraElement, bool | Mapping] = {}
-        self.hits = self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.hits = self.misses = 0
-
-    def _put_last(self, e: GroupAlgebraElement, entry: bool | Mapping) -> None:
-        """Store entry for e, which is not in the store, as the last used."""
-        entries = self.entries
-        if len(entries) >= _IDEMPOTENT_CACHE_SIZE:
-            del entries[next(iter(entries))]
-        entries[e] = entry
-
-    def record_proved(self, e: GroupAlgebraElement) -> None:
-        """Keep e, whose e*e == e the caller has checked in full in this
-        process, as the most recently used element."""
-        self._put_last(e, self.entries.pop(e, True))
-
-    def class_sums(self, e: GroupAlgebraElement) -> Mapping[tuple[int, ...], int] | None:
-        """_class_sums(e) once e*e == e holds in full, or None if e*e != e.
-
-        Each distinct element is checked in full once per process while it
-        stays among the _IDEMPOTENT_CACHE_SIZE most recently used, by one of
-        two routes: the tableau check of young_symmetrizer proves c/a when
-        it builds c, and every young_symmetrizer call records that c/a again
-        (record_proved); an element the store lacks is checked here by
-        is_idempotent. A BoundExceededError from the check
-        is raised on every call and never stored. Every call shares one
-        read-only view of the sums.
-        """
-        entry = self.entries.pop(e, None)
-        if entry is None:
-            self.misses += 1
-            # a BoundExceededError leaves nothing behind, so it is raised again
-            entry = is_idempotent(e)
-        else:
-            self.hits += 1
-        self._put_last(e, entry)
-        if entry is True:
-            entry = self.entries[e] = MappingProxyType(_class_sums(e))
-        return None if entry is False else entry
-
-
-_PROVED_IDEMPOTENTS = _IdempotentStore()
-# the one read of the store, shared by decompose_module and graded_power_image
-_idempotent_class_sums = _PROVED_IDEMPOTENTS.class_sums
+    if e in _YOUNG_IDEMPOTENTS or is_idempotent(e):
+        return MappingProxyType(_class_sums(e))
+    return None
 
 
 def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
@@ -893,9 +846,10 @@ def _young_symmetrizer_cached(tableau: StandardTableau | Partition):
         raise InvariantError(
             f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
         )
-    # the check compared N*N with a*N for c = N, which is (c/a)^2 == c/a; c/a
-    # shares c's numerator dict
-    return c, Fraction(a), c.scale(Fraction(1, a))
+    # the check compared N*N with a*N for c = N, which is (c/a)^2 == c/a;
+    # c/a shares c's numerator dict, so the set holds no copy
+    _YOUNG_IDEMPOTENTS.add(c.scale(Fraction(1, a)))
+    return c, Fraction(a)
 
 
 def young_symmetrizer(
@@ -912,19 +866,18 @@ def young_symmetrizer(
     right (at most two passes over its support per column and row), so
     c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
     c/a is the idempotent cutting one copy of the irreducible of the shape.
-    That check is (c/a)^2 == c/a in full. It runs when c is first built,
-    and every call records that same c/a as proved again (see
+    That check is (c/a)^2 == c/a in full. It runs once, when c is first
+    built, and c/a stays proved for as long as c stays cached (see
     _idempotent_class_sums), so decompose_module and graded_power_image
-    then read c/a, or any element equal to it, without checking it again,
-    even after the store had evicted it.
+    never check c/a, or any element equal to it, again.
     """
+    if not isinstance(tableau, (StandardTableau, Partition)):
+        raise TypeError(f"expected a StandardTableau or Partition, not {type(tableau).__name__}")
     if tableau.size > SYMMETRIZER_BOUND:
         raise BoundExceededError(
             f"symmetrizer limited to size {SYMMETRIZER_BOUND}, got {tableau.size}"
         )
-    c, a, idempotent = _young_symmetrizer_cached(tableau)
-    _PROVED_IDEMPOTENTS.record_proved(idempotent)
-    return c, a
+    return _young_symmetrizer_cached(tableau)
 
 
 # ---------------------------------------------------------------------------
@@ -1193,12 +1146,11 @@ def decompose_module(
     Accepts either an idempotent e of the group algebra, read as the left
     ideal it cuts out, or a mapping from permutations to matrices over exact
     rationals covering at least one representative of every conjugacy class.
-    e*e = e is verified exactly once per distinct element in a process (see
-    _idempotent_class_sums): by the tableau check of young_symmetrizer when
-    e is a Young idempotent c/a whose c this process built, else by
-    is_idempotent, which raises BoundExceededError when the check would
-    cost more than IDEMPOTENT_CHECK_BOUND products. The multiplicity of
-    each shape lam is then chi^lam(e) (see _multiplicities).
+    e*e = e is read from _idempotent_class_sums: proved by the tableau check
+    of young_symmetrizer when e is a Young idempotent c/a whose c this
+    process built, else checked by is_idempotent, which raises
+    BoundExceededError past IDEMPOTENT_CHECK_BOUND products. The
+    multiplicity of each shape lam is then chi^lam(e) (see _multiplicities).
     """
     if isinstance(module, GroupAlgebraElement):
         e = module
@@ -1213,6 +1165,9 @@ def decompose_module(
     if isinstance(module, Mapping):
         if not module:
             raise ValueError("empty matrix family")
+        for perm in module:
+            if not isinstance(perm, Permutation):
+                raise TypeError(f"expected Permutation keys, not {type(perm).__name__}")
         n = next(iter(module)).n
         if n > CHARACTER_BOUND:
             raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")

@@ -290,9 +290,9 @@ def test_graded_power_rejects_unbounded_idempotence_check(monkeypatch):
 
 
 def _count_idempotence_checks(monkeypatch) -> list:
-    """Empty the store of proved idempotents and record each full idempotence
-    check from now on."""
-    symgroup._PROVED_IDEMPOTENTS.clear()
+    """Empty the cache of settled idempotents and record each full
+    idempotence check from now on."""
+    symgroup._idempotent_class_sums.cache_clear()
     calls = []
 
     def counted(e):
@@ -317,8 +317,8 @@ def test_equal_idempotents_are_checked_once(monkeypatch):
     assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
     assert decompose_module(e) == decompose_module(same)
     assert calls == [e]
-    store = symgroup._PROVED_IDEMPOTENTS
-    assert (store.hits, store.misses, len(store)) == (4, 1, 1)
+    info = symgroup._idempotent_class_sums.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
     # every caller shares the cached sums, so they are read-only
     with pytest.raises(TypeError):
         symgroup._idempotent_class_sums(e)[(1, 1, 1, 1)] = 0
@@ -339,7 +339,8 @@ def test_a_non_idempotent_element_is_refused_on_every_call(monkeypatch):
 def _forget_symmetrizers() -> None:
     """Forget every symmetrizer built and every idempotent settled so far."""
     symgroup._young_symmetrizer_cached.cache_clear()
-    symgroup._PROVED_IDEMPOTENTS.clear()
+    symgroup._YOUNG_IDEMPOTENTS.clear()
+    symgroup._idempotent_class_sums.cache_clear()
 
 
 def _tableaux(max_size: int) -> list:
@@ -373,21 +374,32 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
         assert decompose_module(e) == SymChar.irreducible(tableau.shape)
         assert graded_power_image(c2, e).dims == _image_dims_by_matrix(c2, e)
         assert checks == [], tableau
-    store = symgroup._PROVED_IDEMPOTENTS
-    assert (store.hits, store.misses, len(store)) == (2 * 43, 0, 32)
+    # each c/a is read twice: first a miss that reads the tableau's proof,
+    # then a hit
+    info = symgroup._idempotent_class_sums.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (43, 43, 32)
+    assert len(symgroup._YOUNG_IDEMPOTENTS) == 43
 
 
-def test_a_young_symmetrizer_asked_for_again_renews_its_proof(monkeypatch):
+def _young_idempotent(tableau) -> GroupAlgebraElement:
+    c, a = young_symmetrizer(tableau)
+    return c.scale(Fraction(1) / a)
+
+
+def test_a_young_idempotent_is_never_checked_again(monkeypatch):
     _forget_symmetrizers()
     tableau = canonical_tableau(Partition((3, 2)))
     c, a = young_symmetrizer(tableau)
     e = c.scale(Fraction(1) / a)
-    # 33 other proved elements evict c/a from the store of 32
-    others = [t for t in _tableaux(5) if t != tableau][:33]
-    for other in others:
-        young_symmetrizer(other)
-    store = symgroup._PROVED_IDEMPOTENTS
-    assert len(store) == symgroup._IDEMPOTENT_CACHE_SIZE and e not in store.entries
+    rebuilt = GroupAlgebraElement.from_json(e.to_json())
+    assert rebuilt == e and rebuilt.nums is not e.nums
+    assert decompose_module(e) == SymChar.irreducible(tableau.shape)
+    # 33 other elements evict c/a from the cache of 32: Young idempotents of
+    # other tableaux and refusals; the symmetrizer of (3, 2) is not asked for
+    # again
+    others = [_young_idempotent(t) for t in _tableaux(4)]
+    others += [GroupAlgebraElement.unit(2).scale(k) for k in range(2, 18)]
+    assert len(others) == 33
     checks = []
     real = symgroup._square_is_multiple
 
@@ -396,13 +408,21 @@ def test_a_young_symmetrizer_asked_for_again_renews_its_proof(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(symgroup, "_square_is_multiple", counted)
-    assert young_symmetrizer(tableau) == (c, a)
-    assert decompose_module(c.scale(Fraction(1) / a)) == SymChar.irreducible(tableau.shape)
+    for x in others:
+        symgroup._idempotent_class_sums(x)
+    assert checks == others[17:]
+    checks.clear()
+    info = symgroup._idempotent_class_sums.cache_info()
+    assert (info.misses, info.currsize) == (1 + 33, symgroup._IDEMPOTENT_CACHE_SIZE)
+    assert decompose_module(rebuilt) == SymChar.irreducible(tableau.shape)
     assert graded_power_image(GradedObject({0: 1, 1: 1}), e).dims == _image_dims_by_matrix(
         GradedObject({0: 1, 1: 1}), e
     )
+    # the rebuilt element was read again as a miss, so c/a had been evicted,
+    # and e was then a hit: neither was checked
     assert checks == []
-    assert (store.hits, store.misses) == (2, 0)
+    after = symgroup._idempotent_class_sums.cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses) == (1, 1)
 
 
 def _no_square_checks(monkeypatch) -> None:
@@ -422,8 +442,8 @@ def test_an_equal_element_built_apart_reads_the_proof(monkeypatch):
     assert graded_power_image(GradedObject({1: 2}), e) == graded_power_image(
         GradedObject({1: 2}), c.scale(Fraction(1) / a)
     )
-    store = symgroup._PROVED_IDEMPOTENTS
-    assert (store.hits, store.misses, len(store)) == (3, 0, 1)
+    info = symgroup._idempotent_class_sums.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
 def test_elements_not_proved_in_this_process_are_checked_in_full(monkeypatch):
@@ -456,7 +476,7 @@ def test_a_failed_tableau_check_records_nothing(monkeypatch):
         patch.setattr(symgroup, "_symmetrizer_identity_holds", lambda *_args: False)
         with pytest.raises(InvariantError, match="^symmetrizer square is not 3 times"):
             young_symmetrizer(Partition((2, 1)))
-    assert len(symgroup._PROVED_IDEMPOTENTS) == 0
+    assert not symgroup._YOUNG_IDEMPOTENTS
     calls = _count_idempotence_checks(monkeypatch)
     tableau = canonical_tableau(Partition((2, 1)))
     e = (column_antisymmetrizer(tableau) * row_symmetrizer(tableau)).scale(Fraction(1, 3))
@@ -474,7 +494,7 @@ def test_the_store_evicts_the_least_recently_used(monkeypatch):
         assert symgroup._idempotent_class_sums(x) is None
     assert symgroup._idempotent_class_sums(scaled[0]) is None  # now the newest
     assert symgroup._idempotent_class_sums(scaled[size]) is None  # evicts scaled[1]
-    assert len(symgroup._PROVED_IDEMPOTENTS) == size
+    assert symgroup._idempotent_class_sums.cache_info().currsize == size
     assert symgroup._idempotent_class_sums(scaled[0]) is None
     assert calls == scaled[: size + 1]
     assert symgroup._idempotent_class_sums(scaled[1]) is None

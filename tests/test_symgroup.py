@@ -1417,6 +1417,20 @@ def test_decompose_names_the_type_it_refuses():
             decompose_module(bad)
 
 
+def test_decompose_names_the_key_type_it_refuses():
+    for family in ({1: [[1]]}, {Permutation.identity(1): [[1]], "x": [[1]]}):
+        text = f"^expected Permutation keys, not {type(list(family)[-1]).__name__}$"
+        with pytest.raises(TypeError, match=text):
+            decompose_module(family)
+
+
+def test_young_symmetrizer_names_the_type_it_refuses():
+    for bad in ("3,2", (3, 2), [3, 2], 5):
+        text = f"^expected a StandardTableau or Partition, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=text):
+            young_symmetrizer(bad)
+
+
 def _left_regular_matrix(sigma: Permutation):
     perms = all_permutations(sigma.n)
     index = {p: i for i, p in enumerate(perms)}
