@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import BoundExceededError, InvariantError, expect_mapping, is_int
+from .partitions import all_partitions
 from .symgroup import (
     GroupAlgebraElement,
     _class_sums,
@@ -51,6 +52,13 @@ class GradedObject(Counts):
         return degree
 
     @classmethod
+    def _unchecked(cls, dims: dict[int, int]) -> "GradedObject":
+        """A graded object from int degrees to positive ints, known to hold."""
+        obj = object.__new__(cls)
+        obj.dims = dims
+        return obj
+
+    @classmethod
     def point(cls, dim: int = 1, degree: int = 0) -> "GradedObject":
         return cls({degree: dim})
 
@@ -84,40 +92,104 @@ def euler(c: GradedObject) -> int:
     return c.euler()
 
 
+@lru_cache(maxsize=KOSZUL_BOUND + 1)
+def _horner_plan(n: int) -> tuple[tuple, tuple, int]:
+    """The trie of the partitions of n, parts ascending, as _power_image reads it.
+
+    Slot 0 is the root, the empty prefix; every proper prefix of a
+    partition has a slot, numbered below its children's. Returns (leaves,
+    inner, slots): leaves holds (cycle lengths longest first, parent slot,
+    last part) for each partition of n, and inner holds (slot, parent slot,
+    last part) for every other node but the root, slots descending, so
+    each node comes after all of its children. The root of n = 0 is its
+    own leaf, with last part 0 standing for the empty product.
+    """
+    if n == 0:
+        return (((), 0, 0),), (), 1
+    slots = {(): 0}
+    leaves, inner = [], []
+    for mu in all_partitions(n):
+        ascending = mu.parts[::-1]
+        for k in range(1, len(ascending)):
+            slots.setdefault(ascending[:k], len(slots))
+        leaves.append((mu.parts, slots[ascending[:-1]], ascending[-1]))
+    for prefix in sorted(slots, key=slots.get, reverse=True)[:-1]:
+        inner.append((slots[prefix], slots[prefix[:-1]], prefix[-1]))
+    return tuple(leaves), tuple(inner), len(slots)
+
+
 def _power_image(
     c: GradedObject, den: int, by_lengths: Mapping[tuple[int, ...], int]
 ) -> GradedObject:
     """Graded dimension of an idempotent's image inside the signed tensor power.
 
     by_lengths holds the idempotent's coefficient sums per cycle type, keyed
-    by the cycle lengths, as integer numerators over den. The trace of an
-    exact idempotent is its rank, and the graded trace of a permutation on
-    the signed power is a class function: the product over its cycles of
-    p_l(t) = sum over degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l
-    is the cycle length (Macdonald I.7; Berele-Regev for the signs). So the
-    image has graded dimension sum_mu by_lengths[mu] * prod_{l in mu} p_l(t)
-    / den, and no permutation or basis tuple is enumerated; each total is
-    divided by den exactly once at the end.
+    by the cycle lengths longest first, as integer numerators over den;
+    a missing type reads as 0. The trace of an exact idempotent is its
+    rank, and the graded trace of a permutation on the signed power is a
+    class function: the product over its cycles of p_l(t) = sum over
+    degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l is the cycle
+    length (Macdonald I.7; Berele-Regev for the signs). So the image has
+    graded dimension sum_mu by_lengths[mu] * prod_{l in mu} p_l(t) / den,
+    and no permutation or basis tuple is enumerated.
+
+    The sum is taken by Horner's rule over the trie of the partitions of n,
+    parts ascending (_horner_plan, built once per n): a node's polynomial
+    is the sum over its children of p_l times the child's polynomial, a
+    leaf's being its numerator, so each p_l multiplies the summed
+    extensions of a prefix once, however many cycle types share it (13
+    products for n = 5, against 20 one per cycle). Every node is visited
+    after its children, and a subtree without types is skipped. A key that is not a
+    partition of n is refused, and each total is divided by den exactly
+    once at the end, degrees ascending.
     """
-    power_sums: dict[int, dict[int, int]] = {}
-    acc: dict[int, int] = {}
-    for lengths, num in by_lengths.items():
-        poly = {0: num}
-        for l in lengths:
-            if l not in power_sums:
-                power_sums[l] = {
-                    l * deg: -dim if (l - 1) * deg % 2 else dim
-                    for deg, dim in c.dims.items()
-                }
-            prod: dict[int, int] = {}
-            for a, x in poly.items():
-                for b, y in power_sums[l].items():
-                    prod[a + b] = prod.get(a + b, 0) + x * y
-            poly = prod
-        for deg, value in poly.items():
-            acc[deg] = acc.get(deg, 0) + value
+    if not by_lengths:
+        return GradedObject._unchecked({})
+    n = sum(next(iter(by_lengths)))
+    if not is_int(n) or not 0 <= n <= KOSZUL_BOUND:
+        raise InvariantError(
+            f"class sums keyed by {next(iter(by_lengths))!r}, not a partition of"
+            f" some n <= {KOSZUL_BOUND}"
+        )
+    leaves, inner, slots = _horner_plan(n)
+    items = tuple(c.dims.items())
+    power_sums = [((0, 1),)] + [
+        tuple((l * deg, -dim if (l - 1) * deg % 2 else dim) for deg, dim in items)
+        for l in range(1, n + 1)
+    ]
+    acc: list[dict[int, int] | None] = [None] * slots
+    get = by_lengths.get
+    hits = 0
+    for lengths, parent, l in leaves:
+        num = get(lengths)
+        if num is None:
+            continue
+        hits += 1
+        if not num:
+            continue
+        poly = acc[parent]
+        if poly is None:
+            poly = acc[parent] = {}
+        for b, y in power_sums[l]:
+            poly[b] = poly.get(b, 0) + num * y
+    if hits != len(by_lengths):
+        known = {lengths for lengths, _, _ in leaves}
+        strays = [key for key in by_lengths if key not in known]
+        raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
+    for slot, parent, l in inner:
+        child = acc[slot]
+        if child is None:
+            continue
+        poly = acc[parent]
+        if poly is None:
+            poly = acc[parent] = {}
+        for b, y in power_sums[l]:
+            for a, x in child.items():
+                poly[a + b] = poly.get(a + b, 0) + x * y
+    acc_root = acc[0] or {}
     dims: dict[int, int] = {}
-    for deg, total in acc.items():
+    for deg in sorted(acc_root):
+        total = acc_root[deg]
         if total % den or total < 0:
             raise InvariantError(
                 f"image dimension {Fraction(total, den)} in degree {deg}"
@@ -125,7 +197,7 @@ def _power_image(
             )
         if total:
             dims[deg] = total // den
-    return GradedObject(dims)
+    return GradedObject._unchecked(dims)
 
 
 def _check_power_order(n: int) -> None:

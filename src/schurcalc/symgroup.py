@@ -1144,8 +1144,9 @@ def decompose_module(
     """Decompose a Sigma_n module into irreducible multiplicities.
 
     Accepts either an idempotent e of the group algebra, read as the left
-    ideal it cuts out, or a mapping from permutations to matrices over exact
-    rationals covering at least one representative of every conjugacy class.
+    ideal it cuts out, or a mapping from permutations to square matrices of
+    one size over exact rationals, covering at least one representative of
+    every conjugacy class; any other shape raises ValueError.
     e*e = e is read from _idempotent_class_sums: proved by the tableau check
     of young_symmetrizer when e is a Young idempotent c/a whose c this
     process built, else checked by is_idempotent, which raises
@@ -1172,11 +1173,19 @@ def decompose_module(
         if n > CHARACTER_BOUND:
             raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
         traces: dict[Partition, Fraction | int] = {}
+        size = len(next(iter(module.values())))
         for perm, matrix in module.items():
             if perm.n != n:
                 raise ValueError("matrix family mixes degrees")
+            if any(len(row) != len(matrix) for row in matrix):
+                raise ValueError(f"the matrix at {perm.one_line()} is not square")
+            if len(matrix) != size:
+                raise ValueError(
+                    f"the matrix at {perm.one_line()} is {len(matrix)}x{len(matrix)},"
+                    f" but the family's first is {size}x{size}"
+                )
             t = perm.cycle_type()
-            tr = sum(matrix[i][i] for i in range(len(matrix)))
+            tr = sum(matrix[i][i] for i in range(size))
             _expect_rational(tr, f"the trace at {perm.one_line()}")
             if t in traces and traces[t] != tr:
                 raise ValueError(f"inconsistent traces within class {t}")

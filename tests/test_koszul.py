@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc import symgroup
+from schurcalc import koszul, symgroup
 from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.koszul import (
     KIND_NOT_FINITE,
@@ -263,6 +263,111 @@ def test_graded_power_image_on_the_smallest_symmetric_groups(n):
 def test_power_image_refuses_a_non_integer_or_negative_rank(by_type, text):
     with pytest.raises(InvariantError, match=f"^{text} is not a nonnegative integer$"):
         _power_image(GradedObject({0: 1}), *by_type)
+
+
+def _power_image_per_cycle_type(c, den, by_lengths):
+    """Reference: one product of power sums per cycle type, each from 1.
+
+    The trace formula as _power_image evaluated it before Horner's rule,
+    with the same division and errors, degrees ascending.
+    """
+    power_sums = {}
+    acc = {}
+    for lengths, num in by_lengths.items():
+        poly = {0: num}
+        for l in lengths:
+            if l not in power_sums:
+                power_sums[l] = {
+                    l * deg: -dim if (l - 1) * deg % 2 else dim
+                    for deg, dim in c.dims.items()
+                }
+            prod = {}
+            for a, x in poly.items():
+                for b, y in power_sums[l].items():
+                    prod[a + b] = prod.get(a + b, 0) + x * y
+            poly = prod
+        for deg, value in poly.items():
+            acc[deg] = acc.get(deg, 0) + value
+    dims = {}
+    for deg in sorted(acc):
+        total = acc[deg]
+        if total % den or total < 0:
+            raise InvariantError(
+                f"image dimension {Fraction(total, den)} in degree {deg}"
+                " is not a nonnegative integer"
+            )
+        if total:
+            dims[deg] = total // den
+    return GradedObject(dims)
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=st.dictionaries(
+        st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=3), max_size=4
+    ),
+    n=st.integers(min_value=0, max_value=6),
+    den=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_horner_kernel_matches_the_per_cycle_type_products(dims, n, den, data):
+    # a random integer class function: some types missing, numerators of
+    # either sign, so most draws raise and the error texts are compared too
+    types = data.draw(st.lists(st.sampled_from(all_partitions(n)), unique=True))
+    nums = data.draw(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=len(types), max_size=len(types))
+    )
+    by_lengths = {mu.parts: num for mu, num in zip(types, nums)}
+    c = GradedObject(dims)
+    assert _outcome(_power_image, c, den, by_lengths) == _outcome(
+        _power_image_per_cycle_type, c, den, by_lengths
+    )
+
+
+def test_horner_kernel_matches_on_every_projector_class_function():
+    # the class sums callers really pass, every type present
+    for n in range(KOSZUL_BOUND + 1):
+        for e in (alt_projector(n), sym_projector(n)):
+            sums = symgroup._class_sums(e)
+            for dims in ({0: 1}, {1: 2}, {-1: 1, 2: 3}, {-3: 1, 0: 1, 3: 1}):
+                c = GradedObject(dims)
+                assert _power_image(c, e.den, sums) == _power_image_per_cycle_type(
+                    c, e.den, sums
+                )
+
+
+@pytest.mark.parametrize(
+    "by_lengths, text",
+    [
+        ({(3,): 1, (2,): 1}, r"^class sums keyed by \[\(2,\)\], not partitions of 3$"),
+        ({(1, 2): 1}, r"^class sums keyed by \[\(1, 2\)\], not partitions of 3$"),
+        ({(2, 1): 1, (2, 0, 1): 1}, r"^class sums keyed by \[\(2, 0, 1\)\], not partitions of 3$"),
+        ({(-1, 1): 1}, r"^class sums keyed by \[\(-1, 1\)\], not partitions of 0$"),
+        ({(9,): 1}, r"^class sums keyed by \(9,\), not a partition of some n <= 8$"),
+        ({(-1,): 1}, r"^class sums keyed by \(-1,\), not a partition of some n <= 8$"),
+    ],
+)
+def test_power_image_refuses_a_key_outside_the_partitions_of_n(by_lengths, text):
+    with pytest.raises(InvariantError, match=text):
+        _power_image(GradedObject({0: 1, 1: 1}), 1, by_lengths)
+
+
+def test_horner_plan_shares_prefixes():
+    # one product per trie edge: 13 for n = 5, against 20 parts over all types
+    leaves, inner, slots = koszul._horner_plan(5)
+    assert len(leaves) + len(inner) == 13
+    assert slots == len(inner) + 1
+    assert sorted(lengths for lengths, _, _ in leaves) == sorted(
+        mu.parts for mu in all_partitions(5)
+    )
+    assert koszul._horner_plan.cache_info().maxsize == KOSZUL_BOUND + 1
 
 
 def test_graded_power_rejects_non_idempotent():

@@ -1424,6 +1424,29 @@ def test_decompose_names_the_key_type_it_refuses():
             decompose_module(family)
 
 
+def test_decompose_refuses_a_matrix_family_of_the_wrong_shape():
+    one, swap = Permutation.identity(2), Permutation((2, 1))
+    cases = [
+        # one row of two entries, read as the trivial module by its diagonal
+        ({Permutation.identity(1): [[1, 2]]}, r"^the matrix at \[1\] is not square$"),
+        # two rows of one entry, where reading the diagonal ran off the row
+        ({Permutation.identity(1): [[1], [2]]}, r"^the matrix at \[1\] is not square$"),
+        # a 2x2 identity beside a 1x2 swap
+        ({one: [[1, 0], [0, 1]], swap: [[0, 1]]}, r"^the matrix at \[2,1\] is not square$"),
+        # square, but of two sizes
+        (
+            {one: [[1, 0], [0, 1]], swap: [[1]]},
+            r"^the matrix at \[2,1\] is 1x1, but the family's first is 2x2$",
+        ),
+    ]
+    for family, text in cases:
+        with pytest.raises(ValueError, match=text):
+            decompose_module(family)
+    # the same families with the shapes mended decompose
+    assert decompose_module({Permutation.identity(1): [[1]]}) == SymChar.regular(1)
+    assert decompose_module({one: [[1, 0], [0, 1]], swap: [[0, 1], [1, 0]]}) == SymChar.regular(2)
+
+
 def test_young_symmetrizer_names_the_type_it_refuses():
     for bad in ("3,2", (3, 2), [3, 2], 5):
         text = f"^expected a StandardTableau or Partition, not {type(bad).__name__}$"
