@@ -206,114 +206,7 @@ def _run_selftest(args) -> int:
 # parser
 
 
-def _arg(*names, **options):
-    return names, options
-
-
-# name -> (help, arguments, handler), in usage order; selftest, the one
-# command without a handler, takes neither --json nor --pretty
-_COMMANDS = {
-    "lr": (
-        "one branching coefficient",
-        (
-            _arg("lam", help="first shape, e.g. 2,1"),
-            _arg("mu", help="second shape"),
-            _arg("nu", help="target shape"),
-        ),
-        _cmd_lr,
-    ),
-    "symmetrizer": (
-        "Young symmetrizer of a shape with its scaling constant",
-        (_arg("shape"),),
-        _cmd_symmetrizer,
-    ),
-    "schur-weyl": (
-        "multiplicity transfer of a sequence into rank d characters",
-        (
-            _arg("--d", type=int, required=True),
-            _arg("--seq", required=True, help="sequence JSON (inline or a file path)"),
-        ),
-        _cmd_schur_weyl,
-    ),
-    "seq-tensor": (
-        "levelwise product of two sequences",
-        (_arg("left"), _arg("right")),
-        _cmd_seq_tensor,
-    ),
-    "free-gen": (
-        "free generator power at one level",
-        (_arg("--level", type=int, required=True),),
-        _cmd_free_gen,
-    ),
-    "localize": (
-        "drop constituents with more than d rows",
-        (_arg("--d", type=int, required=True), _arg("seq")),
-        _cmd_localize,
-    ),
-    "wedge-component": (
-        "sign-isotypic cut of the n-th generator power",
-        (_arg("--n", type=int, required=True),),
-        _cmd_wedge_component,
-    ),
-    "wedge-dim": (
-        "finiteness certificate of a graded object",
-        (
-            _arg("object", help="graded object JSON (inline or a file path)"),
-            _arg("--bound", type=int, default=None),
-        ),
-        _cmd_wedge_dim,
-    ),
-    "kimura": (
-        "parity split with both vanishing indices",
-        (_arg("object"),),
-        _cmd_kimura,
-    ),
-    "euler-chi": (
-        "alternating sum of graded dimensions",
-        (_arg("object"),),
-        _cmd_euler_chi,
-    ),
-    "serre": (
-        "twist algebra of a projective space over a twist window",
-        (
-            _arg("--n", type=int, required=True),
-            _arg("--window", required=True, help="twist range A:B"),
-            _arg("--verify-duality", action="store_true"),
-        ),
-        _cmd_serre,
-    ),
-    "gm-shift": (
-        "weight-driven degree shift of a bigraded space",
-        (_arg("space"),),
-        _cmd_gm_shift,
-    ),
-    "selftest": (
-        "run the built-in invariant checks",
-        (_arg("--quick", action="store_true", help="smaller grids"),),
-        None,
-    ),
-}
-
-
-class _FullParserNeeded(Exception):
-    """A one-command parser met an error the full parser must report."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _FullParserNeeded(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The schurcalc parser, with every subcommand or only the one named.
-
-    Building all of them costs a few ms, more than most queries, so main
-    builds only the command its argv names. That parser raises
-    _FullParserNeeded where argparse would print an error, and main parses
-    again with the full parser, so every usage and error text is the same.
-    """
-    if command is not None and command not in _COMMANDS:
-        raise ValueError(f"unknown command {command!r}")
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit compact JSON (the default)"
@@ -322,20 +215,101 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "--pretty", action="store_true", help="emit indented text instead of JSON"
     )
 
-    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
-    parser = parser_class(
+    parser = argparse.ArgumentParser(
         prog="schurcalc", description="exact calculator for symmetric and"
         " general linear group decompositions"
     )
-    # the subparsers are of the parser's class, so they raise too
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments, handler) in _COMMANDS.items():
-        if command is not None and name != command:
-            continue
-        p = sub.add_parser(name, parents=[common] if handler else [], help=text)
-        for names, options in arguments:
-            p.add_argument(*names, **options)
-        p.set_defaults(handler=handler)
+
+    p = sub.add_parser("lr", parents=[common], help="one branching coefficient")
+    p.add_argument("lam", help="first shape, e.g. 2,1")
+    p.add_argument("mu", help="second shape")
+    p.add_argument("nu", help="target shape")
+    p.set_defaults(handler=_cmd_lr)
+
+    p = sub.add_parser(
+        "symmetrizer", parents=[common],
+        help="Young symmetrizer of a shape with its scaling constant",
+    )
+    p.add_argument("shape")
+    p.set_defaults(handler=_cmd_symmetrizer)
+
+    p = sub.add_parser(
+        "schur-weyl", parents=[common],
+        help="multiplicity transfer of a sequence into rank d characters",
+    )
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--seq", required=True, help="sequence JSON (inline or a file path)")
+    p.set_defaults(handler=_cmd_schur_weyl)
+
+    p = sub.add_parser(
+        "seq-tensor", parents=[common], help="levelwise product of two sequences"
+    )
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(handler=_cmd_seq_tensor)
+
+    p = sub.add_parser(
+        "free-gen", parents=[common], help="free generator power at one level"
+    )
+    p.add_argument("--level", type=int, required=True)
+    p.set_defaults(handler=_cmd_free_gen)
+
+    p = sub.add_parser(
+        "localize", parents=[common], help="drop constituents with more than d rows"
+    )
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("seq")
+    p.set_defaults(handler=_cmd_localize)
+
+    p = sub.add_parser(
+        "wedge-component", parents=[common],
+        help="sign-isotypic cut of the n-th generator power",
+    )
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(handler=_cmd_wedge_component)
+
+    p = sub.add_parser(
+        "wedge-dim", parents=[common],
+        help="finiteness certificate of a graded object",
+    )
+    p.add_argument("object", help="graded object JSON (inline or a file path)")
+    p.add_argument("--bound", type=int, default=None)
+    p.set_defaults(handler=_cmd_wedge_dim)
+
+    p = sub.add_parser(
+        "kimura", parents=[common],
+        help="parity split with both vanishing indices",
+    )
+    p.add_argument("object")
+    p.set_defaults(handler=_cmd_kimura)
+
+    p = sub.add_parser(
+        "euler-chi", parents=[common], help="alternating sum of graded dimensions"
+    )
+    p.add_argument("object")
+    p.set_defaults(handler=_cmd_euler_chi)
+
+    p = sub.add_parser(
+        "serre", parents=[common],
+        help="twist algebra of a projective space over a twist window",
+    )
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--window", required=True, help="twist range A:B")
+    p.add_argument("--verify-duality", action="store_true")
+    p.set_defaults(handler=_cmd_serre)
+
+    p = sub.add_parser(
+        "gm-shift", parents=[common],
+        help="weight-driven degree shift of a bigraded space",
+    )
+    p.add_argument("space")
+    p.set_defaults(handler=_cmd_gm_shift)
+
+    p = sub.add_parser("selftest", help="run the built-in invariant checks")
+    p.add_argument("--quick", action="store_true", help="smaller grids")
+    p.set_defaults(handler=None)
+
     return parser
 
 
@@ -364,12 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _glue_window(list(argv))
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser()
     try:
-        try:
-            args = build_parser(command).parse_args(argv)
-        except _FullParserNeeded:
-            args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

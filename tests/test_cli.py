@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schurcalc
-from schurcalc import cli
 from schurcalc.cli import PAYLOAD_BYTE_BOUND, build_parser, main
 from schurcalc.glchar import SCHUR_WEYL_RANK_BOUND
 
@@ -497,114 +496,3 @@ def test_every_argument_list_exits_0_2_or_3(command, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
-
-
-# ---------------------------------------------------------------------------
-# the one-command parser: main builds only the subparser argv names, and
-# falls back to the full parser for every error, so its texts are unchanged
-
-# one valid argument list per subcommand (parsed here, never run)
-VALID = {
-    "lr": ["2,1", "2,1", "3,2,1"],
-    "symmetrizer": ["2,1"],
-    "schur-weyl": ["--d", "2", "--seq", '{"levels": {}}'],
-    "seq-tensor": ['{"levels": {}}', '{"levels": {}}'],
-    "free-gen": ["--level", "2"],
-    "localize": ["--d", "2", '{"levels": {}}'],
-    "wedge-component": ["--n", "2"],
-    "wedge-dim": ['{"dims": {"0": 1}}', "--bound", "2"],
-    "kimura": ['{"dims": {"0": 1}}'],
-    "euler-chi": ['{"dims": {"0": 1}}'],
-    "serre": ["--n", "1", "--window", "0:2", "--verify-duality"],
-    "gm-shift": ['{"dims": {"0,0": 1}}'],
-    "selftest": ["--quick"],
-}
-# the int option of each subcommand that has one
-INT_OPTION = {
-    "schur-weyl": "--d", "free-gen": "--level", "localize": "--d",
-    "wedge-component": "--n", "wedge-dim": "--bound", "serre": "--n",
-}
-
-
-def _failing_argvs():
-    for command, valid in VALID.items():
-        yield [command, "-h"]
-        yield [command, "--pretty", "-h"]
-        if command != "selftest":  # selftest has no required argument
-            yield [command]
-        yield [command, *valid, "extra"]
-        option = INT_OPTION.get(command)
-        if option:
-            at = valid.index(option) + 1
-            yield [command, *valid[:at], "x", *valid[at + 1:]]
-    yield ["no-such-command"]
-    yield ["no-such-command", "-h"]
-    yield []
-    yield ["-h"]
-    yield ["--pretty", "lr", "2,1", "2,1", "3,2,1"]
-    yield ["--json", "euler-chi", '{"dims": {}}']
-
-
-def _captured(call, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = call(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _parse_exit(parser):
-    def call(argv):
-        try:
-            parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code) if exc.code else 0
-        raise AssertionError(f"{argv} parsed")
-
-    return call
-
-
-def test_every_subcommand_has_a_valid_argument_list():
-    assert sorted(VALID) == sorted(SUBCOMMANDS)
-    assert set(INT_OPTION) <= set(VALID)
-
-
-@pytest.mark.parametrize("argv", list(_failing_argvs()), ids=" ".join)
-def test_main_prints_what_the_full_parser_prints(argv):
-    assert _captured(main, argv) == _captured(_parse_exit(build_parser()), argv)
-
-
-@pytest.mark.parametrize("command", sorted(VALID))
-def test_one_command_parser_reads_valid_argv_as_the_full_parser(command):
-    for argv in ([command, *VALID[command]], [command, "--pretty", *VALID[command]]):
-        if command == "selftest" and "--pretty" in argv:
-            continue
-        argv = cli._glue_window(argv)
-        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
-
-
-def test_main_builds_the_full_parser_only_for_an_error(monkeypatch):
-    built = []
-
-    def recording(command=None):
-        built.append(command)
-        return real(command)
-
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", recording)
-    for argv, expected in (
-        (["euler-chi", '{"dims": {"1": 2}}'], ["euler-chi"]),
-        (["euler-chi", '{"dims": {}}', "extra"], ["euler-chi", None]),
-        (["wedge-component", "--n", "x"], ["wedge-component", None]),
-        (["free-gen"], ["free-gen", None]),
-        (["no-such-command"], [None]),
-    ):
-        built.clear()
-        _captured(main, argv)
-        assert built == expected, argv
-
-
-def test_the_one_command_parser_lists_only_its_command():
-    usage = build_parser("kimura").format_usage()
-    assert re.search(r"\{([^}]*)\}", usage).group(1) == "kimura"
-    with pytest.raises(ValueError, match="^unknown command 'nope'$"):
-        build_parser("nope")
