@@ -31,6 +31,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_int(value, what: str) -> int:
+    """Return an int argument; a bool or any other type raises TypeError."""
+    if not is_int(value):
+        raise TypeError(f"the {what} {value!r} must be an int, not {type(value).__name__}")
+    return value
+
+
 def expect_ints(values, what: str) -> tuple[int, ...]:
     """Return the entries as a tuple; a float, string or bool raises TypeError."""
     values = tuple(values)

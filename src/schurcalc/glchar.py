@@ -24,7 +24,7 @@ from operator import add, ge, sub
 from typing import Mapping, Sequence
 
 from .errors import (
-    BoundExceededError, InvariantError, expect_int, expect_ints, expect_mapping
+    BoundExceededError, InvariantError, check_int, expect_int, expect_ints, expect_mapping
 )
 from .partitions import Partition, compositions, dim_gl_irrep, partitions_of
 from .values import Counts, Frozen
@@ -116,7 +116,7 @@ class GLChar(Counts):
     _parse = staticmethod(DominantWeight.from_string)
 
     def __init__(self, d: int, coeffs: Mapping[DominantWeight, int] | None = None):
-        self.d = d
+        self.d = check_int(d, "rank")
         self.coeffs = self._canonical(coeffs)
 
     def _key(self, w: DominantWeight) -> DominantWeight:

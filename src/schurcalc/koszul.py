@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, expect_mapping, is_int
+from .errors import BoundExceededError, InvariantError, check_int, expect_mapping, is_int
 from .partitions import all_partitions
 from .symgroup import (
     GroupAlgebraElement,
@@ -45,11 +45,7 @@ class GradedObject(Counts):
 
     @staticmethod
     def _key(degree) -> int:
-        if not is_int(degree):
-            raise TypeError(
-                f"the degree {degree!r} must be an int, not {type(degree).__name__}"
-            )
-        return degree
+        return check_int(degree, "degree")
 
     @classmethod
     def _unchecked(cls, dims: dict[int, int]) -> "GradedObject":
@@ -201,8 +197,7 @@ def _power_image(
 
 
 def _check_power_order(n: int) -> None:
-    if not is_int(n):
-        raise TypeError(f"the power order {n!r} must be an int, not {type(n).__name__}")
+    check_int(n, "power order")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > KOSZUL_BOUND:
@@ -260,8 +255,7 @@ def sym(c: GradedObject, n: int) -> GradedObject:
 
 def euler_falling_factorial(chi: int, n: int) -> Fraction:
     """chi (chi-1) ... (chi-n+1) / n!, the Euler characteristic a wedge power must have."""
-    if not is_int(n):
-        raise TypeError(f"the order {n!r} must be an int, not {type(n).__name__}")
+    check_int(n, "order")
     if n < 0:
         raise ValueError("n must be nonnegative")
     num = 1
@@ -327,8 +321,7 @@ def certify_finiteness(
     """
     if bound is None:
         bound = c.total_dim() + 2
-    if not is_int(bound):
-        raise TypeError(f"the bound {bound!r} must be an int, not {type(bound).__name__}")
+    check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound + 1 > KOSZUL_BOUND:

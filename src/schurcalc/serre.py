@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError, expect_mapping, is_int
+from .errors import InvariantError, WindowExceededError, check_int, expect_mapping, is_int
 from .partitions import compositions
 from .values import Counts, Record
 
@@ -131,6 +131,8 @@ def cech_cohomology(n: int, r: int) -> CechCohomology:
     infinite monomial families, so their vanishing is what makes the answer
     finite); the two finite families contribute their monomials verbatim.
     """
+    check_int(n, "dimension")
+    check_int(r, "twist")
     if not 0 <= n <= DIMENSION_BOUND:
         raise ValueError(f"dimension must be between 0 and {DIMENSION_BOUND}")
     if abs(r) > TWIST_BOUND:
@@ -317,6 +319,9 @@ class SerreAlgebra(Record):
 
 def build_serre_algebra(n: int, r_min: int, r_max: int) -> SerreAlgebra:
     """Assemble all twists of a window into one bigraded algebra."""
+    check_int(n, "dimension")
+    check_int(r_min, "lowest twist")
+    check_int(r_max, "highest twist")
     if r_min > r_max:
         raise ValueError("empty window")
     if r_max - r_min > WINDOW_WIDTH_BOUND:

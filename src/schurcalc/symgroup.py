@@ -14,7 +14,7 @@ from itertools import combinations, islice, permutations as _tuple_permutations,
 from operator import eq, mul, neg, sub
 from types import MappingProxyType
 
-from .errors import BoundExceededError, InvariantError, expect_ints, is_int
+from .errors import BoundExceededError, InvariantError, check_int, expect_ints
 from .partitions import (
     Partition,
     StandardTableau,
@@ -26,7 +26,6 @@ from .partitions import (
 from .values import Counts, Frozen
 
 SYMMETRIZER_BOUND = 8
-CHARACTER_BOUND = 8
 # products an idempotence check may spend: every element of Q[Sigma_7] can
 # still be squared, a full-support element of Sigma_8 (1.6e9) cannot
 IDEMPOTENT_CHECK_BOUND = math.factorial(7) ** 2
@@ -399,8 +398,7 @@ def _identity(n: int) -> bytes:
     The one check of a degree: a bool or a non-int raises TypeError and a
     negative n ValueError.
     """
-    if not is_int(n):
-        raise TypeError(f"the degree {n!r} must be an int, not {type(n).__name__}")
+    check_int(n, "degree")
     if n < 0:
         raise ValueError(f"the degree must be nonnegative, got {n}")
     if n > DEGREE_BOUND:
@@ -691,65 +689,29 @@ def _square_matches(
     return all(square_at(g) == scalar * get(g, 0) for g in reps)
 
 
-def _square_is_multiple(
-    e: GroupAlgebraElement, scalar: Fraction | int, left=None, right=None
-) -> bool:
-    """Whether e*e == scalar*e, checked exactly and in full.
-
-    left and right are (blocks, signs): t*e = sgn_j e for the transpositions
-    t of left block j and e*t = sgn_i e for those of right block i. Given,
-    they are proved on generators of each block (the right ones on the left
-    of _inverted, where their inverses generate the same group); else
-    _symmetry_blocks finds them. With e = N/d, N*N - scalar*d*N then has
-    them too, so it is compared at one g per double coset L g R that the
-    signs leave (see _double_coset_representatives), one pass over the
-    support each. The cosets are counted first, up to |support|; with that
-    many left, e*e is computed instead. The product count is checked
-    against IDEMPOTENT_CHECK_BOUND before any coset is listed.
-    """
-    n, coeff = e.n, e.nums
-    inverted = _inverted(coeff)
-    if left is None:
-        left, right = _symmetry_blocks(coeff, n), _symmetry_blocks(inverted, n)
-    elif not all(
-        _acts_by_sign(table_of, table, parity if sign == -1 else 1)
-        for table_of, (blocks, signs) in ((coeff, left), (inverted, right))
-        for block, sign in zip(blocks, signs)
-        for table, parity in _block_generators(block)
-    ):
-        return False
-    size = len(coeff)
-    signs = (left[1], right[1])
-    # without symmetry each of the n! >= |support| permutations is a double
-    # coset, so none is counted
-    if len(left[0]) + len(right[0]) < 2 * n:
-        cosets = _double_coset_count(left[0], right[0], signs, size)
-    else:
-        cosets = 0
-    squaring = not 0 < cosets < size
-    products = size * (size if squaring else cosets)
-    if products > IDEMPOTENT_CHECK_BOUND:
-        raise BoundExceededError(
-            f"idempotence check needs {products} products, "
-            f"over the bound {IDEMPOTENT_CHECK_BOUND}"
-        )
-    if squaring:
-        return e * e == e.scale(scalar)
-    reps = list(_double_coset_representatives(left[0], right[0], signs))
-    return _square_matches(coeff, inverted, reps, scalar * e.den)
-
-
 def _symmetrizer_identity_holds(
     tableau: StandardTableau, c: GroupAlgebraElement, a: Fraction | int
 ) -> bool:
     """Whether c has the symmetries of b*r for the tableau and c*c == a*c.
 
     The columns act by sign on the left and the rows trivially on the
-    right. A column and a row share at most one entry, so C 1 R is the only
-    double coset the signs leave (Fulton-Harris 4.2).
+    right, proved on generators of each block (the rows on the left of
+    _inverted, where their inverses generate the same group). With c = N/d,
+    N*N - a*d*N then has them too, and as a column and a row share at most
+    one entry it vanishes off C 1 R (Fulton-Harris 4.2), so one comparison
+    at the identity, one pass over the support, proves the identity.
     """
-    cols, rows = tableau.column_sets(), tableau.row_sets()
-    return _square_is_multiple(c, a, (cols, [-1] * len(cols)), (rows, [1] * len(rows)))
+    coeff = c.nums
+    inverted = _inverted(coeff)
+    return all(
+        _acts_by_sign(table_of, table, parity if sign == -1 else 1)
+        for table_of, blocks, sign in (
+            (coeff, tableau.column_sets(), -1),
+            (inverted, tableau.row_sets(), 1),
+        )
+        for block in blocks
+        for table, parity in _block_generators(block)
+    ) and _square_matches(coeff, inverted, [_identity(c.n)], a * c.den)
 
 
 def _transposition_blocks(coeff: dict[bytes, int], points, keys=None):
@@ -824,12 +786,41 @@ def _symmetry_blocks(coeff: dict[bytes, int], n: int):
 
 
 def is_idempotent(e: GroupAlgebraElement) -> bool:
-    """Whether e*e == e, checked exactly on e's own signed symmetries (see
-    _square_is_multiple) on every call; raises BoundExceededError past
-    IDEMPOTENT_CHECK_BOUND."""
+    """Whether e*e == e, checked exactly and in full on every call.
+
+    _symmetry_blocks finds the blocks whose permutations act on e by a sign,
+    on the left and (through _inverted) on the right. With e = N/d, N*N - d*N
+    then has those symmetries too, so it is compared at one g per double
+    coset L g R that the signs leave (see _double_coset_representatives),
+    one pass over the support each. The cosets are counted first, up to
+    |support|; with that many left, e*e is computed instead. The product
+    count is checked against IDEMPOTENT_CHECK_BOUND, raising
+    BoundExceededError past it, before any coset is listed.
+    """
     if not isinstance(e, GroupAlgebraElement):
         raise TypeError(f"expected a GroupAlgebraElement, not {type(e).__name__}")
-    return _square_is_multiple(e, 1)
+    n, coeff = e.n, e.nums
+    inverted = _inverted(coeff)
+    left, right = _symmetry_blocks(coeff, n), _symmetry_blocks(inverted, n)
+    size = len(coeff)
+    signs = (left[1], right[1])
+    # without symmetry each of the n! >= |support| permutations is a double
+    # coset, so none is counted
+    if len(left[0]) + len(right[0]) < 2 * n:
+        cosets = _double_coset_count(left[0], right[0], signs, size)
+    else:
+        cosets = 0
+    squaring = not 0 < cosets < size
+    products = size * (size if squaring else cosets)
+    if products > IDEMPOTENT_CHECK_BOUND:
+        raise BoundExceededError(
+            f"idempotence check needs {products} products, "
+            f"over the bound {IDEMPOTENT_CHECK_BOUND}"
+        )
+    if squaring:
+        return e * e == e
+    reps = list(_double_coset_representatives(left[0], right[0], signs))
+    return _square_matches(coeff, inverted, reps, e.den)
 
 
 @lru_cache(maxsize=None)
@@ -927,10 +918,10 @@ def _mn_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 def char_irrep(shape: Partition) -> dict[Partition, int]:
-    """Character of the irreducible of the shape, as cycle type -> integer."""
+    """Character of the irreducible of the shape, as cycle type -> integer,
+    for a size n <= CHARACTER_TABLE_BOUND."""
     n = shape.size
-    if n > CHARACTER_BOUND:
-        raise BoundExceededError(f"character table limited to n <= {CHARACTER_BOUND}")
+    _check_character_table_degree(n)
     table = character_table(n)
     return {mu: table[(shape, mu)] for mu in all_partitions(n)}
 
@@ -1089,7 +1080,7 @@ class SymChar(Counts):
 def _character_columns(n: int):
     """The shapes of n, the column (chi^lam(mu) for each shape lam, in that
     order) of each cycle type mu keyed by its parts, and the hook-length
-    dimensions of the shapes, for n <= CHARACTER_BOUND."""
+    dimensions of the shapes, for n <= CHARACTER_TABLE_BOUND."""
     table = character_table(n)
     shapes = all_partitions(n)
     columns = {mu.parts: tuple(table[(lam, mu)] for lam in shapes) for mu in shapes}
@@ -1141,12 +1132,14 @@ def _multiplicities(n: int, sums: Mapping[tuple[int, ...], int], den: int) -> Sy
 def decompose_module(
     module: GroupAlgebraElement | Mapping[Permutation, list],
 ) -> SymChar:
-    """Decompose a Sigma_n module into irreducible multiplicities.
+    """Decompose a Sigma_n module, n <= CHARACTER_TABLE_BOUND, into
+    irreducible multiplicities.
 
     Accepts either an idempotent e of the group algebra, read as the left
     ideal it cuts out, or a mapping from permutations to square matrices of
-    one size over exact rationals, covering at least one representative of
-    every conjugacy class; any other shape raises ValueError.
+    one size, each a list or tuple of rows over exact rationals, covering at
+    least one representative of every conjugacy class; any other shape
+    raises ValueError.
     e*e = e is read from _idempotent_class_sums: proved by the tableau check
     of young_symmetrizer when e is a Young idempotent c/a whose c this
     process built, else checked by is_idempotent, which raises
@@ -1156,8 +1149,7 @@ def decompose_module(
     if isinstance(module, GroupAlgebraElement):
         e = module
         n = e.n
-        if n > CHARACTER_BOUND:
-            raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
+        _check_character_table_degree(n)
         sums = _idempotent_class_sums(e)
         if sums is None:
             raise ValueError("element is not idempotent, so it cuts out no module")
@@ -1170,15 +1162,20 @@ def decompose_module(
             if not isinstance(perm, Permutation):
                 raise TypeError(f"expected Permutation keys, not {type(perm).__name__}")
         n = next(iter(module)).n
-        if n > CHARACTER_BOUND:
-            raise BoundExceededError(f"decomposition limited to n <= {CHARACTER_BOUND}")
+        _check_character_table_degree(n)
         traces: dict[Partition, Fraction | int] = {}
-        size = len(next(iter(module.values())))
+        size = None
         for perm, matrix in module.items():
             if perm.n != n:
                 raise ValueError("matrix family mixes degrees")
+            if not isinstance(matrix, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in matrix
+            ):
+                raise ValueError(f"the matrix at {perm.one_line()} is not a list of rows")
             if any(len(row) != len(matrix) for row in matrix):
                 raise ValueError(f"the matrix at {perm.one_line()} is not square")
+            if size is None:
+                size = len(matrix)
             if len(matrix) != size:
                 raise ValueError(
                     f"the matrix at {perm.one_line()} is {len(matrix)}x{len(matrix)},"

@@ -8,6 +8,7 @@ import inspect
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from schurcalc import glchar, koszul, partitions, serre, symgroup, symseq
 from schurcalc.glchar import DominantWeight, GLChar
 from schurcalc.koszul import GradedObject
 from schurcalc.partitions import all_partitions
-from schurcalc.serre import BigradedVS
+from schurcalc.serre import BigradedVS, build_serre_algebra, cech_cohomology
 from schurcalc.symgroup import GroupAlgebraElement, SymChar, all_permutations
 from schurcalc.symseq import SymSeq
 
@@ -93,3 +94,22 @@ def test_element_coefficients_survive_as_exact_fractions():
     back = _read_back(x)
     assert back == x
     assert back.terms == {all_permutations(2)[1]: Fraction(-3, 7)}
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (GLChar, "rank"),
+        (lambda bad: cech_cohomology(bad, 1), "dimension"),
+        (lambda bad: cech_cohomology(1, bad), "twist"),
+        (lambda bad: build_serre_algebra(bad, -1, 1), "dimension"),
+        (lambda bad: build_serre_algebra(1, bad, 1), "lowest twist"),
+        (lambda bad: build_serre_algebra(1, -1, bad), "highest twist"),
+    ],
+    ids=["glchar-d", "cech-n", "cech-r", "serre-n", "serre-r_min", "serre-r_max"],
+)
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_a_rank_or_twist_that_is_not_an_int_is_never_written_out(build, what, bad):
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^the {what} {bad!r} must be an int, not {name}$"):
+        build(bad)

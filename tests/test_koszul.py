@@ -460,13 +460,14 @@ def _tableaux(max_size: int) -> list:
 def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
     _forget_symmetrizers()
     checks = []
-    real = symgroup._square_is_multiple
+    real = symgroup._symmetrizer_identity_holds
 
-    def recorded(e, *args):
-        checks.append(e)
-        return real(e, *args)
+    def recorded(tableau, c, a):
+        checks.append(c)
+        return real(tableau, c, a)
 
-    monkeypatch.setattr(symgroup, "_square_is_multiple", recorded)
+    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", recorded)
+    idempotence_checks = _count_idempotence_checks(monkeypatch)
     c2 = GradedObject({0: 1, 1: 1})
     tableaux = _tableaux(5)
     assert len(tableaux) == 43
@@ -478,7 +479,7 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
         assert e.nums is c.nums
         assert decompose_module(e) == SymChar.irreducible(tableau.shape)
         assert graded_power_image(c2, e).dims == _image_dims_by_matrix(c2, e)
-        assert checks == [], tableau
+        assert checks == [] and idempotence_checks == [], tableau
     # each c/a is read twice: first a miss that reads the tableau's proof,
     # then a hit
     info = symgroup._idempotent_class_sums.cache_info()
@@ -506,13 +507,13 @@ def test_a_young_idempotent_is_never_checked_again(monkeypatch):
     others += [GroupAlgebraElement.unit(2).scale(k) for k in range(2, 18)]
     assert len(others) == 33
     checks = []
-    real = symgroup._square_is_multiple
 
-    def counted(*args):
-        checks.append(args[0])
-        return real(*args)
+    def counted(x):
+        checks.append(x)
+        return is_idempotent(x)
 
-    monkeypatch.setattr(symgroup, "_square_is_multiple", counted)
+    # patched without _count_idempotence_checks, which would empty the cache
+    monkeypatch.setattr(symgroup, "is_idempotent", counted)
     for x in others:
         symgroup._idempotent_class_sums(x)
     assert checks == others[17:]
@@ -534,7 +535,7 @@ def _no_square_checks(monkeypatch) -> None:
     def refused(*_args):
         raise AssertionError("an element proved idempotent was checked again")
 
-    monkeypatch.setattr(symgroup, "_square_is_multiple", refused)
+    monkeypatch.setattr(symgroup, "is_idempotent", refused)
 
 
 def test_an_equal_element_built_apart_reads_the_proof(monkeypatch):

@@ -463,6 +463,19 @@ def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
     for triple in [(big, one, Partition((over,))), (Partition((over,)), one, big)]:
         with pytest.raises(BoundExceededError, match=f"n <= 14, got {over}$"):
             induction_multiplicity(*triple)
+    monkeypatch.setattr(symgroup, "_idempotent_class_sums", no_enumeration)
+    identity = Permutation.identity(over)
+    for refused in (
+        lambda: char_irrep(Partition((over,))),
+        lambda: decompose_module(GroupAlgebraElement.unit(over)),
+        lambda: decompose_module({identity: [[1]]}),
+    ):
+        with pytest.raises(BoundExceededError, match=f"n <= 14, got {over}$"):
+            refused()
+    # with the kernel back, n = 9, past the symmetrizer bound, is answered
+    monkeypatch.undo()
+    assert char_irrep(Partition((9,))) == dict.fromkeys(all_partitions(9), 1)
+    assert decompose_module(GroupAlgebraElement.unit(9)) == SymChar.regular(9)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +686,12 @@ def test_every_size_eight_symmetrizer_checks_one_double_coset(monkeypatch):
         passes.append(len(reps))
         return real(coeff, inverted, reps, scalar)
 
+    def no_cosets(*_args):
+        raise AssertionError("a tableau's one double coset is C 1 R, never counted or listed")
+
     monkeypatch.setattr(symgroup, "_square_matches", recorded)
+    monkeypatch.setattr(symgroup, "_double_coset_count", no_cosets)
+    monkeypatch.setattr(symgroup, "_double_coset_representatives", no_cosets)
     symgroup._young_symmetrizer_cached.cache_clear()
     shapes = all_partitions(8)
     start = time.perf_counter()
@@ -1438,6 +1456,11 @@ def test_decompose_refuses_a_matrix_family_of_the_wrong_shape():
             {one: [[1, 0], [0, 1]], swap: [[1]]},
             r"^the matrix at \[2,1\] is 1x1, but the family's first is 2x2$",
         ),
+        # a string has a length but holds no rows, and an int or a list of
+        # ints has no rows at all
+        ({Permutation.identity(1): "a"}, r"^the matrix at \[1\] is not a list of rows$"),
+        ({Permutation.identity(1): [1]}, r"^the matrix at \[1\] is not a list of rows$"),
+        ({Permutation.identity(1): 5}, r"^the matrix at \[1\] is not a list of rows$"),
     ]
     for family, text in cases:
         with pytest.raises(ValueError, match=text):
