@@ -31,10 +31,20 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_int(value, what: str) -> int:
-    """Return an int argument; a bool or any other type raises TypeError."""
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """Return an int argument within low..high, an end given as None left open.
+
+    The one check of an int argument: a bool or any other type raises
+    TypeError, a value below low ValueError and one above high
+    BoundExceededError, each text naming what and the value. No text is
+    built unless it is raised.
+    """
     if not is_int(value):
         raise TypeError(f"the {what} {value!r} must be an int, not {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"the {what} {value} must be at least {low}")
+    if high is not None and value > high:
+        raise BoundExceededError(f"the {what} {value} must be at most {high}")
     return value
 
 

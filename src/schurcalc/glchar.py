@@ -50,6 +50,7 @@ class DominantWeight(Frozen):
     __slots__ = ("d", "entries")
 
     def __init__(self, d: int, entries: tuple[int, ...]):
+        check_int(d, "rank", 0)
         entries = expect_ints(entries, "weight entries")
         if len(entries) != d:
             raise ValueError(f"expected {d} entries, got {entries!r}")
@@ -116,7 +117,7 @@ class GLChar(Counts):
     _parse = staticmethod(DominantWeight.from_string)
 
     def __init__(self, d: int, coeffs: Mapping[DominantWeight, int] | None = None):
-        self.d = check_int(d, "rank")
+        self.d = check_int(d, "rank", 0)
         self.coeffs = self._canonical(coeffs)
 
     def _key(self, w: DominantWeight) -> DominantWeight:
@@ -305,15 +306,10 @@ def gl_tensor(a: GLChar, b: GLChar) -> GLChar:
 def schur_weyl(seq, d: int) -> GLChar:
     """Transfer a symmetric sequence to GL_d: shape lam goes to the weight lam
     when it fits in d rows and to zero otherwise, multiplicities preserved.
-    d above SCHUR_WEYL_RANK_BOUND raises BoundExceededError before any
+    The rank is an int 0 <= d <= SCHUR_WEYL_RANK_BOUND, checked before any
     weight is built.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if d > SCHUR_WEYL_RANK_BOUND:
-        raise BoundExceededError(
-            f"schur_weyl rank limited to d <= {SCHUR_WEYL_RANK_BOUND}, got {d}"
-        )
+    check_int(d, "rank", 0, SCHUR_WEYL_RANK_BOUND)
     acc: dict[DominantWeight, int] = {}
     for level in sorted(seq.levels):
         for shape, mult in seq.levels[level].coeffs.items():
@@ -368,9 +364,9 @@ def _power(a: GLChar, n: int, exterior: bool) -> GLChar:
     I.2), each power f held as a_delta f: its Schur coefficients keyed by
     w + delta (I.3). p_k is symmetric, so a_v p_k sums a_(v + k w) over w in W,
     each key sorted and signed by its inversions, or 0 if an entry repeats.
+    The order n is an int >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_int(n, "power order", 0)
     if n == 0:
         return GLChar.unit(a.d)
     d, weights = a.d, char_monomials(a)

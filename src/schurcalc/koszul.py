@@ -65,6 +65,7 @@ class GradedObject(Counts):
         return sum(dim if deg % 2 == 0 else -dim for deg, dim in self.dims.items())
 
     def shift(self, r: int) -> "GradedObject":
+        check_int(r, "shift")
         return GradedObject({deg + r: dim for deg, dim in self.dims.items()})
 
     def __repr__(self) -> str:
@@ -196,16 +197,6 @@ def _power_image(
     return GradedObject._unchecked(dims)
 
 
-def _check_power_order(n: int) -> None:
-    check_int(n, "power order")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > KOSZUL_BOUND:
-        raise BoundExceededError(
-            f"graded powers limited to n <= {KOSZUL_BOUND}, got {n}"
-        )
-
-
 def graded_power_image(
     c: GradedObject, projector: GroupAlgebraElement
 ) -> GradedObject:
@@ -222,7 +213,7 @@ def graded_power_image(
         raise TypeError(
             f"the projector must be a GroupAlgebraElement, not {type(projector).__name__}"
         )
-    _check_power_order(projector.n)
+    check_int(projector.n, "power order", 0, KOSZUL_BOUND)
     by_lengths = _idempotent_class_sums(projector)
     if by_lengths is None:
         raise ValueError("projector is not idempotent")
@@ -242,22 +233,22 @@ def _sym_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
 
 
 def wedge(c: GradedObject, n: int) -> GradedObject:
-    """n-th exterior power in the signed graded sense, for n <= KOSZUL_BOUND."""
-    _check_power_order(n)
+    """n-th exterior power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND."""
+    check_int(n, "power order", 0, KOSZUL_BOUND)
     return _power_image(c, *_alt_sums(n))
 
 
 def sym(c: GradedObject, n: int) -> GradedObject:
-    """n-th symmetric power in the signed graded sense, for n <= KOSZUL_BOUND."""
-    _check_power_order(n)
+    """n-th symmetric power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND."""
+    check_int(n, "power order", 0, KOSZUL_BOUND)
     return _power_image(c, *_sym_sums(n))
 
 
 def euler_falling_factorial(chi: int, n: int) -> Fraction:
-    """chi (chi-1) ... (chi-n+1) / n!, the Euler characteristic a wedge power must have."""
-    check_int(n, "order")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """chi (chi-1) ... (chi-n+1) / n!, the Euler characteristic a wedge power must
+    have, for ints chi and n >= 0."""
+    check_int(chi, "Euler characteristic")
+    check_int(n, "order", 0)
     num = 1
     for k in range(n):
         num *= chi - k
@@ -310,20 +301,18 @@ def certify_finiteness(
 ) -> FinitenessCertificate:
     """Search the wedge and symmetric power tables for a vanishing pattern.
 
-    Powers are computed exactly for all orders up to bound+1 (bound defaults
-    to total dimension plus two). Wedge-finite means the wedge powers vanish
-    from some order n+1 on with the n-th power one dimensional in a single
-    degree; that top power is then invertible, and the Euler characteristics
-    chi(c) = n and chi(top) = 1 are asserted. Oddly finite means a symmetric
-    power vanishes. The weaker evenly-finite kind (wedge power vanishes but
+    Powers are computed exactly for all orders up to bound+1 (bound, an int
+    >= 0, defaults to total dimension plus two). Wedge-finite means the wedge
+    powers vanish from some order n+1 on with the n-th power one dimensional
+    in a single degree; that top power is then invertible, and the Euler
+    characteristics chi(c) = n and chi(top) = 1 are asserted. Oddly finite
+    means a symmetric power vanishes. The weaker evenly-finite kind (wedge power vanishes but
     the top power is not invertible) cannot arise for a plain dimension
     vector and is kept as a defensive branch.
     """
     if bound is None:
         bound = c.total_dim() + 2
-    check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    check_int(bound, "bound", 0)
     if bound + 1 > KOSZUL_BOUND:
         raise BoundExceededError(
             f"certificate needs powers up to {bound + 1}, limited to {KOSZUL_BOUND}"

@@ -7,7 +7,7 @@ from functools import lru_cache, total_ordering
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import BoundExceededError, expect_ints
+from .errors import BoundExceededError, check_int, expect_ints
 from .values import Frozen
 
 TABLEAU_ENUMERATION_BOUND = 10
@@ -171,9 +171,8 @@ def partitions_of(
 
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in decreasing lexicographic order, (n) first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """All partitions of an int n >= 0, in decreasing lexicographic order, (n) first."""
+    check_int(n, "size", 0)
     return tuple(Partition(parts) for parts in partitions_of(n, n, n))
 
 
@@ -216,12 +215,9 @@ def compositions(
 
 
 def standard_tableaux(shape: Partition) -> list[StandardTableau]:
-    """All standard tableaux of the given shape, sorted by row major entry list."""
-    n = shape.size
-    if n > TABLEAU_ENUMERATION_BOUND:
-        raise BoundExceededError(
-            f"tableau enumeration limited to size {TABLEAU_ENUMERATION_BOUND}, got {n}"
-        )
+    """All standard tableaux of the given shape, sorted by row major entry list,
+    for a size at most TABLEAU_ENUMERATION_BOUND."""
+    n = check_int(shape.size, "size", high=TABLEAU_ENUMERATION_BOUND)
     if n == 0:
         return [StandardTableau(())]
     parts = shape.parts
@@ -256,12 +252,11 @@ def dim_sym_irrep(shape: Partition) -> int:
 
 
 def dim_gl_irrep(shape: Partition, d: int) -> int:
-    """Number of semistandard tableaux with entries in 1..d.
+    """Number of semistandard tableaux with entries in 1..d, for an int d >= 0.
 
     Zero exactly when the shape has more than d rows.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    check_int(d, "rank", 0)
     if shape.rows > d:
         return 0
     num = math.prod(d + c for c in shape.contents())

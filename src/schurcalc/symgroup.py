@@ -68,6 +68,7 @@ class Permutation(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        check_int(n, "degree", 0)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -155,19 +156,11 @@ def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
-def _check_permutation_degree(n: int) -> None:
-    """Refuse an n whose n! permutations may not be listed, before any is."""
-    _identity(n)
-    if n > PERMUTATION_BOUND:
-        raise BoundExceededError(
-            f"permutations limited to n <= {PERMUTATION_BOUND}, got {n}"
-        )
-
-
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
-    """All of Sigma_n in lexicographic one line order, for n <= PERMUTATION_BOUND."""
-    _check_permutation_degree(n)
+    """All of Sigma_n in lexicographic one line order, for an int
+    0 <= n <= PERMUTATION_BOUND, checked before any permutation is listed."""
+    check_int(n, "degree", 0, PERMUTATION_BOUND)
     return tuple(map(Permutation._unchecked, _tuple_permutations(range(1, n + 1))))
 
 
@@ -395,16 +388,9 @@ _IDENT = bytes(range(256))
 def _identity(n: int) -> bytes:
     """The image bytes of the identity of Sigma_n, for an int 0 <= n <= DEGREE_BOUND.
 
-    The one check of a degree: a bool or a non-int raises TypeError and a
-    negative n ValueError.
+    The degree check of every group algebra element.
     """
-    check_int(n, "degree")
-    if n < 0:
-        raise ValueError(f"the degree must be nonnegative, got {n}")
-    if n > DEGREE_BOUND:
-        raise BoundExceededError(
-            f"group algebra limited to degree n <= {DEGREE_BOUND}, got {n}"
-        )
+    check_int(n, "degree", 0, DEGREE_BOUND)
     return _IDENT[1 : n + 1]
 
 
@@ -480,24 +466,19 @@ def _idempotent_class_sums(e: GroupAlgebraElement) -> Mapping[tuple[int, ...], i
     return None
 
 
-def cycle_type_sums(element: GroupAlgebraElement) -> dict[Partition, Fraction | int]:
-    """Sum of the element's coefficients over each conjugacy class it meets."""
-    den = element.den
-    return {Partition(t): _rational(total, den) for t, total in _class_sums(element).items()}
-
-
 def sym_projector(n: int) -> GroupAlgebraElement:
-    """(1/n!) sum of all permutations, the total symmetrizer, for n <= PERMUTATION_BOUND."""
-    _check_permutation_degree(n)
+    """(1/n!) sum of all permutations, the total symmetrizer, for an int
+    0 <= n <= PERMUTATION_BOUND."""
+    check_int(n, "degree", 0, PERMUTATION_BOUND)
     return GroupAlgebraElement._canonical(
         n, math.factorial(n), {bytes(p.images): 1 for p in all_permutations(n)}
     )
 
 
 def alt_projector(n: int) -> GroupAlgebraElement:
-    """(1/n!) signed sum of all permutations, the total antisymmetrizer, for
-    n <= PERMUTATION_BOUND."""
-    _check_permutation_degree(n)
+    """(1/n!) signed sum of all permutations, the total antisymmetrizer, for an
+    int 0 <= n <= PERMUTATION_BOUND."""
+    check_int(n, "degree", 0, PERMUTATION_BOUND)
     return GroupAlgebraElement._canonical(
         n, math.factorial(n), {bytes(p.images): p.sign() for p in all_permutations(n)}
     )
@@ -864,10 +845,7 @@ def young_symmetrizer(
     """
     if not isinstance(tableau, (StandardTableau, Partition)):
         raise TypeError(f"expected a StandardTableau or Partition, not {type(tableau).__name__}")
-    if tableau.size > SYMMETRIZER_BOUND:
-        raise BoundExceededError(
-            f"symmetrizer limited to size {SYMMETRIZER_BOUND}, got {tableau.size}"
-        )
+    check_int(tableau.size, "size", high=SYMMETRIZER_BOUND)
     return _young_symmetrizer_cached(tableau)
 
 
@@ -921,23 +899,15 @@ def char_irrep(shape: Partition) -> dict[Partition, int]:
     """Character of the irreducible of the shape, as cycle type -> integer,
     for a size n <= CHARACTER_TABLE_BOUND."""
     n = shape.size
-    _check_character_table_degree(n)
     table = character_table(n)
     return {mu: table[(shape, mu)] for mu in all_partitions(n)}
 
 
-def _check_character_table_degree(n: int) -> None:
-    if n > CHARACTER_TABLE_BOUND:
-        raise BoundExceededError(
-            f"full character table limited to n <= {CHARACTER_TABLE_BOUND}, got {n}"
-        )
-
-
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Full character table of Sigma_n: (shape, cycle type) -> value, for
-    n <= CHARACTER_TABLE_BOUND."""
-    _check_character_table_degree(n)
+    """Full character table of Sigma_n: (shape, cycle type) -> value, for an
+    int 0 <= n <= CHARACTER_TABLE_BOUND, checked before any shape is listed."""
+    check_int(n, "degree", 0, CHARACTER_TABLE_BOUND)
     table = {}
     for lam in all_partitions(n):
         for mu in all_partitions(n):
@@ -992,7 +962,7 @@ def induction_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
     code with the tableau counting route. Limited to |nu| <= CHARACTER_TABLE_BOUND.
     """
     l, m = lam.size, mu.size
-    _check_character_table_degree(max(l, m, nu.size))
+    check_int(max(l, m, nu.size), "degree", high=CHARACTER_TABLE_BOUND)
     if l + m != nu.size:
         return 0
     table_l = character_table(l)
@@ -1035,7 +1005,7 @@ class SymChar(Counts):
     _parse = staticmethod(Partition.from_string)
 
     def __init__(self, n: int, coeffs: Mapping[Partition, int] | None = None):
-        self.n = n
+        self.n = check_int(n, "degree", 0)
         self.coeffs = self._canonical(coeffs)
 
     def _key(self, shape: Partition) -> Partition:
@@ -1148,8 +1118,7 @@ def decompose_module(
     """
     if isinstance(module, GroupAlgebraElement):
         e = module
-        n = e.n
-        _check_character_table_degree(n)
+        n = check_int(e.n, "degree", high=CHARACTER_TABLE_BOUND)
         sums = _idempotent_class_sums(e)
         if sums is None:
             raise ValueError("element is not idempotent, so it cuts out no module")
@@ -1161,8 +1130,7 @@ def decompose_module(
         for perm in module:
             if not isinstance(perm, Permutation):
                 raise TypeError(f"expected Permutation keys, not {type(perm).__name__}")
-        n = next(iter(module)).n
-        _check_character_table_degree(n)
+        n = check_int(next(iter(module)).n, "degree", high=CHARACTER_TABLE_BOUND)
         traces: dict[Partition, Fraction | int] = {}
         size = None
         for perm, matrix in module.items():
@@ -1182,8 +1150,12 @@ def decompose_module(
                     f" but the family's first is {size}x{size}"
                 )
             t = perm.cycle_type()
-            tr = sum(matrix[i][i] for i in range(size))
-            _expect_rational(tr, f"the trace at {perm.one_line()}")
+            diagonal = [matrix[i][i] for i in range(size)]
+            for entry in diagonal:
+                _expect_rational(
+                    entry, f"the entry {entry!r} on the diagonal at {perm.one_line()}"
+                )
+            tr = sum(diagonal)
             if t in traces and traces[t] != tr:
                 raise ValueError(f"inconsistent traces within class {t}")
             traces[t] = tr

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import BoundExceededError, expect_ints, expect_mapping
+from .errors import BoundExceededError, check_int, expect_mapping
 from .glchar import lr_expand
 from .partitions import Partition
 from .symgroup import SymChar
@@ -26,10 +26,9 @@ class SymSeq:
     def __init__(self, levels: Mapping[int, SymChar] | None = None):
         clean: dict[int, SymChar] = {}
         levels = levels or {}
-        for level in expect_ints(levels, "levels"):
-            char = levels[level]
-            if level < 0:
-                raise ValueError("levels must be nonnegative")
+        for level in levels:
+            check_int(level, "level", 0)
+        for level, char in levels.items():
             if char.n != level:
                 raise ValueError(
                     f"level {level} carries a character of Sigma_{char.n}"
@@ -98,12 +97,9 @@ def free_generator(a: int) -> SymSeq:
     """Free sequence on one generator in level a: the regular character there.
 
     These are a free monoid under tensor: the product of the generators at a
-    and b is the generator at a+b.
+    and b is the generator at a+b. The level is an int 0 <= a <= DEFAULT_LEVEL_BOUND.
     """
-    if a < 0:
-        raise ValueError("level must be nonnegative")
-    if a > DEFAULT_LEVEL_BOUND:
-        raise BoundExceededError(f"level {a} exceeds bound {DEFAULT_LEVEL_BOUND}")
+    check_int(a, "level", 0, DEFAULT_LEVEL_BOUND)
     return SymSeq.single(SymChar.regular(a))
 
 
@@ -139,10 +135,9 @@ def localize(e: SymSeq, d: int) -> SymSeq:
     """Kill every constituent whose shape has more than d rows.
 
     The shapes with more than d rows span a tensor ideal, so this is a
-    monoidal quotient, not just a linear projection.
+    monoidal quotient, not just a linear projection. The rank d is an int >= 0.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    check_int(d, "rank", 0)
     return SymSeq(
         {level: char.restrict_rows(d) for level, char in e.levels.items()}
     )
@@ -154,12 +149,10 @@ def wedge_component(n: int) -> SymSeq:
     The n-th power of the generator is the full regular character in level n,
     and the sign-isotypic constituent appears exactly once, so the result is
     the one-column shape with multiplicity one at level n. The cut of a
-    general sequence is a plethysm and is out of scope.
+    general sequence is a plethysm and is out of scope. The level is an int
+    0 <= n <= DEFAULT_LEVEL_BOUND.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEFAULT_LEVEL_BOUND:
-        raise BoundExceededError(f"level {n} exceeds bound {DEFAULT_LEVEL_BOUND}")
+    check_int(n, "level", 0, DEFAULT_LEVEL_BOUND)
     if n == 0:
         return free_generator(0)
     return SymSeq.irreducible(Partition((1,) * n))

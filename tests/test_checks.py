@@ -1,0 +1,166 @@
+"""The library's own checks: one rule for every int argument, and no assert.
+
+errors.check_int(value, what, low, high) is the one check of an int
+argument in partitions, symgroup, symseq, glchar and koszul: a bool or any
+other type raises TypeError, a value below low ValueError and one above
+high BoundExceededError, each before any work, with a text that names the
+argument and the value.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import schurcalc
+from schurcalc import glchar, koszul, partitions, symgroup, symseq
+from schurcalc.errors import BoundExceededError
+from schurcalc.glchar import (
+    DominantWeight,
+    GLChar,
+    exterior_power,
+    schur_weyl,
+    symmetric_power,
+)
+from schurcalc.koszul import (
+    GradedObject,
+    certify_finiteness,
+    euler_falling_factorial,
+    sym,
+    wedge,
+)
+from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep
+from schurcalc.symgroup import (
+    CHARACTER_TABLE_BOUND,
+    DEGREE_BOUND,
+    PERMUTATION_BOUND,
+    GroupAlgebraElement,
+    Permutation,
+    SymChar,
+    all_permutations,
+    alt_projector,
+    character_table,
+    sym_projector,
+)
+from schurcalc.symseq import DEFAULT_LEVEL_BOUND, SymSeq, free_generator, localize, wedge_component
+
+SEQ = SymSeq.irreducible(Partition((2, 1)))
+STANDARD = GLChar.standard(2)
+LINE = GradedObject({0: 1, 1: 1})
+
+# (id, callable of the int, what its texts call it, low, high, the kernels
+# (owner, name) that must not run when the check refuses)
+INT_ARGUMENTS = [
+    ("all_partitions", all_partitions, "size", 0, None, [(partitions, "partitions_of")]),
+    ("dim_gl_irrep", lambda v: dim_gl_irrep(Partition((2, 1)), v), "rank", 0, None, []),
+    (
+        "all_permutations", all_permutations, "degree", 0, PERMUTATION_BOUND,
+        [(symgroup, "_tuple_permutations")],
+    ),
+    (
+        "sym_projector", sym_projector, "degree", 0, PERMUTATION_BOUND,
+        [(symgroup, "all_permutations"), (symgroup, "_tuple_permutations")],
+    ),
+    (
+        "alt_projector", alt_projector, "degree", 0, PERMUTATION_BOUND,
+        [(symgroup, "all_permutations"), (symgroup, "_tuple_permutations")],
+    ),
+    (
+        "character_table", character_table, "degree", 0, CHARACTER_TABLE_BOUND,
+        [(symgroup, "all_partitions"), (symgroup, "_mn_value")],
+    ),
+    ("GroupAlgebraElement", GroupAlgebraElement, "degree", 0, DEGREE_BOUND, []),
+    (
+        "GroupAlgebraElement.unit", GroupAlgebraElement.unit, "degree", 0, DEGREE_BOUND,
+        [(GroupAlgebraElement, "_canonical")],
+    ),
+    (
+        "GroupAlgebraElement.zero", GroupAlgebraElement.zero, "degree", 0, DEGREE_BOUND,
+        [(GroupAlgebraElement, "_canonical")],
+    ),
+    ("Permutation.identity", Permutation.identity, "degree", 0, None, []),
+    ("SymChar", SymChar, "degree", 0, None, []),
+    ("SymSeq", lambda v: SymSeq({v: SymChar(0)}), "level", 0, None, []),
+    (
+        "free_generator", free_generator, "level", 0, DEFAULT_LEVEL_BOUND,
+        [(SymChar, "regular")],
+    ),
+    (
+        "wedge_component", wedge_component, "level", 0, DEFAULT_LEVEL_BOUND,
+        [(SymSeq, "irreducible"), (symseq, "free_generator")],
+    ),
+    ("localize", lambda v: localize(SEQ, v), "rank", 0, None, []),
+    ("GLChar", GLChar, "rank", 0, None, []),
+    ("DominantWeight", lambda v: DominantWeight(v, ()), "rank", 0, None, []),
+    (
+        "schur_weyl", lambda v: schur_weyl(SEQ, v), "rank", 0, glchar.SCHUR_WEYL_RANK_BOUND,
+        [(glchar, "weight_of")],
+    ),
+    (
+        "exterior_power", lambda v: exterior_power(STANDARD, v), "power order", 0, None,
+        [(glchar, "char_monomials")],
+    ),
+    (
+        "symmetric_power", lambda v: symmetric_power(STANDARD, v), "power order", 0, None,
+        [(glchar, "char_monomials")],
+    ),
+    (
+        "wedge", lambda v: wedge(LINE, v), "power order", 0, koszul.KOSZUL_BOUND,
+        [(koszul, "_power_image"), (koszul, "_alt_sums")],
+    ),
+    (
+        "sym", lambda v: sym(LINE, v), "power order", 0, koszul.KOSZUL_BOUND,
+        [(koszul, "_power_image"), (koszul, "_sym_sums")],
+    ),
+    ("euler_falling_factorial-n", lambda v: euler_falling_factorial(3, v), "order", 0, None, []),
+    (
+        "euler_falling_factorial-chi", lambda v: euler_falling_factorial(v, 2),
+        "Euler characteristic", None, None, [],
+    ),
+    ("shift", lambda v: koszul.shift(LINE, v), "shift", None, None, []),
+    (
+        "certify_finiteness", lambda v: certify_finiteness(LINE, bound=v), "bound", 0, None,
+        [(koszul, "wedge"), (koszul, "sym")],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, what, low, high, kernels",
+    [entry[1:] for entry in INT_ARGUMENTS],
+    ids=[entry[0] for entry in INT_ARGUMENTS],
+)
+def test_every_int_argument_follows_one_rule(monkeypatch, call, what, low, high, kernels):
+    all_permutations(2)  # a cached S_2 must not answer for 2.0 or a bool
+    all_partitions(1)
+    character_table(1)
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the argument must be checked before any work")
+
+    for owner, name in kernels:
+        monkeypatch.setattr(owner, name, no_work)
+    for bad in (True, 2.0, "2"):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^the {what} {bad!r} must be an int, not {name}$"):
+            call(bad)
+    if low is not None:
+        with pytest.raises(ValueError, match=f"^the {what} {low - 1} must be at least {low}$"):
+            call(low - 1)
+    if high is not None:
+        text = f"^the {what} {high + 1} must be at most {high}$"
+        with pytest.raises(BoundExceededError, match=text):
+            call(high + 1)
+
+
+def test_the_library_has_no_assert_statement():
+    """python -O strips assert, so every check of the library must raise."""
+    found = []
+    for path in sorted(Path(schurcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, f"assert statements in the library: {found}"

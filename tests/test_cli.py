@@ -308,6 +308,50 @@ def test_bound_exceeded_exits_3(capsys):
     assert "bound-exceeded" in err
 
 
+SEQ = '{"levels":{"1":{"1":1}}}'
+ONE = '{"dims":{"0":1}}'
+
+
+# each int option below zero, at its bound and one past it: a negative value
+# is bad input (2), one past a size bound is refused as such (3), and serre's
+# dimension, the one bound kept as a ValueError, stays 2; localize has no
+# bound on its rank
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("free-gen", "--level", "-1"), 2),
+        (("free-gen", "--level", "8"), 0),
+        (("free-gen", "--level", "9"), 3),
+        (("wedge-component", "--n", "-1"), 2),
+        (("wedge-component", "--n", "8"), 0),
+        (("wedge-component", "--n", "9"), 3),
+        (("schur-weyl", "--d", "-1", "--seq", SEQ), 2),
+        (("schur-weyl", "--d", str(SCHUR_WEYL_RANK_BOUND), "--seq", SEQ), 0),
+        (("schur-weyl", "--d", str(SCHUR_WEYL_RANK_BOUND + 1), "--seq", SEQ), 3),
+        (("localize", "--d", "-1", SEQ), 2),
+        (("localize", "--d", "0", SEQ), 0),
+        (("localize", "--d", str(10 ** 9), SEQ), 0),
+        (("wedge-dim", ONE, "--bound", "-1"), 2),
+        (("wedge-dim", ONE, "--bound", "7"), 0),
+        (("wedge-dim", ONE, "--bound", "8"), 3),
+        (("serre", "--n", "-1", "--window", "0:0"), 2),
+        (("serre", "--n", "3", "--window", "0:0"), 0),
+        (("serre", "--n", "4", "--window", "0:0"), 2),
+        (("symmetrizer", "-1"), 2),
+        (("symmetrizer", "5,3"), 0),
+        (("symmetrizer", "5,4"), 3),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_int_options_exit_codes(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code, err
+    if exit_code:
+        assert out == ""
+        expected = "bound-exceeded" if exit_code == 3 else "bad-input"
+        assert json.loads(err)["error"] == expected
+
+
 def test_window_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "serre", "--n", "1", "--window", "-30:30")
     assert code == 3

@@ -250,7 +250,7 @@ def test_transfer_counts_dimensions():
 
 
 def test_transfer_rejects_negative_rank():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^the rank -1 must be at least 0$"):
         schur_weyl(free_generator(1), -1)
 
 
@@ -263,7 +263,7 @@ def test_transfer_rank_bound_is_checked_before_any_weight(monkeypatch):
         raise AssertionError("the rank bound must be checked before any weight is built")
 
     monkeypatch.setattr(glchar, "weight_of", no_weights)
-    with pytest.raises(BoundExceededError, match=f"d <= {bound}, got {bound + 1}"):
+    with pytest.raises(BoundExceededError, match=f"^the rank {bound + 1} must be at most {bound}$"):
         schur_weyl(free_generator(2), bound + 1)
     with pytest.raises(BoundExceededError):
         schur_weyl(SymSeq.zero(), 10 ** 9)

@@ -122,24 +122,26 @@ def test_constructor_keywords_and_defaults():
     assert Permutation._unchecked((2, 1)) == Permutation((2, 1))
 
 
-# (constructor, its ints with one entry replaced by the bad value)
+# (constructor, its ints with one entry replaced by the bad value, the text
+# of its refusal)
 INT_ENTRIES = [
-    (Permutation, lambda bad: ((bad, 1),)),
-    (Partition, lambda bad: ((bad, 1),)),
-    (StandardTableau, lambda bad: (((1, bad),),)),
-    (DominantWeight, lambda bad: (2, (bad, 1))),
-    (SymSeq, lambda bad: ({bad: SymChar.regular(2)},)),
+    (Permutation, lambda bad: ((bad, 1),), "must be ints, got {}"),
+    (Partition, lambda bad: ((bad, 1),), "must be ints, got {}"),
+    (StandardTableau, lambda bad: (((1, bad),),), "must be ints, got {}"),
+    (DominantWeight, lambda bad: (2, (bad, 1)), "must be ints, got {}"),
+    (SymSeq, lambda bad: ({bad: SymChar.regular(2)},), "^the level {} must be an int, not "),
 ]
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.7, "2", True], ids=repr)
 @pytest.mark.parametrize(
-    "cls, arguments", INT_ENTRIES, ids=[cls.__name__ for cls, _ in INT_ENTRIES]
+    "cls, arguments, text", INT_ENTRIES, ids=[cls.__name__ for cls, *_ in INT_ENTRIES]
 )
-def test_int_entries_refuse_floats_strings_and_bools(cls, arguments, bad):
-    """One shared check (errors.expect_ints), where int() would truncate 2.7,
-    parse "2" and read True as 1."""
-    with pytest.raises(TypeError, match=f"must be ints, got {re.escape(repr(bad))}"):
+def test_int_entries_refuse_floats_strings_and_bools(cls, arguments, text, bad):
+    """One shared check (errors.expect_ints, or errors.check_int for each
+    level of a SymSeq), where int() would truncate 2.7, parse "2" and read
+    True as 1."""
+    with pytest.raises(TypeError, match=text.format(re.escape(repr(bad)))):
         cls(*arguments(bad))
 
 
