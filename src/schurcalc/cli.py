@@ -16,7 +16,7 @@ import sys
 import time
 
 from .errors import BoundExceededError, InvariantError
-from .glchar import GLChar, lr_coeff, schur_weyl
+from .glchar import lr_coeff, schur_weyl
 from .koszul import GradedObject, _certified_split, certify_finiteness
 from .partitions import Partition, canonical_tableau, dim_sym_irrep
 from .serre import (
@@ -41,12 +41,22 @@ from .symseq import (
 PAYLOAD_BYTE_BOUND = 1 << 20
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; one that names a key twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"the JSON object names the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
 def _load_payload(text: str):
     """Parse an argument as inline JSON, or as a path to a JSON file.
 
     A file is read up to one byte past PAYLOAD_BYTE_BOUND; a longer one
-    raises BoundExceededError. A file that cannot be read (a directory, no
-    permission) and JSON nested too deeply to decode raise ValueError.
+    raises BoundExceededError. An unreadable file (a directory, no
+    permission), JSON nested too deeply and a key named twice raise ValueError.
     """
     if os.path.exists(text):
         try:
@@ -60,7 +70,7 @@ def _load_payload(text: str):
             )
         text = data.decode("utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON payload nests too deeply") from None
 

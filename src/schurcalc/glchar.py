@@ -23,9 +23,7 @@ from itertools import accumulate, repeat
 from operator import add, ge, sub
 from typing import Mapping, Sequence
 
-from .errors import (
-    BoundExceededError, InvariantError, check_int, expect_int, expect_ints, expect_mapping
-)
+from .errors import BoundExceededError, InvariantError, check_int, expect_ints
 from .partitions import Partition, compositions, dim_gl_irrep, partitions_of
 from .values import Counts, Frozen
 
@@ -101,7 +99,9 @@ def normalize_weight(w: DominantWeight) -> tuple[Partition, int]:
 
 
 def weight_of(shape: Partition, d: int, det_power: int = 0) -> DominantWeight:
-    """Inverse of normalize_weight; requires at most d rows."""
+    """Inverse of normalize_weight for ints d >= 0 and det_power; at most d rows."""
+    check_int(d, "rank", 0)
+    check_int(det_power, "determinant power")
     if shape.rows > d:
         raise ValueError(f"shape {shape} has more than {d} rows")
     return DominantWeight(
@@ -114,6 +114,7 @@ class GLChar(Counts):
 
     __slots__ = ("d", "coeffs")
     _count_text = "coefficient of {}"
+    _json_name = "character"
     _parse = staticmethod(DominantWeight.from_string)
 
     def __init__(self, d: int, coeffs: Mapping[DominantWeight, int] | None = None):
@@ -156,15 +157,6 @@ class GLChar(Counts):
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*{w}" for w, c in self._items())
         return f"<GLChar d={self.d} {body or '0'}>"
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "coeffs": self._map_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GLChar":
-        data = expect_mapping(data, "character")
-        d = expect_int(data["d"], "rank d")
-        return cls(d, cls._read_map(data.get("coeffs", {}), "coeffs"))
 
 
 # ---------------------------------------------------------------------------

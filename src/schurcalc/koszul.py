@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BoundExceededError, InvariantError, check_int, expect_mapping, is_int
+from .errors import BoundExceededError, InvariantError, check_int, is_int
 from .partitions import all_partitions
 from .symgroup import (
     GroupAlgebraElement,
@@ -22,10 +22,9 @@ from .symgroup import (
     alt_projector,
     sym_projector,
 )
-from .values import Counts, Record
+from .values import Counts, Record, write_keys
 
 KIND_WEDGE_FINITE = "wedge-finite"
-KIND_EVENLY_FINITE = "evenly-finite"
 KIND_ODDLY_FINITE = "oddly-finite"
 KIND_NOT_FINITE = "not-finite-up-to"
 
@@ -38,6 +37,7 @@ class GradedObject(Counts):
     __slots__ = ("dims",)
     _negative = "negative dimension {count} in degree {key}"
     _count_text = "dimension in degree {}"
+    _json_name = "graded object"
     _parse = staticmethod(int)
 
     def __init__(self, dims: Mapping[int, int] | None = None):
@@ -71,14 +71,6 @@ class GradedObject(Counts):
     def __repr__(self) -> str:
         body = ", ".join(f"{deg}: {dim}" for deg, dim in self._items())
         return f"<GradedObject {{{body}}}>"
-
-    def to_json(self) -> dict:
-        return {"dims": self._map_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GradedObject":
-        data = expect_mapping(data, "graded object")
-        return cls(cls._read_map(data.get("dims", {}), "dims"))
 
 
 def shift(c: GradedObject, r: int) -> GradedObject:
@@ -281,18 +273,15 @@ class FinitenessCertificate(Record):
         )
 
     def to_json(self) -> dict:
+        def dims(power: GradedObject) -> dict:
+            return power.to_json()["dims"]
+
         return {
             "kind": self.kind,
             "n": self.n,
             "bound": self.bound,
-            "wedge_powers": {
-                str(m): self.wedge_powers[m].to_json()["dims"]
-                for m in sorted(self.wedge_powers)
-            },
-            "sym_powers": {
-                str(m): self.sym_powers[m].to_json()["dims"]
-                for m in sorted(self.sym_powers)
-            },
+            "wedge_powers": write_keys(self.wedge_powers, dims),
+            "sym_powers": write_keys(self.sym_powers, dims),
         }
 
 
@@ -306,9 +295,9 @@ def certify_finiteness(
     powers vanish from some order n+1 on with the n-th power one dimensional
     in a single degree; that top power is then invertible, and the Euler
     characteristics chi(c) = n and chi(top) = 1 are asserted. Oddly finite
-    means a symmetric power vanishes. The weaker evenly-finite kind (wedge power vanishes but
-    the top power is not invertible) cannot arise for a plain dimension
-    vector and is kept as a defensive branch.
+    means a symmetric power vanishes. A wedge power vanishes only when c has
+    no odd part, and then the top power is one dimensional; any other top
+    power raises InvariantError.
     """
     if bound is None:
         bound = c.total_dim() + 2
@@ -327,19 +316,16 @@ def certify_finiteness(
             raise InvariantError("wedge powers vanish and then return")
         n = first - 1
         top = wedge_powers[n]
-        invertible = top.total_dim() == 1 and len(top.dims) == 1
-        if invertible:
-            if c.euler() != n:
-                raise InvariantError(
-                    f"wedge-finite object has euler {c.euler()}, expected {n}"
-                )
-            if top.euler() != 1:
-                raise InvariantError("top wedge power has euler != 1")
-            return FinitenessCertificate(
-                KIND_WEDGE_FINITE, n, bound, wedge_powers, sym_powers
+        if top.total_dim() != 1:
+            raise InvariantError(f"top wedge power {top!r} is not invertible")
+        if c.euler() != n:
+            raise InvariantError(
+                f"wedge-finite object has euler {c.euler()}, expected {n}"
             )
+        if top.euler() != 1:
+            raise InvariantError("top wedge power has euler != 1")
         return FinitenessCertificate(
-            KIND_EVENLY_FINITE, first, bound, wedge_powers, sym_powers
+            KIND_WEDGE_FINITE, n, bound, wedge_powers, sym_powers
         )
 
     sym_zero = [m for m in range(1, bound + 2) if sym_powers[m].is_zero()]
@@ -357,9 +343,9 @@ def certify_finiteness(
 def kimura_split(c: GradedObject) -> tuple[GradedObject, GradedObject]:
     """Split into even-degree and odd-degree parts and certify both.
 
-    The even part must come out evenly finite (here, wedge-finite) and the
-    odd part oddly finite; anything else is an internal error since the
-    grading makes the split visible.
+    The even part must come out wedge-finite and the odd part oddly finite;
+    anything else is an internal error since the grading makes the split
+    visible.
     """
     plus, minus, _, _ = _certified_split(c)
     return plus, minus
@@ -374,7 +360,7 @@ def _certified_split(
     if plus + minus != c:
         raise InvariantError("parity split does not recombine")
     cert_plus = certify_finiteness(plus, bound=plus.total_dim())
-    if cert_plus.kind not in (KIND_WEDGE_FINITE, KIND_EVENLY_FINITE):
+    if cert_plus.kind != KIND_WEDGE_FINITE:
         raise InvariantError("even part failed its finiteness certificate")
     cert_minus = certify_finiteness(minus, bound=minus.total_dim())
     if not minus.is_zero() and cert_minus.kind != KIND_ODDLY_FINITE:

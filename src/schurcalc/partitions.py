@@ -7,7 +7,7 @@ from functools import lru_cache, total_ordering
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import BoundExceededError, check_int, expect_ints
+from .errors import BoundExceededError, InvariantError, check_int, expect_ints
 from .values import Frozen
 
 TABLEAU_ENUMERATION_BOUND = 10
@@ -247,7 +247,7 @@ def dim_sym_irrep(shape: Partition) -> int:
     hooks = math.prod(shape.hook_lengths())
     fact = math.factorial(n)
     if fact % hooks:
-        raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
+        raise InvariantError(f"hook product {hooks} does not divide {n}!")
     return fact // hooks
 
 
@@ -262,5 +262,5 @@ def dim_gl_irrep(shape: Partition, d: int) -> int:
     num = math.prod(d + c for c in shape.contents())
     den = math.prod(shape.hook_lengths())
     if num % den:
-        raise ArithmeticError("content product not divisible by hook product")
+        raise InvariantError("content product not divisible by hook product")
     return num // den

@@ -593,16 +593,12 @@ def check_json_roundtrip(lim: Limits):
     for text in ("[2,-1]", "[0,0,0]", "[3,1,0]", "[]"):
         w = glchar.DominantWeight.from_string(text)
         _check(str(w) == text)
-    alt = symgroup.alt_projector(3)
-    _check(symgroup.GroupAlgebraElement.from_json(alt.to_json()) == alt)
     seq = symseq.tensor(symseq.free_generator(1), symseq.free_generator(2))
-    _check(symseq.SymSeq.from_json(seq.to_json()) == seq)
-    char = glchar.schur_weyl(seq, 2)
-    _check(glchar.GLChar.from_json(char.to_json()) == char)
-    obj = koszul.GradedObject({-1: 2, 0: 1, 3: 1})
-    _check(koszul.GradedObject.from_json(obj.to_json()) == obj)
-    big = serre.BigradedVS({(-1, 0): 2, (2, 5): 1})
-    _check(serre.BigradedVS.from_json(big.to_json()) == big)
+    for value in (
+        symgroup.alt_projector(3), seq, glchar.schur_weyl(seq, 2),
+        koszul.GradedObject({-1: 2, 0: 1, 3: 1}), serre.BigradedVS({(-1, 0): 2, (2, 5): 1}),
+    ):
+        _check(type(value).from_json(value.to_json()) == value)
     cert = koszul.certify_finiteness(koszul.GradedObject({0: 2}))
     data = cert.to_json()
     _check(data["kind"] == koszul.KIND_WEDGE_FINITE and data["n"] == 2)

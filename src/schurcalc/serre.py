@@ -17,9 +17,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .errors import InvariantError, WindowExceededError, check_int, expect_mapping, is_int
+from .errors import InvariantError, WindowExceededError, check_int, is_int
 from .partitions import compositions
-from .values import Counts, Record
+from .values import Counts, Record, write_keys
 
 DIMENSION_BOUND = 3
 TWIST_BOUND = 20
@@ -116,10 +116,8 @@ class CechCohomology(Record):
         return {
             "n": self.n,
             "r": self.r,
-            "dims": {str(p): self.dims[p] for p in sorted(self.dims)},
-            "basis": {
-                str(p): [list(m) for m in self.basis[p]] for p in sorted(self.basis)
-            },
+            "dims": write_keys(self.dims),
+            "basis": write_keys(self.basis, lambda monomials: [list(m) for m in monomials]),
         }
 
 
@@ -179,6 +177,7 @@ class BigradedVS(Counts):
     __slots__ = ("dims",)
     _negative = "negative dimension"
     _count_text = "dimension at {}"
+    _json_name = "bigraded space"
 
     def __init__(self, dims: Mapping[tuple[int, int], int] | None = None):
         self.dims = self._canonical(dims)
@@ -212,14 +211,6 @@ class BigradedVS(Counts):
     def __repr__(self) -> str:
         body = ", ".join(f"({r},{i}): {dim}" for (r, i), dim in self._items())
         return f"<BigradedVS {{{body}}}>"
-
-    def to_json(self) -> dict:
-        return {"dims": self._map_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BigradedVS":
-        data = expect_mapping(data, "bigraded space")
-        return cls(cls._read_map(data.get("dims", {}), "dims"))
 
 
 def gm_shift_functor(v: BigradedVS) -> BigradedVS:
@@ -310,10 +301,7 @@ class SerreAlgebra(Record):
         return {
             "n": self.n,
             "window": [self.r_min, self.r_max],
-            "cohomology": {
-                str(r): self.cohomology[r].to_json()
-                for r in range(self.r_min, self.r_max + 1)
-            },
+            "cohomology": write_keys(self.cohomology, CechCohomology.to_json),
         }
 
 

@@ -130,7 +130,8 @@ class Permutation(Frozen):
         return Partition(self.cycle_lengths())
 
     def sign(self) -> int:
-        return _sign(self.images)
+        """-1 to the n minus the cycle count."""
+        return -1 if (len(self.images) - len(_cycle_lengths(self.images))) % 2 else 1
 
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -149,11 +150,6 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
             lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def _sign(images: tuple[int, ...]) -> int:
-    """Sign of the permutation with these images: -1 to the n minus its cycle count."""
-    return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -468,19 +464,19 @@ def _idempotent_class_sums(e: GroupAlgebraElement) -> Mapping[tuple[int, ...], i
 
 def sym_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) sum of all permutations, the total symmetrizer, for an int
-    0 <= n <= PERMUTATION_BOUND."""
-    check_int(n, "degree", 0, PERMUTATION_BOUND)
+    0 <= n <= PERMUTATION_BOUND, checked by all_permutations."""
+    perms = all_permutations(n)
     return GroupAlgebraElement._canonical(
-        n, math.factorial(n), {bytes(p.images): 1 for p in all_permutations(n)}
+        n, len(perms), {bytes(p.images): 1 for p in perms}
     )
 
 
 def alt_projector(n: int) -> GroupAlgebraElement:
     """(1/n!) signed sum of all permutations, the total antisymmetrizer, for an
-    int 0 <= n <= PERMUTATION_BOUND."""
-    check_int(n, "degree", 0, PERMUTATION_BOUND)
+    int 0 <= n <= PERMUTATION_BOUND, checked by all_permutations."""
+    perms = all_permutations(n)
     return GroupAlgebraElement._canonical(
-        n, math.factorial(n), {bytes(p.images): p.sign() for p in all_permutations(n)}
+        n, len(perms), dict(zip((bytes(p.images) for p in perms), _rearrangement_signs(n)))
     )
 
 
@@ -1039,7 +1035,7 @@ class SymChar(Counts):
         return f"<SymChar n={self.n} {body or '0'}>"
 
     def to_json(self) -> dict[str, int]:
-        return self._map_json()
+        return super().to_json()["coeffs"]
 
     @classmethod
     def from_json(cls, n: int, data: Mapping[str, int]) -> "SymChar":

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import BoundExceededError, check_int, expect_mapping
+from .errors import BoundExceededError, check_int
 from .glchar import lr_expand
 from .partitions import Partition
 from .symgroup import SymChar
+from .values import Record, read_keys, read_object, write_keys
 
 DEFAULT_LEVEL_BOUND = 8
 
 
-class SymSeq:
+class SymSeq(Record):
     """Finitely supported family of virtual characters, one per level."""
 
     __slots__ = ("levels",)
@@ -58,11 +59,6 @@ class SymSeq:
     def max_level(self) -> int:
         return max(self.levels, default=0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymSeq):
-            return NotImplemented
-        return self.levels == other.levels
-
     def __add__(self, other: "SymSeq") -> "SymSeq":
         acc = dict(self.levels)
         for level, char in other.levels.items():
@@ -76,21 +72,13 @@ class SymSeq:
         return f"<SymSeq {body or '0'}>"
 
     def to_json(self) -> dict:
-        return {
-            "levels": {
-                str(level): self.levels[level].to_json()
-                for level in sorted(self.levels)
-            }
-        }
+        return {"levels": write_keys(self.levels, SymChar.to_json)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SymSeq":
-        data = expect_mapping(data, "sequence")
-        levels = {}
-        for key, coeffs in expect_mapping(data.get("levels", {}), "levels").items():
-            level = int(key)
-            levels[level] = SymChar.from_json(level, coeffs)
-        return cls(levels)
+        data = read_object(data, "sequence", ("levels",))
+        levels = read_keys(data.get("levels", {}), "levels", int)
+        return cls({level: SymChar.from_json(level, coeffs) for level, coeffs in levels.items()})
 
 
 def free_generator(a: int) -> SymSeq:

@@ -1,10 +1,38 @@
-"""Bases of the package's small value classes.
+"""Bases of the package's small value classes, and the JSON key reader and writer.
 
 A subclass names its fields in __slots__, in constructor order. Equality,
 hashing, repr and copying all read the fields from there.
 """
 
 from .errors import expect_int, expect_mapping, is_int
+
+
+def read_object(data, what: str, fields):
+    """A decoded JSON object; a field not among fields raises ValueError."""
+    for field in expect_mapping(data, what):
+        if field not in fields:
+            raise ValueError(f"the {what} has no field {field!r}")
+    return data
+
+
+def write_keys(mapping, write=None) -> dict:
+    """str of each key, in key order, to its value, or to write(value) if given."""
+    return {str(key): write(value) if write else value for key, value in sorted(mapping.items())}
+
+
+def read_keys(data, what: str, parse, text=str) -> dict:
+    """The entries of a decoded JSON object, each key text read by parse.
+
+    A key text that text() does not write back from its key raises
+    ValueError naming it, so two texts never name one key.
+    """
+    entries = {}
+    for key_text, value in expect_mapping(data, what).items():
+        key = parse(key_text)
+        if text(key) != key_text:
+            raise ValueError(f"the {what} key {key_text!r} must be written {text(key)!r}")
+        entries[key] = value
+    return entries
 
 
 class Record:
@@ -38,8 +66,8 @@ class Counts(Record):
     A field before it is a rank that two values must share to be added.
     A subclass checks one key in _key, raising TypeError for a key of the
     wrong type, writes and parses key text in _text and _parse, and may set
-    the class attributes below. Counts must be ints, never bools; anything
-    else raises TypeError.
+    the class attributes below. JSON names each field by its slot. Counts
+    must be ints, never bools; anything else raises TypeError.
     """
 
     __slots__ = ()
@@ -51,6 +79,8 @@ class Counts(Record):
     _descending = False
     # what one count of the JSON map is, with {} for the key text
     _count_text: str
+    # what from_json's error texts call the payload
+    _json_name: str
 
     def _canonical(self, counts) -> dict:
         clean = {}
@@ -100,17 +130,28 @@ class Counts(Record):
     def _text(key) -> str:
         return str(key)
 
-    def _map_json(self) -> dict[str, int]:
-        return {self._text(key): count for key, count in self._items()}
+    def to_json(self) -> dict:
+        """The rank fields by name, then the counts under the last field's name."""
+        *rank, counts = self.__slots__
+        data = {name: getattr(self, name) for name in rank}
+        data[counts] = {self._text(key): count for key, count in self._items()}
+        return data
+
+    @classmethod
+    def from_json(cls, data):
+        """Inverse of to_json: every rank field is required, missing counts are zero."""
+        data = read_object(data, cls._json_name, cls.__slots__)
+        *rank_names, counts = cls.__slots__
+        rank = [expect_int(data[name], f"rank {name}") for name in rank_names]
+        return cls(*rank, cls._read_map(data.get(counts, {}), counts))
 
     @classmethod
     def _read_map(cls, data, what: str) -> dict:
-        """Counts of a decoded JSON object, keys parsed by _parse."""
-        counts = {}
-        for text, count in expect_mapping(data, what).items():
-            key = cls._parse(text)
-            counts[key] = expect_int(count, cls._count_text.format(text))
-        return counts
+        """Counts of a decoded JSON object, keys read by _parse and _text."""
+        return {
+            key: expect_int(count, cls._count_text.format(cls._text(key)))
+            for key, count in read_keys(data, what, cls._parse, cls._text).items()
+        }
 
 
 class Frozen(Record):

@@ -1,4 +1,4 @@
-"""The library's own checks: one rule for every int argument, and no assert.
+"""The library's own checks: one rule per int argument, no assert, no unread import.
 
 errors.check_int(value, what, low, high) is the one check of an int
 argument in partitions, symgroup, symseq, glchar and koszul: a bool or any
@@ -21,6 +21,7 @@ from schurcalc.glchar import (
     exterior_power,
     schur_weyl,
     symmetric_power,
+    weight_of,
 )
 from schurcalc.koszul import (
     GradedObject,
@@ -57,13 +58,14 @@ INT_ARGUMENTS = [
         "all_permutations", all_permutations, "degree", 0, PERMUTATION_BOUND,
         [(symgroup, "_tuple_permutations")],
     ),
+    # the projectors leave their check to all_permutations
     (
         "sym_projector", sym_projector, "degree", 0, PERMUTATION_BOUND,
-        [(symgroup, "all_permutations"), (symgroup, "_tuple_permutations")],
+        [(symgroup, "_tuple_permutations")],
     ),
     (
         "alt_projector", alt_projector, "degree", 0, PERMUTATION_BOUND,
-        [(symgroup, "all_permutations"), (symgroup, "_tuple_permutations")],
+        [(symgroup, "_tuple_permutations"), (symgroup, "_rearrangement_signs")],
     ),
     (
         "character_table", character_table, "degree", 0, CHARACTER_TABLE_BOUND,
@@ -92,6 +94,14 @@ INT_ARGUMENTS = [
     ("localize", lambda v: localize(SEQ, v), "rank", 0, None, []),
     ("GLChar", GLChar, "rank", 0, None, []),
     ("DominantWeight", lambda v: DominantWeight(v, ()), "rank", 0, None, []),
+    (
+        "weight_of-d", lambda v: weight_of(Partition((1,)), v), "rank", 0, None,
+        [(glchar, "DominantWeight")],
+    ),
+    (
+        "weight_of-det_power", lambda v: weight_of(Partition((1,)), 2, v), "determinant power",
+        None, None, [(glchar, "DominantWeight")],
+    ),
     (
         "schur_weyl", lambda v: schur_weyl(SEQ, v), "rank", 0, glchar.SCHUR_WEYL_RANK_BOUND,
         [(glchar, "weight_of")],
@@ -164,3 +174,30 @@ def test_the_library_has_no_assert_statement():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_the_library_reads_every_name_it_imports():
+    """An import that its module never reads is dead code; __init__.py
+    imports to re-export, and __future__ imports set compiler flags."""
+    unused = []
+    for path in sorted(Path(schurcalc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read
+        ]
+    assert not unused, f"imported names never read: {unused}"

@@ -243,6 +243,28 @@ def test_non_integer_count_exits_2(capsys, argv):
     assert "must be a JSON integer" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("euler-chi", '{"dims":{"1":1,"01":5}}'), "'01'"),
+        (("localize", "--d", "2", '{"levels":{"2":{"2":1},"02":{"1,1":4}}}'), "'02'"),
+        (("gm-shift", '{"dims":{"1,0":2,"1, 0":7}}'), "'1, 0'"),
+        (("wedge-dim", '{"dim":{"0":3}}'), "'dim'"),
+        (("schur-weyl", "--d", "2", "--seq", '{"level":{"2":{"2":1}}}'), "'level'"),
+        (("euler-chi", '{"dims":{"0":1,"0":2}}'), "'0'"),
+    ],
+    ids=["aliased-degree", "aliased-level", "aliased-bidegree", "misspelled-dims",
+         "misspelled-levels", "duplicate-key"],
+)
+def test_a_payload_not_in_the_written_form_exits_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "bad-input"
+    assert named in error["detail"]
+
+
 def test_negative_rank_exits_2(capsys):
     code, out, err = run(
         capsys, "schur-weyl", "--d", "-1", "--seq", '{"levels":{"1":{"1":1}}}'

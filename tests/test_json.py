@@ -1,11 +1,14 @@
 """from_json(to_json(x)) == x for every class that reads its own JSON back.
 
 Each value goes through json.dumps and json.loads on the way, so string
-keys and integer counts survive a real text round trip.
+keys and integer counts survive a real text round trip. A payload that
+to_json would not write, with a key text or a field it never writes, is
+refused.
 """
 
 import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +72,24 @@ ROUND_TRIPS = {
 }
 
 
+# the texts int() reads as a key that to_json writes another way
+_INT_ALIASES = ["01", "0_1", " 1", "+1", "\u0661", "-0"]
+
+# (reader, payload not in the written form, the key text or field it names)
+WRITTEN_FORM_VIOLATIONS = [
+    *((GradedObject.from_json, {"dims": {text: 1}}, text) for text in _INT_ALIASES),
+    *((SymSeq.from_json, {"levels": {text: {"1": 1}}}, text) for text in _INT_ALIASES),
+    (BigradedVS.from_json, {"dims": {"1, 0": 1}}, "1, 0"),
+    (lambda data: SymChar.from_json(4, data), {"3, 1": 1}, "3, 1"),
+    (lambda data: SymChar.from_json(4, data), {"3,01": 1}, "3,01"),
+    (GLChar.from_json, {"d": 2, "coeffs": {"2,-1": 1}}, "2,-1"),
+    (GradedObject.from_json, {"dim": {"0": 3}}, "dim"),
+    (BigradedVS.from_json, {"dims": {}, "weights": {}}, "weights"),
+    (GLChar.from_json, {"d": 2, "coeff": {"[1,0]": 1}}, "coeff"),
+    (SymSeq.from_json, {"level": {"2": {"2": 1}}}, "level"),
+]
+
+
 def _read_back(x):
     return ROUND_TRIPS[type(x)][1](x, json.loads(json.dumps(x.to_json())))
 
@@ -87,6 +108,23 @@ def test_every_class_with_from_json_is_covered():
 @given(x=st.one_of(*(values for values, _read in ROUND_TRIPS.values())))
 def test_from_json_inverts_to_json(x):
     assert _read_back(x) == x
+
+
+@pytest.mark.parametrize(
+    "read, data, text",
+    WRITTEN_FORM_VIOLATIONS,
+    ids=[f"{i}-{text}" for i, (_read, _data, text) in enumerate(WRITTEN_FORM_VIOLATIONS)],
+)
+def test_a_payload_not_in_the_written_form_is_refused(read, data, text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        read(data)
+
+
+def test_an_empty_payload_is_the_zero_value():
+    assert GradedObject.from_json({}) == GradedObject()
+    assert BigradedVS.from_json({}) == BigradedVS()
+    assert SymSeq.from_json({}) == SymSeq.zero()
+    assert GLChar.from_json({"d": 2}) == GLChar(2)
 
 
 def test_element_coefficients_survive_as_exact_fractions():

@@ -748,6 +748,17 @@ def test_mixed_object_is_not_finite():
     assert cert.bound == 4
 
 
+def test_a_wedge_power_that_vanishes_after_a_top_that_is_not_invertible_is_a_bug(monkeypatch):
+    real_wedge = koszul.wedge
+
+    def two_dimensional_top(c, m):
+        return GradedObject({0: 2}) if m == 1 else real_wedge(c, m)
+
+    monkeypatch.setattr(koszul, "wedge", two_dimensional_top)
+    with pytest.raises(InvariantError, match="is not invertible"):
+        certify_finiteness(GradedObject({0: 1}))
+
+
 def test_certificate_tables_are_consistent():
     c = GradedObject({0: 2})
     cert = certify_finiteness(c)

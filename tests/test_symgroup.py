@@ -384,6 +384,8 @@ def test_degree_bound_of_image_bytes(monkeypatch):
     def no_enumeration(_n):
         raise AssertionError("the degree must be checked before any permutation is listed")
 
+    # the projectors leave their degree check to all_permutations itself,
+    # see test_permutation_bound_is_checked_before_any_permutation
     monkeypatch.setattr(symgroup, "all_permutations", no_enumeration)
     big = Permutation.identity(top + 1)
     for build in (
@@ -392,8 +394,6 @@ def test_degree_bound_of_image_bytes(monkeypatch):
         lambda: GroupAlgebraElement.unit(top + 1),
         lambda: GroupAlgebraElement.zero(top + 1),
         lambda: GroupAlgebraElement.from_json([{"perm": list(big.images), "num": 1}]),
-        lambda: sym_projector(top + 1),
-        lambda: alt_projector(top + 1),
         lambda: row_symmetrizer(canonical_tableau(Partition((1,) * (top + 1)))),
     ):
         with pytest.raises(BoundExceededError, match="^the degree 256 must be at most "):
@@ -437,9 +437,28 @@ def test_permutation_bound_is_checked_before_any_permutation(monkeypatch):
 
     monkeypatch.setattr(symgroup, "_tuple_permutations", no_enumeration)
     for build in (all_permutations, sym_projector, alt_projector):
-        for n in (PERMUTATION_BOUND + 1, 12, DEGREE_BOUND):
+        for n in (PERMUTATION_BOUND + 1, 12, DEGREE_BOUND, DEGREE_BOUND + 1):
             with pytest.raises(BoundExceededError, match=f"^the degree {n} must be at most 9$"):
                 build(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_projectors_match_the_build_from_each_permutation(n):
+    perms = all_permutations(n)
+    total = math.factorial(n)
+    assert sym_projector(n) == GroupAlgebraElement(n, {p: Fraction(1, total) for p in perms})
+    assert alt_projector(n) == GroupAlgebraElement(
+        n, {p: Fraction(p.sign(), total) for p in perms}
+    )
+
+
+def test_alt_projector_checks_the_degree_before_reading_signs(monkeypatch):
+    def no_signs(_k):
+        raise AssertionError("the degree must be checked before any sign is read")
+
+    monkeypatch.setattr(symgroup, "_rearrangement_signs", no_signs)
+    with pytest.raises(BoundExceededError, match=f"^the degree {PERMUTATION_BOUND + 1} "):
+        alt_projector(PERMUTATION_BOUND + 1)
 
 
 def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
