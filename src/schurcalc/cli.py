@@ -34,6 +34,7 @@ from .symseq import (
     tensor,
     wedge_component,
 )
+from .values import read_ints
 
 
 # a JSON file argument longer than this is refused, so a huge or endless
@@ -75,6 +76,11 @@ def _load_payload(text: str):
         raise ValueError("JSON payload nests too deeply") from None
 
 
+def _read_int(text: str, what: str) -> int:
+    """The int an argument names, written as the output writes it."""
+    return read_ints(text, what, length=1)[0]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (inputs, output)
 
@@ -105,10 +111,9 @@ def _cmd_symmetrizer(args):
 
 
 def _cmd_schur_weyl(args):
+    d = _read_int(args.d, "rank")
     seq = SymSeq.from_json(_load_payload(args.seq))
-    image = schur_weyl(seq, args.d)
-    inputs = {"d": args.d, "seq": seq.to_json()}
-    return inputs, image.to_json()
+    return {"d": d, "seq": seq.to_json()}, schur_weyl(seq, d).to_json()
 
 
 def _cmd_seq_tensor(args):
@@ -124,28 +129,28 @@ def _cmd_seq_tensor(args):
 
 
 def _cmd_free_gen(args):
-    seq = free_generator(args.level)
-    return {"level": args.level}, seq.to_json()
+    level = _read_int(args.level, "level")
+    return {"level": level}, free_generator(level).to_json()
 
 
 def _cmd_localize(args):
+    d = _read_int(args.d, "rank")
     seq = SymSeq.from_json(_load_payload(args.seq))
-    result = localize(seq, args.d)
-    return {"d": args.d, "seq": seq.to_json()}, result.to_json()
+    return {"d": d, "seq": seq.to_json()}, localize(seq, d).to_json()
 
 
 def _cmd_wedge_component(args):
-    seq = wedge_component(args.n)
-    return {"n": args.n}, seq.to_json()
+    n = _read_int(args.n, "level")
+    return {"n": n}, wedge_component(n).to_json()
 
 
 def _cmd_wedge_dim(args):
+    bound = None if args.bound is None else _read_int(args.bound, "bound")
     obj = GradedObject.from_json(_load_payload(args.object))
-    cert = certify_finiteness(obj, bound=args.bound)
     inputs = {"object": obj.to_json()}
-    if args.bound is not None:
-        inputs["bound"] = args.bound
-    return inputs, cert.to_json()
+    if bound is not None:
+        inputs["bound"] = bound
+    return inputs, certify_finiteness(obj, bound=bound).to_json()
 
 
 def _cmd_kimura(args):
@@ -172,9 +177,13 @@ def _cmd_euler_chi(args):
 
 
 def _cmd_serre(args):
-    r_min, r_max = _parse_window(args.window)
-    alg = build_serre_algebra(args.n, r_min, r_max)
-    inputs = {"n": args.n, "window": [r_min, r_max]}
+    n = _read_int(args.n, "dimension")
+    lo, colon, hi = args.window.partition(":")
+    if not colon:
+        raise ValueError(f"the window {args.window!r} must be written A:B")
+    r_min, r_max = _read_int(lo, "lowest twist"), _read_int(hi, "highest twist")
+    alg = build_serre_algebra(n, r_min, r_max)
+    inputs = {"n": n, "window": [r_min, r_max]}
     if args.verify_duality:
         return inputs, verify_serre_duality(alg)
     return inputs, alg.to_json()
@@ -183,16 +192,6 @@ def _cmd_serre(args):
 def _cmd_gm_shift(args):
     space = BigradedVS.from_json(_load_payload(args.space))
     return {"space": space.to_json()}, gm_shift_functor(space).to_json()
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError("window must look like A:B")
-    r_min, r_max = int(lo), int(hi)
-    if r_min > r_max:
-        raise ValueError("window must be ordered")
-    return r_min, r_max
 
 
 def _run_selftest(args) -> int:
@@ -218,9 +217,6 @@ def _run_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit compact JSON (the default)"
-    )
     common.add_argument(
         "--pretty", action="store_true", help="emit indented text instead of JSON"
     )
@@ -248,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "schur-weyl", parents=[common],
         help="multiplicity transfer of a sequence into rank d characters",
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", required=True)
     p.add_argument("--seq", required=True, help="sequence JSON (inline or a file path)")
     p.set_defaults(handler=_cmd_schur_weyl)
 
@@ -262,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "free-gen", parents=[common], help="free generator power at one level"
     )
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", required=True)
     p.set_defaults(handler=_cmd_free_gen)
 
     p = sub.add_parser(
         "localize", parents=[common], help="drop constituents with more than d rows"
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", required=True)
     p.add_argument("seq")
     p.set_defaults(handler=_cmd_localize)
 
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "wedge-component", parents=[common],
         help="sign-isotypic cut of the n-th generator power",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.set_defaults(handler=_cmd_wedge_component)
 
     p = sub.add_parser(
@@ -284,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="finiteness certificate of a graded object",
     )
     p.add_argument("object", help="graded object JSON (inline or a file path)")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound")
     p.set_defaults(handler=_cmd_wedge_dim)
 
     p = sub.add_parser(
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serre", parents=[common],
         help="twist algebra of a projective space over a twist window",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--window", required=True, help="twist range A:B")
     p.add_argument("--verify-duality", action="store_true")
     p.set_defaults(handler=_cmd_serre)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, InvariantError, check_int, expect_ints
 from .partitions import Partition, compositions, dim_gl_irrep, partitions_of
-from .values import Counts, Frozen
+from .values import Counts, Frozen, read_ints, write_ints
 
 PRODUCT_FACTOR_BOUND = 4
 PRODUCT_RANK_BOUND = 4
@@ -72,16 +72,11 @@ class DominantWeight(Frozen):
 
     @classmethod
     def from_string(cls, text: str) -> "DominantWeight":
-        text = text.strip()
-        if text.startswith("[") and text.endswith("]"):
-            text = text[1:-1]
-        if not text:
-            return cls(0, ())
-        entries = tuple(int(x) for x in text.split(","))
+        entries = read_ints(text, "weight", brackets=True)
         return cls(len(entries), entries)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(x) for x in self.entries) + "]"
+        return write_ints(self.entries, brackets=True)
 
 
 def normalize_weight(w: DominantWeight) -> tuple[Partition, int]:
@@ -421,14 +416,13 @@ def product_group_tensor(
     """
     if len(left) != len(right):
         raise ValueError("factor count mismatch")
-    if not 1 <= len(left) <= PRODUCT_FACTOR_BOUND:
-        raise ValueError(f"between 1 and {PRODUCT_FACTOR_BOUND} factors supported")
-    result: dict[tuple[DominantWeight, ...], int] = {(): 1}
+    check_int(len(left), "factor count", 1, PRODUCT_FACTOR_BOUND)
     for a, b in zip(left, right):
         if a.d != b.d:
             raise ValueError("rank mismatch within a factor")
-        if a.d > PRODUCT_RANK_BOUND:
-            raise ValueError(f"factor ranks limited to {PRODUCT_RANK_BOUND}")
+        check_int(a.d, "rank", high=PRODUCT_RANK_BOUND)
+    result: dict[tuple[DominantWeight, ...], int] = {(): 1}
+    for a, b in zip(left, right):
         t = gl_tensor(a, b)
         merged: dict[tuple[DominantWeight, ...], int] = {}
         for tup, c in result.items():

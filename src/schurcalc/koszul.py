@@ -22,7 +22,7 @@ from .symgroup import (
     alt_projector,
     sym_projector,
 )
-from .values import Counts, Record, write_keys
+from .values import Counts, Record, read_ints, write_keys
 
 KIND_WEDGE_FINITE = "wedge-finite"
 KIND_ODDLY_FINITE = "oddly-finite"
@@ -38,7 +38,7 @@ class GradedObject(Counts):
     _negative = "negative dimension {count} in degree {key}"
     _count_text = "dimension in degree {}"
     _json_name = "graded object"
-    _parse = staticmethod(int)
+    _parse = staticmethod(lambda text: read_ints(text, "degree", length=1)[0])
 
     def __init__(self, dims: Mapping[int, int] | None = None):
         self.dims = self._canonical(dims)

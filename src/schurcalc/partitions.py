@@ -8,7 +8,7 @@ from operator import le
 from typing import Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, check_int, expect_ints
-from .values import Frozen
+from .values import Frozen, read_ints, write_ints
 
 TABLEAU_ENUMERATION_BOUND = 10
 
@@ -18,8 +18,8 @@ class Partition(Frozen):
     """Weakly decreasing tuple of positive row lengths, top row first.
 
     The empty partition is Partition(()). Text form is comma separated,
-    "3,1,1", with "" for the empty partition. Partitions order as their
-    row tuples do.
+    "3,1,1", with "" for the empty partition, and from_string reads no
+    other text. Partitions order as their row tuples do.
     """
 
     __slots__ = ("parts",)
@@ -48,13 +48,10 @@ class Partition(Frozen):
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(piece) for piece in text.split(",")))
+        return cls(read_ints(text, "shape"))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return write_ints(self.parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

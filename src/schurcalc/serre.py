@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import InvariantError, WindowExceededError, check_int, is_int
 from .partitions import compositions
-from .values import Counts, Record, write_keys
+from .values import Counts, Record, read_ints, write_ints, write_keys
 
 DIMENSION_BOUND = 3
 TWIST_BOUND = 20
@@ -129,10 +129,8 @@ def cech_cohomology(n: int, r: int) -> CechCohomology:
     infinite monomial families, so their vanishing is what makes the answer
     finite); the two finite families contribute their monomials verbatim.
     """
-    check_int(n, "dimension")
+    check_int(n, "dimension", 0, DIMENSION_BOUND)
     check_int(r, "twist")
-    if not 0 <= n <= DIMENSION_BOUND:
-        raise ValueError(f"dimension must be between 0 and {DIMENSION_BOUND}")
     if abs(r) > TWIST_BOUND:
         raise WindowExceededError(f"twist {r} exceeds bound {TWIST_BOUND}")
     charts = tuple(range(n + 1))
@@ -178,6 +176,8 @@ class BigradedVS(Counts):
     _negative = "negative dimension"
     _count_text = "dimension at {}"
     _json_name = "bigraded space"
+    _text = staticmethod(write_ints)
+    _parse = staticmethod(lambda text: read_ints(text, "weight and degree", length=2))
 
     def __init__(self, dims: Mapping[tuple[int, int], int] | None = None):
         self.dims = self._canonical(dims)
@@ -187,15 +187,6 @@ class BigradedVS(Counts):
         if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_int, key))):
             raise TypeError(f"the key {key!r} must be a (weight, degree) pair of ints")
         return key
-
-    @staticmethod
-    def _text(key) -> str:
-        return f"{key[0]},{key[1]}"
-
-    @staticmethod
-    def _parse(text: str) -> tuple[int, int]:
-        r_text, i_text = text.split(",")
-        return int(r_text), int(i_text)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -307,11 +298,11 @@ class SerreAlgebra(Record):
 
 def build_serre_algebra(n: int, r_min: int, r_max: int) -> SerreAlgebra:
     """Assemble all twists of a window into one bigraded algebra."""
-    check_int(n, "dimension")
+    check_int(n, "dimension", 0, DIMENSION_BOUND)
     check_int(r_min, "lowest twist")
     check_int(r_max, "highest twist")
     if r_min > r_max:
-        raise ValueError("empty window")
+        raise ValueError(f"the window {r_min}:{r_max} is empty")
     if r_max - r_min > WINDOW_WIDTH_BOUND:
         raise WindowExceededError(
             f"window width {r_max - r_min} exceeds {WINDOW_WIDTH_BOUND}"

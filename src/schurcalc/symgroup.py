@@ -23,7 +23,7 @@ from .partitions import (
     compositions,
     dim_sym_irrep,
 )
-from .values import Counts, Frozen
+from .values import Counts, Frozen, read_ints, write_ints
 
 SYMMETRIZER_BOUND = 8
 # products an idempotence check may spend: every element of Q[Sigma_7] can
@@ -73,15 +73,10 @@ class Permutation(Frozen):
 
     @classmethod
     def from_one_line(cls, text: str) -> "Permutation":
-        text = text.strip()
-        if text.startswith("[") and text.endswith("]"):
-            text = text[1:-1]
-        if not text:
-            return cls(())
-        return cls(tuple(int(x) for x in text.split(",")))
+        return cls(read_ints(text, "permutation", brackets=True))
 
     def one_line(self) -> str:
-        return "[" + ",".join(str(x) for x in self.images) + "]"
+        return write_ints(self.images, brackets=True)
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from .errors import BoundExceededError, check_int
 from .glchar import lr_expand
 from .partitions import Partition
 from .symgroup import SymChar
-from .values import Record, read_keys, read_object, write_keys
+from .values import Record, read_ints, read_keys, read_object, write_keys
 
 DEFAULT_LEVEL_BOUND = 8
 
@@ -77,7 +77,8 @@ class SymSeq(Record):
     @classmethod
     def from_json(cls, data: Mapping) -> "SymSeq":
         data = read_object(data, "sequence", ("levels",))
-        levels = read_keys(data.get("levels", {}), "levels", int)
+        levels = data.get("levels", {})
+        levels = read_keys(levels, "levels", lambda text: read_ints(text, "level", length=1)[0])
         return cls({level: SymChar.from_json(level, coeffs) for level, coeffs in levels.items()})
 
 

@@ -1,4 +1,4 @@
-"""Bases of the package's small value classes, and the JSON key reader and writer.
+"""Bases of the package's small value classes, and the one text form of ints and keys.
 
 A subclass names its fields in __slots__, in constructor order. Equality,
 hashing, repr and copying all read the fields from there.
@@ -20,19 +20,43 @@ def write_keys(mapping, write=None) -> dict:
     return {str(key): write(value) if write else value for key, value in sorted(mapping.items())}
 
 
-def read_keys(data, what: str, parse, text=str) -> dict:
+def read_keys(data, what: str, parse) -> dict:
     """The entries of a decoded JSON object, each key text read by parse.
 
-    A key text that text() does not write back from its key raises
-    ValueError naming it, so two texts never name one key.
+    parse refuses a key text that the writer would not write, so two texts
+    never name one key.
     """
-    entries = {}
-    for key_text, value in expect_mapping(data, what).items():
-        key = parse(key_text)
-        if text(key) != key_text:
-            raise ValueError(f"the {what} key {key_text!r} must be written {text(key)!r}")
-        entries[key] = value
-    return entries
+    return {parse(key_text): value for key_text, value in expect_mapping(data, what).items()}
+
+
+def write_ints(ints, brackets=False) -> str:
+    """The one text of an int tuple: "3,-1", or "[3,-1]" with brackets."""
+    text = ",".join(map(str, ints))
+    return f"[{text}]" if brackets else text
+
+
+def read_ints(text: str, what: str, brackets=False, length=None) -> tuple[int, ...]:
+    """The ints that write_ints(ints, brackets) writes as text, length of them if given.
+
+    The one reader of ints from text. Any other text raises ValueError
+    naming it and, where it holds ints, the text they must be written as:
+    surrounding spaces, a missing or extra bracket, "+1", "01", "0_1", "-0"
+    and non-ASCII digits are all refused.
+    """
+    # str(): a non-str key handed to from_json fails the last check, not here
+    inner = str(text).strip()
+    if inner[:1] == "[" and inner[-1:] == "]":
+        inner = inner[1:-1]
+    try:
+        ints = tuple(map(int, inner.split(","))) if inner.strip() else ()
+    except ValueError:
+        raise ValueError(f"the {what} {text!r} must be written as decimal ints") from None
+    if length is not None and len(ints) != length:
+        raise ValueError(f"the {what} {text!r} must have length {length}")
+    canonical = write_ints(ints, brackets)
+    if canonical != text:
+        raise ValueError(f"the {what} {text!r} must be written {canonical!r}")
+    return ints
 
 
 class Record:
@@ -65,7 +89,7 @@ class Counts(Record):
     The last field is the canonical form: a dict from keys to nonzero ints.
     A field before it is a rank that two values must share to be added.
     A subclass checks one key in _key, raising TypeError for a key of the
-    wrong type, writes and parses key text in _text and _parse, and may set
+    wrong type, writes and reads key text in _text and _parse, and may set
     the class attributes below. JSON names each field by its slot. Counts
     must be ints, never bools; anything else raises TypeError.
     """
@@ -147,10 +171,10 @@ class Counts(Record):
 
     @classmethod
     def _read_map(cls, data, what: str) -> dict:
-        """Counts of a decoded JSON object, keys read by _parse and _text."""
+        """Counts of a decoded JSON object, keys read by _parse."""
         return {
             key: expect_int(count, cls._count_text.format(cls._text(key)))
-            for key, count in read_keys(data, what, cls._parse, cls._text).items()
+            for key, count in read_keys(data, what, cls._parse).items()
         }
 
 

@@ -1,10 +1,11 @@
-"""The library's own checks: one rule per int argument, no assert, no unread import.
+"""The library's own checks: one rule per int argument, no assert, no unread
+import, and one reader of ints from text.
 
 errors.check_int(value, what, low, high) is the one check of an int
-argument in partitions, symgroup, symseq, glchar and koszul: a bool or any
-other type raises TypeError, a value below low ValueError and one above
-high BoundExceededError, each before any work, with a text that names the
-argument and the value.
+argument in partitions, symgroup, symseq, glchar, koszul and serre: a bool
+or any other type raises TypeError, a value below low ValueError and one
+above high BoundExceededError, each before any work, with a text that names
+the argument and the value.
 """
 
 import ast
@@ -13,12 +14,13 @@ from pathlib import Path
 import pytest
 
 import schurcalc
-from schurcalc import glchar, koszul, partitions, symgroup, symseq
+from schurcalc import glchar, koszul, partitions, serre, symgroup, symseq
 from schurcalc.errors import BoundExceededError
 from schurcalc.glchar import (
     DominantWeight,
     GLChar,
     exterior_power,
+    product_group_tensor,
     schur_weyl,
     symmetric_power,
     weight_of,
@@ -31,6 +33,7 @@ from schurcalc.koszul import (
     wedge,
 )
 from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep
+from schurcalc.serre import DIMENSION_BOUND, build_serre_algebra, cech_cohomology
 from schurcalc.symgroup import (
     CHARACTER_TABLE_BOUND,
     DEGREE_BOUND,
@@ -132,7 +135,25 @@ INT_ARGUMENTS = [
         "certify_finiteness", lambda v: certify_finiteness(LINE, bound=v), "bound", 0, None,
         [(koszul, "wedge"), (koszul, "sym")],
     ),
+    (
+        "cech_cohomology", lambda v: cech_cohomology(v, 0), "dimension", 0, DIMENSION_BOUND,
+        [(serre, "_pattern_cohomology")],
+    ),
+    # the dimension is checked before any twist of the window
+    (
+        "build_serre_algebra", lambda v: build_serre_algebra(v, 0, 0), "dimension", 0,
+        DIMENSION_BOUND, [(serre, "cech_cohomology")],
+    ),
+    # GLChar holds the rank's type and sign checks, the product its bound
+    (
+        "product_group_tensor-rank", lambda v: product_group_tensor([GLChar(v)], [GLChar(v)]),
+        "rank", 0, glchar.PRODUCT_RANK_BOUND, [(glchar, "gl_tensor")],
+    ),
 ]
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("the argument must be checked before any work")
 
 
 @pytest.mark.parametrize(
@@ -144,12 +165,8 @@ def test_every_int_argument_follows_one_rule(monkeypatch, call, what, low, high,
     all_permutations(2)  # a cached S_2 must not answer for 2.0 or a bool
     all_partitions(1)
     character_table(1)
-
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("the argument must be checked before any work")
-
     for owner, name in kernels:
-        monkeypatch.setattr(owner, name, no_work)
+        monkeypatch.setattr(owner, name, _no_work)
     for bad in (True, 2.0, "2"):
         name = type(bad).__name__
         with pytest.raises(TypeError, match=f"^the {what} {bad!r} must be an int, not {name}$"):
@@ -161,6 +178,21 @@ def test_every_int_argument_follows_one_rule(monkeypatch, call, what, low, high,
         text = f"^the {what} {high + 1} must be at most {high}$"
         with pytest.raises(BoundExceededError, match=text):
             call(high + 1)
+
+
+def test_the_factor_count_of_a_product_follows_the_rule(monkeypatch):
+    """The factor count of product_group_tensor is a length, never a bool or
+    a float, so only its two ends are tried, each before any factor is
+    tensored."""
+    monkeypatch.setattr(glchar, "gl_tensor", _no_work)
+    with pytest.raises(ValueError, match="^the factor count 0 must be at least 1$"):
+        product_group_tensor([], [])
+    high = glchar.PRODUCT_FACTOR_BOUND
+    factors = [GLChar(1)] * (high + 1)
+    with pytest.raises(
+        BoundExceededError, match=f"^the factor count {high + 1} must be at most {high}$"
+    ):
+        product_group_tensor(factors, factors)
 
 
 def test_the_library_has_no_assert_statement():
@@ -201,3 +233,24 @@ def test_the_library_reads_every_name_it_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read
         ]
     assert not unused, f"imported names never read: {unused}"
+
+
+def test_only_values_reads_an_int_from_text():
+    """values.read_ints is the one reader of ints from text, so a value has
+    one text: no other module calls int() or passes the builtin int to a
+    call (as a parser, type= or map), save isinstance and the exit code
+    that cli.main reads from SystemExit."""
+    found = []
+    for path in sorted(Path(schurcalc.__file__).parent.glob("*.py")):
+        if path.name == "values.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call) or ast.unparse(node.func) == "isinstance":
+                continue
+            called = [node.func, *node.args, *(keyword.value for keyword in node.keywords)]
+            text = f"{path.name} {ast.unparse(node)}"
+            if text != "cli.py int(exc.code)" and any(
+                isinstance(name, ast.Name) and name.id == "int" for name in called
+            ):
+                found.append(f"{text} at line {node.lineno}")
+    assert not found, f"ints read from text outside values.read_ints: {found}"

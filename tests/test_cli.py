@@ -265,6 +265,39 @@ def test_a_payload_not_in_the_written_form_exits_2(capsys, argv, named):
     assert named in error["detail"]
 
 
+# argv values not in the written form, each with its one written form: the
+# reader of payload keys reads every argv int, shape and window too
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("free-gen", "--level", "\u0662"), ("free-gen", "--level", "2")),
+        (("free-gen", "--level", "0_2"), ("free-gen", "--level", "2")),
+        (("serre", "--n", "1", "--window=-0_1:+1"), ("serre", "--n", "1", "--window=-1:1")),
+        (("lr", " 2,1", "2, 1", "3,2,1"), ("lr", "2,1", "2,1", "3,2,1")),
+        (("symmetrizer", "2, 1"), ("symmetrizer", "2,1")),
+        (
+            ("schur-weyl", "--d", "+2", "--seq", '{"levels":{"1":{"1":1}}}'),
+            ("schur-weyl", "--d", "2", "--seq", '{"levels":{"1":{"1":1}}}'),
+        ),
+        (
+            ("wedge-dim", '{"dims":{"0":1}}', "--bound", "05"),
+            ("wedge-dim", '{"dims":{"0":1}}', "--bound", "5"),
+        ),
+        (("serre", "--n", "1", "--window", " -4:4"), ("serre", "--n", "1", "--window", "-4:4")),
+    ],
+    ids=lambda value: " ".join(value),
+)
+def test_an_argument_not_in_the_written_form_exits_2(capsys, argv, written):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "bad-input"
+    assert "must be written" in error["detail"]
+    code, out, err = run(capsys, *written)
+    assert code == 0, err
+
+
 def test_negative_rank_exits_2(capsys):
     code, out, err = run(
         capsys, "schur-weyl", "--d", "-1", "--seq", '{"levels":{"1":{"1":1}}}'
@@ -335,9 +368,8 @@ ONE = '{"dims":{"0":1}}'
 
 
 # each int option below zero, at its bound and one past it: a negative value
-# is bad input (2), one past a size bound is refused as such (3), and serre's
-# dimension, the one bound kept as a ValueError, stays 2; localize has no
-# bound on its rank
+# is bad input (2) and one past a size bound is refused as such (3);
+# localize has no bound on its rank
 @pytest.mark.parametrize(
     "argv, exit_code",
     [
@@ -358,7 +390,7 @@ ONE = '{"dims":{"0":1}}'
         (("wedge-dim", ONE, "--bound", "8"), 3),
         (("serre", "--n", "-1", "--window", "0:0"), 2),
         (("serre", "--n", "3", "--window", "0:0"), 0),
-        (("serre", "--n", "4", "--window", "0:0"), 2),
+        (("serre", "--n", "4", "--window", "0:0"), 3),
         (("symmetrizer", "-1"), 2),
         (("symmetrizer", "5,3"), 0),
         (("symmetrizer", "5,4"), 3),
@@ -455,6 +487,14 @@ def test_bound_flag_is_gone_and_exits_2_at_once(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --bound" in err
+
+
+def test_the_json_flag_is_gone(capsys):
+    """Compact JSON is what every command prints unless --pretty is given."""
+    code, out, err = run(capsys, "free-gen", "--level", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --json" in err
 
 
 def test_only_wedge_dim_takes_a_bound(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc.errors import WindowExceededError
+from schurcalc.errors import BoundExceededError, WindowExceededError
 from schurcalc.serre import (
     BigradedVS,
     _rank,
@@ -88,9 +88,9 @@ def test_duality_of_dimensions():
 
 
 def test_cech_rejects_bad_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceededError, match="^the dimension 4 must be at most 3$"):
         cech_cohomology(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the dimension -1 must be at least 0$"):
         cech_cohomology(-1, 0)
 
 

@@ -1,4 +1,5 @@
-"""The package's value classes: equality, hashing, repr, immutability, copies.
+"""The package's value classes: equality, hashing, repr, immutability, copies,
+and the one text form of an int tuple.
 
 Hashes must equal hash() of the field tuple, so that the iteration order of
 every set and dict keyed by these values is fixed by their fields alone.
@@ -18,6 +19,7 @@ from schurcalc.partitions import Partition, StandardTableau
 from schurcalc.serre import build_serre_algebra, cech_cohomology
 from schurcalc.symgroup import GroupAlgebraElement, Permutation, SymChar
 from schurcalc.symseq import SymSeq
+from schurcalc.values import read_ints, write_ints
 
 # (value, its fields in constructor order, its repr)
 FROZEN = [
@@ -168,3 +170,49 @@ def test_sorting_matches_field_tuples(shapes, ws):
     assert sorted(shapes, reverse=True) == sorted(
         shapes, key=lambda p: (p.parts,), reverse=True
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(), max_size=6).map(tuple), st.booleans())
+def test_read_ints_inverts_write_ints(ints, brackets):
+    assert read_ints(write_ints(ints, brackets), "tuple", brackets) == ints
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="0123456789-+_,[] \u0661", max_size=10), st.booleans())
+def test_read_ints_takes_only_the_text_write_ints_writes(text, brackets):
+    try:
+        ints = read_ints(text, "tuple", brackets)
+    except ValueError as exc:
+        assert repr(text) in str(exc)
+    else:
+        assert write_ints(ints, brackets) == text
+
+
+@pytest.mark.parametrize(
+    "text, brackets, refusal",
+    [
+        (" 2,1", False, "must be written '2,1'"),
+        ("2, 1", False, "must be written '2,1'"),
+        ("+1", False, "must be written '1'"),
+        ("01", False, "must be written '1'"),
+        ("0_1", False, "must be written '1'"),
+        ("-0", False, "must be written '0'"),
+        ("\u0661", False, "must be written '1'"),
+        ("[2,1]", False, "must be written '2,1'"),
+        ("2,-1", True, "must be written '[2,-1]'"),
+        ("[ ]", True, "must be written '[]'"),
+        ("3,x", False, "must be written as decimal ints"),
+        ("1,", False, "must be written as decimal ints"),
+    ],
+)
+def test_read_ints_names_the_one_text(text, brackets, refusal):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'the tuple {text!r} {refusal}')}$"):
+        read_ints(text, "tuple", brackets)
+
+
+def test_read_ints_checks_the_length():
+    assert read_ints("-1,3", "pair", length=2) == (-1, 3)
+    for text in ("", "1", "1,2,3"):
+        with pytest.raises(ValueError, match=f"^the pair '{text}' must have length 2$"):
+            read_ints(text, "pair", length=2)
