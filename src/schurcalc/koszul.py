@@ -107,6 +107,16 @@ def _horner_plan(n: int) -> tuple[tuple, tuple, int]:
     return tuple(leaves), tuple(inner), len(slots)
 
 
+# Widest packed root, in bits, that _power_image multiplies out. Timed
+# against the dict walk (Python 3.11, n = 2..8): on objects of two or three
+# degrees the dict walk is faster past about 500 to 5 000 bits, on objects
+# with a degree every sixth of the span past about 2 000 to 20 000 bits.
+# At this cap the packed walk is at most 2x slower on the first kind and up
+# to 7x faster on the second; every graded-powers benchmark object packs
+# into under 500 bits.
+_PACKED_BITS = 1 << 12
+
+
 def _power_image(
     c: GradedObject, den: int, by_lengths: Mapping[tuple[int, ...], int]
 ) -> GradedObject:
@@ -131,6 +141,16 @@ def _power_image(
     after its children, and a subtree without types is skipped. A key that is not a
     partition of n is refused, and each total is divided by den exactly
     once at the end, degrees ascending.
+
+    The polynomials are packed into ints (Kronecker substitution): with
+    low the least degree and gap the gcd of the degree gaps, p_l(t) /
+    t^(l low) is evaluated at t^gap = 2^bits, so a trie edge is one int
+    product. No coefficient of the root exceeds sum |S_mu| * max(1, dim
+    c)^n in absolute value, and bits leaves room for it and a sign, so the
+    root is read back exactly as balanced base-2^bits digits. The gcd is
+    taken only when the plain span does not fit in _PACKED_BITS; degrees
+    too far apart for either go through the same walk on {degree: int}
+    dicts (_power_image_by_dicts).
     """
     if not by_lengths:
         return GradedObject._unchecked({})
@@ -141,7 +161,92 @@ def _power_image(
             f" some n <= {KOSZUL_BOUND}"
         )
     leaves, inner, slots = _horner_plan(n)
-    items = tuple(c.dims.items())
+    dims = c.dims
+    low = min(dims) if dims else 0
+    span = max(dims) - low if dims else 0
+    # |coefficient| <= sum |S_mu| * max(1, dim c)^n, since a product of at
+    # most n power sums has coefficients of absolute sum at most (dim c)^n
+    bound = sum(map(abs, by_lengths.values())) * (sum(dims.values()) or 1) ** n
+    bits = bound.bit_length() + 1
+    gap = 1
+    if (n * span + 1) * bits > _PACKED_BITS:
+        gap = math.gcd(*(deg - low for deg in dims)) or 1
+        if (n * span // gap + 1) * bits > _PACKED_BITS:
+            return _power_image_by_dicts(dims, den, by_lengths, n)
+    # (bit place in p_1, dim, the signed dim of an even-length cycle)
+    places = [
+        (bits * ((deg - low) // gap), dim, -dim if deg % 2 else dim) for deg, dim in dims.items()
+    ]
+    power_sums = [1]
+    for l in range(1, n + 1):
+        p_l = 0
+        if l % 2:
+            for place, dim, _ in places:
+                p_l += dim << l * place
+        else:
+            for place, _, signed in places:
+                p_l += signed << l * place
+        power_sums.append(p_l)
+    acc = [0] * slots
+    get = by_lengths.get
+    hits = 0
+    for lengths, parent, l in leaves:
+        num = get(lengths)
+        if num is None:
+            continue
+        hits += 1
+        if num:
+            acc[parent] += num * power_sums[l]
+    if hits != len(by_lengths):
+        _refuse_strays(by_lengths, leaves, n)
+    for slot, parent, l in inner:
+        child = acc[slot]
+        if child:
+            acc[parent] += power_sums[l] * child
+    # the root read as balanced base-2^bits digits, degrees ascending
+    root = acc[0]
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    deg = n * low
+    image: dict[int, int] = {}
+    while root:
+        total = root & mask
+        if not total:
+            # a run of zero digits, up to the lowest set bit, in one shift
+            skip = ((root & -root).bit_length() - 1) // bits
+            root >>= skip * bits
+            deg += skip * gap
+            continue
+        root >>= bits
+        if total >= half:
+            total -= mask + 1
+            root += 1
+        if total < 0 or total % den:
+            raise _not_a_rank(total, den, deg)
+        image[deg] = total // den
+        deg += gap
+    return GradedObject._unchecked(image)
+
+
+def _not_a_rank(total: int, den: int, deg: int) -> InvariantError:
+    return InvariantError(
+        f"image dimension {Fraction(total, den)} in degree {deg} is not a nonnegative integer"
+    )
+
+
+def _refuse_strays(by_lengths, leaves, n: int):
+    known = {lengths for lengths, _, _ in leaves}
+    strays = [key for key in by_lengths if key not in known]
+    raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
+
+
+def _power_image_by_dicts(
+    dims: Mapping[int, int], den: int, by_lengths: Mapping[tuple[int, ...], int], n: int
+) -> GradedObject:
+    """_power_image's Horner walk on {degree: int} dicts, for degrees too far
+    apart to pack."""
+    leaves, inner, slots = _horner_plan(n)
+    items = tuple(dims.items())
     power_sums = [((0, 1),)] + [
         tuple((l * deg, -dim if (l - 1) * deg % 2 else dim) for deg, dim in items)
         for l in range(1, n + 1)
@@ -162,9 +267,7 @@ def _power_image(
         for b, y in power_sums[l]:
             poly[b] = poly.get(b, 0) + num * y
     if hits != len(by_lengths):
-        known = {lengths for lengths, _, _ in leaves}
-        strays = [key for key in by_lengths if key not in known]
-        raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
+        _refuse_strays(by_lengths, leaves, n)
     for slot, parent, l in inner:
         child = acc[slot]
         if child is None:
@@ -176,17 +279,14 @@ def _power_image(
             for a, x in child.items():
                 poly[a + b] = poly.get(a + b, 0) + x * y
     acc_root = acc[0] or {}
-    dims: dict[int, int] = {}
+    image: dict[int, int] = {}
     for deg in sorted(acc_root):
         total = acc_root[deg]
-        if total % den or total < 0:
-            raise InvariantError(
-                f"image dimension {Fraction(total, den)} in degree {deg}"
-                " is not a nonnegative integer"
-            )
+        if total < 0 or total % den:
+            raise _not_a_rank(total, den, deg)
         if total:
-            dims[deg] = total // den
-    return GradedObject._unchecked(dims)
+            image[deg] = total // den
+    return GradedObject._unchecked(image)
 
 
 def graded_power_image(
@@ -241,10 +341,10 @@ def euler_falling_factorial(chi: int, n: int) -> Fraction:
     have, for ints chi and n >= 0."""
     check_int(chi, "Euler characteristic")
     check_int(n, "order", 0)
-    num = 1
-    for k in range(n):
-        num *= chi - k
-    return Fraction(num, math.factorial(n))
+    # the binomial C(chi, n); for chi < 0 it is (-1)^n C(n - chi - 1, n)
+    if chi >= 0:
+        return Fraction(math.comb(chi, n))
+    return Fraction((-1) ** (n % 2) * math.comb(n - chi - 1, n))
 
 
 class FinitenessCertificate(Record):

@@ -399,7 +399,13 @@ def check_falling_factorial(lim: Limits):
 
 def check_parity_flip(lim: Limits):
     degrees = (-1, 0, 1)
-    for c in _graded_grid(min(lim.koszul_dim, 3), degrees):
+    # a degree 10^12 away from the rest: too wide to pack unless the gaps
+    # share a factor, so both of _power_image's walks are checked
+    far = [
+        koszul.GradedObject(dims)
+        for dims in ({0: 1, 1: 1, 10**12: 1}, {-1: 2, 10**12 - 1: 1}, {0: 1, 1: 2, -(10**12): 1})
+    ]
+    for c in [*_graded_grid(min(lim.koszul_dim, 3), degrees), *far]:
         for n in range(min(lim.koszul_power, 4) + 1):
             left = koszul.wedge(c.shift(1), n)
             right = koszul.sym(c, n).shift(n)

@@ -155,6 +155,18 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation._unchecked, _tuple_permutations(range(1, n + 1))))
 
 
+class _Hashed:
+    """Stands in a tuple for a value whose hash was already taken."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
 class GroupAlgebraElement:
     """Sparse element of Q[Sigma_n], held as integer numerators over one denominator.
 
@@ -164,11 +176,13 @@ class GroupAlgebraElement:
     common denominator, so gcd(den, *nums.values()) == 1, and equality is
     equality of (n, den, nums). Elements are never mutated once built, so
     two of them may share one nums dict, and the hash is computed once and
-    kept. `terms` is a read-only {Permutation: int | Fraction} view of the
-    same coefficients.
+    kept. The hash of the support is kept in a cell that every element
+    scale builds on the same nums dict shares, so it is computed at most
+    once per dict. `terms` is a read-only {Permutation: int | Fraction}
+    view of the same coefficients.
     """
 
-    __slots__ = ("n", "den", "nums", "_hash")
+    __slots__ = ("n", "den", "nums", "_hash", "_support")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None):
         _identity(n)  # checks the degree
@@ -184,18 +198,18 @@ class GroupAlgebraElement:
         self.nums = {
             bytes(p.images): c.numerator * (den // c.denominator) for p, c in terms.items() if c
         }
-        self._hash = None
+        self._hash = self._support = None
 
     @classmethod
     def _canonical(cls, n: int, den: int, nums: dict[bytes, int]):
         """The element nums/den, which must already be in canonical form."""
         e = object.__new__(cls)
-        e.n, e.den, e.nums, e._hash = n, den, nums, None
+        e.n, e.den, e.nums, e._hash, e._support = n, den, nums, None, None
         return e
 
     def __reduce__(self):
-        # the kept hash is left out: it is built from bytes hashes, which
-        # differ from one process to the next
+        # the kept hashes are left out: they are built from bytes hashes,
+        # which differ from one process to the next
         return (GroupAlgebraElement._canonical, (self.n, self.den, self.nums))
 
     @classmethod
@@ -236,14 +250,24 @@ class GroupAlgebraElement:
             and (self.nums is other.nums or self.nums == other.nums)
         )
 
+    def _support_cell(self) -> list:
+        """The cell that keeps (hash of the support, sum of nums), empty until
+        the first hash of an element that shares it."""
+        cell = self._support
+        if cell is None:
+            cell = self._support = []
+        return cell
+
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # the frozenset of the support reuses the key hashes the dict
-            # stores, which hashing every (images, num) pair would compute again
-            h = self._hash = hash(
-                (self.n, self.den, frozenset(self.nums), sum(self.nums.values()))
-            )
+            cell = self._support_cell()
+            if not cell:
+                # the frozenset of the support reuses the key hashes the dict
+                # stores, which hashing every (images, num) pair would compute again
+                cell += (_Hashed(hash(frozenset(self.nums))), sum(self.nums.values()))
+            # the hash of (n, den, frozenset(nums), sum(nums))
+            h = self._hash = hash((self.n, self.den, *cell))
         return h
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -275,13 +299,20 @@ class GroupAlgebraElement:
         # with p/q and nums/den both in lowest terms, cancelling gcd(p, den)
         # and gcd(q, *nums) leaves the product in canonical form
         gp = math.gcd(p, self.den)
-        gq = math.gcd(q, *self.nums.values()) if q != 1 else 1
+        gq = 1
+        if q != 1:
+            # one numerator prime to q settles it, as for a symmetrizer's ±1
+            gq = math.gcd(q, next(iter(self.nums.values())))
+            if gq != 1:
+                gq = math.gcd(gq, *self.nums.values())
         factor = p // gp
-        if factor == 1 and gq == 1:
-            nums = self.nums
-        else:
+        den = self.den // gp * (q // gq)
+        if factor != 1 or gq != 1:
             nums = {im: c // gq * factor for im, c in self.nums.items()}
-        return GroupAlgebraElement._canonical(self.n, self.den // gp * (q // gq), nums)
+            return GroupAlgebraElement._canonical(self.n, den, nums)
+        e = GroupAlgebraElement._canonical(self.n, den, self.nums)
+        e._support = self._support_cell()
+        return e
 
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
         if isinstance(scalar, (int, Fraction)):

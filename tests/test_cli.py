@@ -162,6 +162,18 @@ def test_output_bytes_match_recording(capsys, case):
     assert err == case["stderr"]
 
 
+def test_wedge_dim_of_degrees_far_apart_matches_the_dict_walk_recording(capsys):
+    # degrees 10^11 apart with gcd 1 are too wide to pack: the bytes were
+    # recorded when every power image was summed on {degree: int} dicts
+    case = json.loads((GOLDEN.parent / "wide_span_golden.json").read_text())
+    start = time.perf_counter()
+    code, out, err = run(capsys, *case["argv"])
+    assert time.perf_counter() - start < 1
+    assert code == case["exit"] == 0
+    assert ELAPSED.sub(r"\g<1>0", out) == case["stdout"]
+    assert err == case["stderr"]
+
+
 def test_import_loads_neither_dataclasses_nor_selftest():
     src = str(Path(schurcalc.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

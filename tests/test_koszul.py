@@ -6,6 +6,7 @@ tensor power basis, where each adjacent swap contributes a sign when both
 slots sit in odd degree, and compare ranks per total degree.
 """
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
@@ -308,11 +309,18 @@ def _outcome(kernel, *args):
         return f"InvariantError: {exc}"
 
 
+# small degrees pack densely; degrees up to 10^12 apart go through the dict
+# walk, or pack over their gcd when they are multiples of a large gap
+_DEGREES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.integers(min_value=-3, max_value=3).map(lambda k: k * 10**11 + 1),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    dims=st.dictionaries(
-        st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=3), max_size=4
-    ),
+    dims=st.dictionaries(_DEGREES, st.integers(min_value=0, max_value=3), max_size=4),
     n=st.integers(min_value=0, max_value=6),
     den=st.integers(min_value=1, max_value=6),
     data=st.data(),
@@ -357,6 +365,24 @@ def test_horner_kernel_matches_on_every_projector_class_function():
 def test_power_image_refuses_a_key_outside_the_partitions_of_n(by_lengths, text):
     with pytest.raises(InvariantError, match=text):
         _power_image(GradedObject({0: 1, 1: 1}), 1, by_lengths)
+
+
+def test_degrees_far_apart_answer_at_once_and_match_the_reference():
+    # span 10^11 with gcd 1: too wide to pack, so the dict walk answers
+    c = GradedObject({0: 1, 1: 1, 10**11: 1})
+    e = young_symmetrizer(Partition((2, 1)))[0].scale(Fraction(1, 3))
+    orders = range(KOSZUL_BOUND + 1)
+    start = time.perf_counter()
+    cert = certify_finiteness(c)
+    wedges, syms = [wedge(c, n) for n in orders], [sym(c, n) for n in orders]
+    image = graded_power_image(c, e)
+    assert time.perf_counter() - start < 1
+    assert wedges == [_power_image_per_cycle_type(c, *koszul._alt_sums(n)) for n in orders]
+    assert syms == [_power_image_per_cycle_type(c, *koszul._sym_sums(n)) for n in orders]
+    assert cert.kind == KIND_NOT_FINITE
+    assert cert.wedge_powers == dict(enumerate(wedges[: cert.bound + 2]))
+    assert cert.sym_powers == dict(enumerate(syms[: cert.bound + 2]))
+    assert image == _power_image_per_cycle_type(c, e.den, symgroup._class_sums(e))
 
 
 def test_horner_plan_shares_prefixes():
@@ -682,6 +708,14 @@ def test_full_power_dimension():
 def test_falling_factorial_anchor():
     assert euler_falling_factorial(-1, 2) == 1
     assert wedge(GradedObject({1: 1}), 2).euler() == 1
+
+
+def test_falling_factorial_of_a_huge_order_answers_at_once():
+    start = time.perf_counter()
+    values = [euler_falling_factorial(chi, 10**9) for chi in (3, -1, -2)]
+    assert time.perf_counter() - start < 1
+    assert values == [0, 1, 10**9 + 1]
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_falling_factorial_small_grid():

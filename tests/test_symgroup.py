@@ -321,6 +321,26 @@ def test_the_kept_hash_is_the_hash_of_the_value(drawn, k):
     assert x.is_zero() or GroupAlgebraElement._canonical(n, x.den * 2, x.nums) != x
 
 
+def test_a_normalised_symmetrizer_reuses_the_support_hash_of_its_dict(monkeypatch):
+    c, a = young_symmetrizer(Partition((3, 2)))
+    first = c.scale(1 / a)
+    hash(first)
+    again = c.scale(1 / a)
+    assert again.nums is c.nums and again._support is first._support is c._support
+    assert again._hash is None
+
+    def no_frozenset(*args):
+        raise AssertionError("the support was hashed again")
+
+    # the support hash was kept when first was hashed, so no frozenset is built
+    monkeypatch.setattr(symgroup, "frozenset", no_frozenset, raising=False)
+    assert hash(again) == hash(first) == _fresh_hash(again)
+    assert hash(c) == _fresh_hash(c)
+    # the same dict over another denominator hashes as its own value
+    doubled = c.scale(Fraction(1, 2 * a))
+    assert doubled._support is c._support and hash(doubled) == _fresh_hash(doubled)
+
+
 _PICKLE_IN_ANOTHER_PROCESS = """
 import pickle, sys
 from schurcalc.partitions import Partition
@@ -335,7 +355,7 @@ def test_copies_and_pickles_leave_the_kept_hash_behind():
     c, _ = young_symmetrizer(Partition((3, 2)))
     hash(c)
     for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
-        assert again._hash is None
+        assert again._hash is None and again._support is None
         assert again == c and hash(again) == _fresh_hash(c)
     # bytes hashes differ between processes, so an element pickled after it
     # was hashed under another hash seed must hash as one built here
