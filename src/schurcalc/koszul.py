@@ -107,14 +107,16 @@ def _horner_plan(n: int) -> tuple[tuple, tuple, int]:
     return tuple(leaves), tuple(inner), len(slots)
 
 
-# Widest packed root, in bits, that _power_image multiplies out. Timed
-# against the dict walk (Python 3.11, n = 2..8): on objects of two or three
-# degrees the dict walk is faster past about 500 to 5 000 bits, on objects
-# with a degree every sixth of the span past about 2 000 to 20 000 bits.
-# At this cap the packed walk is at most 2x slower on the first kind and up
-# to 7x faster on the second; every graded-powers benchmark object packs
-# into under 500 bits.
-_PACKED_BITS = 1 << 12
+# Packed bits per degree of c that _power_image multiplies out; a wider
+# root goes through the dict walk, whose cost grows with the number of
+# degrees. Timed against the dict walk (Python 3.11.7, n = 2..8, two to
+# eight degrees spread evenly or at random, dims 1 and 3), the dict walk
+# pulls ahead past about 400 to 9 000 bits per degree for n >= 3, more as
+# n grows, and past 30 to 650 at n = 2, where both walks take 5 to 45 us.
+# At 256 the packed walk is within 6 % of the dict walk or faster for
+# n >= 3, and at most 1.4x slower at n = 2; the widest graded-powers
+# benchmark root is 219 bits per degree ({0: 3, 3: 1} at n = 6).
+_PACKED_BITS_PER_DEGREE = 256
 
 
 def _power_image(
@@ -143,14 +145,12 @@ def _power_image(
     once at the end, degrees ascending.
 
     The polynomials are packed into ints (Kronecker substitution): with
-    low the least degree and gap the gcd of the degree gaps, p_l(t) /
-    t^(l low) is evaluated at t^gap = 2^bits, so a trie edge is one int
-    product. No coefficient of the root exceeds sum |S_mu| * max(1, dim
-    c)^n in absolute value, and bits leaves room for it and a sign, so the
-    root is read back exactly as balanced base-2^bits digits. The gcd is
-    taken only when the plain span does not fit in _PACKED_BITS; degrees
-    too far apart for either go through the same walk on {degree: int}
-    dicts (_power_image_by_dicts).
+    low the least degree, p_l(t) / t^(l low) is evaluated at t = 2^bits,
+    so a trie edge is one int product. No coefficient of the root exceeds
+    sum |S_mu| * max(1, dim c)^n in absolute value, and bits leaves room
+    for it and a sign, so the root is read back exactly as balanced
+    base-2^bits digits. An object whose packed root would be too wide goes
+    through the same walk on {degree: int} dicts (_power_image_by_dicts).
     """
     if not by_lengths:
         return GradedObject._unchecked({})
@@ -168,15 +168,10 @@ def _power_image(
     # most n power sums has coefficients of absolute sum at most (dim c)^n
     bound = sum(map(abs, by_lengths.values())) * (sum(dims.values()) or 1) ** n
     bits = bound.bit_length() + 1
-    gap = 1
-    if (n * span + 1) * bits > _PACKED_BITS:
-        gap = math.gcd(*(deg - low for deg in dims)) or 1
-        if (n * span // gap + 1) * bits > _PACKED_BITS:
-            return _power_image_by_dicts(dims, den, by_lengths, n)
+    if (n * span + 1) * bits > _PACKED_BITS_PER_DEGREE * len(dims):
+        return _power_image_by_dicts(dims, den, by_lengths, n)
     # (bit place in p_1, dim, the signed dim of an even-length cycle)
-    places = [
-        (bits * ((deg - low) // gap), dim, -dim if deg % 2 else dim) for deg, dim in dims.items()
-    ]
+    places = [(bits * (deg - low), dim, -dim if deg % 2 else dim) for deg, dim in dims.items()]
     power_sums = [1]
     for l in range(1, n + 1):
         p_l = 0
@@ -215,7 +210,7 @@ def _power_image(
             # a run of zero digits, up to the lowest set bit, in one shift
             skip = ((root & -root).bit_length() - 1) // bits
             root >>= skip * bits
-            deg += skip * gap
+            deg += skip
             continue
         root >>= bits
         if total >= half:
@@ -224,7 +219,7 @@ def _power_image(
         if total < 0 or total % den:
             raise _not_a_rank(total, den, deg)
         image[deg] = total // den
-        deg += gap
+        deg += 1
     return GradedObject._unchecked(image)
 
 

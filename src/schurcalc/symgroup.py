@@ -155,18 +155,6 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation._unchecked, _tuple_permutations(range(1, n + 1))))
 
 
-class _Hashed:
-    """Stands in a tuple for a value whose hash was already taken."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
-
-
 class GroupAlgebraElement:
     """Sparse element of Q[Sigma_n], held as integer numerators over one denominator.
 
@@ -265,8 +253,7 @@ class GroupAlgebraElement:
             if not cell:
                 # the frozenset of the support reuses the key hashes the dict
                 # stores, which hashing every (images, num) pair would compute again
-                cell += (_Hashed(hash(frozenset(self.nums))), sum(self.nums.values()))
-            # the hash of (n, den, frozenset(nums), sum(nums))
+                cell += (hash(frozenset(self.nums)), sum(self.nums.values()))
             h = self._hash = hash((self.n, self.den, *cell))
         return h
 

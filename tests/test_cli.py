@@ -163,7 +163,7 @@ def test_output_bytes_match_recording(capsys, case):
 
 
 def test_wedge_dim_of_degrees_far_apart_matches_the_dict_walk_recording(capsys):
-    # degrees 10^11 apart with gcd 1 are too wide to pack: the bytes were
+    # degrees 10^11 apart are too wide to pack: the bytes were
     # recorded when every power image was summed on {degree: int} dicts
     case = json.loads((GOLDEN.parent / "wide_span_golden.json").read_text())
     start = time.perf_counter()
