@@ -140,12 +140,17 @@ def check_projectors(lim: Limits):
 
 
 def check_young_symmetrizer(lim: Limits):
+    # every standard tableau up to decompose_n, the row reading one of each
+    # shape past it: a later tableau of a shape is proved by conjugating the
+    # first one's symmetrizer, and squaring checks that apart from the proof
     for n in range(1, lim.symmetrizer_n + 1):
         for p in all_partitions(n):
-            c, a = symgroup.young_symmetrizer(canonical_tableau(p))
-            _check(a == Fraction(math.factorial(n), dim_sym_irrep(p)))
-            e = c.scale(Fraction(1, 1) / a)
-            _check(e * e == e, f"normalized symmetrizer not idempotent at {p}")
+            tableaux = standard_tableaux(p) if n <= lim.decompose_n else [canonical_tableau(p)]
+            for t in tableaux:
+                c, a = symgroup.young_symmetrizer(t)
+                _check(a == Fraction(math.factorial(n), dim_sym_irrep(p)))
+                e = c.scale(Fraction(1, 1) / a)
+                _check(e * e == e, f"normalized symmetrizer not idempotent at {t.rows}")
 
 
 def check_character_orthogonality(lim: Limits):

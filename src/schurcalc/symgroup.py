@@ -10,7 +10,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations as _tuple_permutations, repeat
+from itertools import chain, combinations, islice, permutations as _tuple_permutations, repeat
 from operator import eq, mul, neg, sub
 from types import MappingProxyType
 
@@ -813,22 +813,68 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
     return _square_matches(coeff, inverted, reps, e.den)
 
 
+def _is_conjugate(
+    c: GroupAlgebraElement,
+    proved: GroupAlgebraElement,
+    first: StandardTableau,
+    tableau: StandardTableau,
+) -> bool:
+    """Whether c == s * proved * s^-1, s sending each entry of first to the
+    entry in the same cell of tableau, the two of one shape.
+
+    One pass over the terms g of proved: s^-1 translated by g's table is
+    g s^-1, and that translated by s's table is s g s^-1 (see _table).
+    Conjugation is injective, so with as many terms on both sides, matching
+    every term of proved is equality.
+    """
+    if len(c.nums) != len(proved.nums) or c.den != proved.den:
+        return False
+    source = bytes(chain.from_iterable(first.rows))
+    target = bytes(chain.from_iterable(tableau.rows))
+    n = len(source)
+    table = bytes.maketrans(source, target)
+    inverse = _identity(n).translate(bytes.maketrans(target, source))
+    tail = _IDENT[n + 1 :]
+    get = c.nums.get
+    for g, num in proved.nums.items():
+        if get(inverse.translate(b"\0" + g + tail).translate(table)) != num:
+            return False
+    return True
+
+
+# row lengths -> (tableau, c, a) of the first tableau of the shape, whose c
+# the tableau check proved; kept as long as _young_symmetrizer_cached keeps
+# its entries, so a bound on that cache must drop these with them
+_PROVED_SHAPES: dict[tuple[int, ...], tuple[StandardTableau, GroupAlgebraElement, int]] = {}
+
+
 @lru_cache(maxsize=None)
 def _young_symmetrizer_cached(tableau: StandardTableau | Partition):
     # a shape within SYMMETRIZER_BOUND shares its row reading tableau's entry
     if isinstance(tableau, Partition):
         return _young_symmetrizer_cached(canonical_tableau(tableau))
-    n = tableau.size
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
-    f = dim_sym_irrep(tableau.shape)
-    a = math.factorial(n) // f
-    # the scalar is verified exactly, not trusted
-    if not _symmetrizer_identity_holds(tableau, c, a):
-        raise InvariantError(
-            f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
-        )
-    # the check compared N*N with a*N for c = N, which is (c/a)^2 == c/a;
-    # c/a shares c's numerator dict, so the set holds no copy
+    lengths = tuple(map(len, tableau.rows))
+    proved = _PROVED_SHAPES.get(lengths)
+    if proved is None:
+        a = math.factorial(tableau.size) // dim_sym_irrep(tableau.shape)
+        # the scalar is verified exactly, not trusted
+        if not _symmetrizer_identity_holds(tableau, c, a):
+            raise InvariantError(
+                f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
+            )
+        _PROVED_SHAPES[lengths] = (tableau, c, a)
+    else:
+        first, proved_c, a = proved
+        # s c0 s^-1 is the symmetrizer of s T0, and conjugation is an
+        # automorphism, so c*c == a*c holds with the proved a
+        if not _is_conjugate(c, proved_c, first, tableau):
+            raise InvariantError(
+                f"symmetrizer of the tableau {tableau.rows} is not the conjugate "
+                f"of the proved one of shape {tableau.shape}"
+            )
+    # either check proved c*c == a*c, which is (c/a)^2 == c/a; c/a shares
+    # c's numerator dict, so the set holds no copy
     _YOUNG_IDEMPOTENTS.add(c.scale(Fraction(1, a)))
     return c, Fraction(a)
 
@@ -842,15 +888,20 @@ def young_symmetrizer(
     (for a bare shape, of its row reading filling, built only once the size
     is within SYMMETRIZER_BOUND), with integer coefficients.
     a always equals n! divided by the number of standard tableaux. The whole
-    identity c*c = a*c is checked exactly: c is sign-equivariant under the
+    identity c*c = a*c is checked exactly. For the first tableau of a shape
+    built in the process, c is checked to be sign-equivariant under the
     column group C on the left and invariant under the row group R on the
     right (at most two passes over its support per column and row), so
     c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
-    c/a is the idempotent cutting one copy of the irreducible of the shape.
-    That check is (c/a)^2 == c/a in full. It runs once, when c is first
-    built, and c/a stays proved for as long as c stays cached (see
-    _idempotent_class_sums), so decompose_module and graded_power_image
-    never check c/a, or any element equal to it, again.
+    For every later tableau T of the shape, s sending the first tableau T0
+    to T cell by cell, c is checked term by term to equal s c0 s^-1, c0 the
+    proved symmetrizer of T0, in one pass; conjugation is an automorphism,
+    so c*c = a*c with the same a. Either way c itself is built by
+    convolution. c/a is the idempotent cutting one copy of the irreducible
+    of the shape. That check is (c/a)^2 == c/a in full. It runs once, when
+    c is first built, and c/a stays proved for as long as c stays cached
+    (see _idempotent_class_sums), so decompose_module and
+    graded_power_image never check c/a, or any element equal to it, again.
     """
     if not isinstance(tableau, (StandardTableau, Partition)):
         raise TypeError(f"expected a StandardTableau or Partition, not {type(tableau).__name__}")

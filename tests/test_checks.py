@@ -55,7 +55,10 @@ LINE = GradedObject({0: 1, 1: 1})
 # (id, callable of the int, what its texts call it, low, high, the kernels
 # (owner, name) that must not run when the check refuses)
 INT_ARGUMENTS = [
-    ("all_partitions", all_partitions, "size", 0, None, [(partitions, "partitions_of")]),
+    (
+        "all_partitions", all_partitions, "size", 0, partitions.PARTITION_BOUND,
+        [(partitions, "partitions_of")],
+    ),
     ("dim_gl_irrep", lambda v: dim_gl_irrep(Partition((2, 1)), v), "rank", 0, None, []),
     (
         "all_permutations", all_permutations, "degree", 0, PERMUTATION_BOUND,

@@ -6,6 +6,7 @@ tensor power basis, where each adjacent swap contributes a sign when both
 slots sit in odd degree, and compare ranks per total degree.
 """
 
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -498,6 +499,7 @@ def test_a_non_idempotent_element_is_refused_on_every_call(monkeypatch):
 def _forget_symmetrizers() -> None:
     """Forget every symmetrizer built and every idempotent settled so far."""
     symgroup._young_symmetrizer_cached.cache_clear()
+    symgroup._PROVED_SHAPES.clear()
     symgroup._YOUNG_IDEMPOTENTS.clear()
     symgroup._idempotent_class_sums.cache_clear()
 
@@ -514,20 +516,32 @@ def _tableaux(max_size: int) -> list:
 def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
     _forget_symmetrizers()
     checks = []
-    real = symgroup._symmetrizer_identity_holds
+    real_check, real_conjugate = symgroup._symmetrizer_identity_holds, symgroup._is_conjugate
 
-    def recorded(tableau, c, a):
-        checks.append(c)
-        return real(tableau, c, a)
+    def by_tableau(tableau, c, a):
+        checks.append(("tableau", c))
+        return real_check(tableau, c, a)
 
-    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", recorded)
+    def by_conjugation(c, proved, first, tableau):
+        checks.append(("conjugation", c))
+        return real_conjugate(c, proved, first, tableau)
+
+    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", by_tableau)
+    monkeypatch.setattr(symgroup, "_is_conjugate", by_conjugation)
     idempotence_checks = _count_idempotence_checks(monkeypatch)
     c2 = GradedObject({0: 1, 1: 1})
     tableaux = _tableaux(5)
     assert len(tableaux) == 43
+    shapes = set()
+    routes = []
     for tableau in tableaux:
         c, a = young_symmetrizer(tableau)
-        assert checks == [c]
+        # one proof per build: the tableau check for the first tableau of
+        # its shape, a conjugation check for every later one
+        route = "conjugation" if tableau.shape in shapes else "tableau"
+        shapes.add(tableau.shape)
+        assert checks == [(route, c)], tableau
+        routes.append(route)
         checks.clear()
         e = c.scale(Fraction(1) / a)
         assert e.nums is c.nums
@@ -539,6 +553,8 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
     info = symgroup._idempotent_class_sums.cache_info()
     assert (info.hits, info.misses, info.currsize) == (43, 43, 32)
     assert len(symgroup._YOUNG_IDEMPOTENTS) == 43
+    # the 18 shapes of sizes 1 to 5 and the 25 later tableaux
+    assert (routes.count("tableau"), routes.count("conjugation")) == (18, 25)
 
 
 def _young_idempotent(tableau) -> GroupAlgebraElement:
@@ -636,7 +652,7 @@ def test_a_failed_tableau_check_records_nothing(monkeypatch):
         patch.setattr(symgroup, "_symmetrizer_identity_holds", lambda *_args: False)
         with pytest.raises(InvariantError, match="^symmetrizer square is not 3 times"):
             young_symmetrizer(Partition((2, 1)))
-    assert not symgroup._YOUNG_IDEMPOTENTS
+    assert not symgroup._YOUNG_IDEMPOTENTS and not symgroup._PROVED_SHAPES
     calls = _count_idempotence_checks(monkeypatch)
     tableau = canonical_tableau(Partition((2, 1)))
     e = (column_antisymmetrizer(tableau) * row_symmetrizer(tableau)).scale(Fraction(1, 3))
@@ -744,6 +760,38 @@ def test_falling_factorial_of_a_huge_order_answers_at_once():
     assert time.perf_counter() - start < 1
     assert values == [0, 1, 10**9 + 1]
     assert all(type(v) is Fraction for v in values)
+
+
+def test_falling_factorial_at_its_bound_answers_within_two_seconds():
+    # of the binomials of one size the central one is the slowest: C(300 000,
+    # 150 000) has 299 991 bits, just under the bound
+    start = time.perf_counter()
+    value = euler_falling_factorial(300_000, 150_000)
+    elapsed = time.perf_counter() - start
+    assert value.numerator.bit_length() == 299_991 and value.denominator == 1
+    assert elapsed < 2, f"the corner took {elapsed:.2f} s"
+
+
+def _no_binomial(*_args):
+    raise AssertionError("a falling factorial past the bound must not be computed")
+
+
+@pytest.mark.parametrize(
+    "chi, n",
+    [
+        (300_020, 150_010),
+        (-150_011, 150_010),
+        (-(10**5) - 1, 10**6),
+        (-(10**6), 10**6),
+        (2 * 10**6, 10**6),
+        (2**64, 10**5),
+        (10**400, 10**200),
+    ],
+)
+def test_falling_factorial_past_its_bound_raises_before_any_work(monkeypatch, chi, n):
+    monkeypatch.setattr(math, "comb", _no_binomial)
+    with pytest.raises(BoundExceededError, match="^the Euler falling factorial would have over "):
+        euler_falling_factorial(chi, n)
 
 
 def test_falling_factorial_small_grid():

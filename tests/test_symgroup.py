@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +25,9 @@ from hypothesis import strategies as st
 from schurcalc import symgroup
 from schurcalc.errors import BoundExceededError, InvariantError
 from schurcalc.partitions import (
+    PARTITION_BOUND,
     Partition,
+    StandardTableau,
     all_partitions,
     canonical_tableau,
     dim_sym_irrep,
@@ -513,6 +516,14 @@ def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
     assert decompose_module(GroupAlgebraElement.unit(9)) == SymChar.regular(9)
 
 
+def test_the_class_functions_past_the_partition_bound_are_refused():
+    over = PARTITION_BOUND + 1
+    text = f"^the size {over} must be at most {PARTITION_BOUND}$"
+    for refused in (lambda: SymChar.regular(over), lambda: char_inner_product({}, {}, over)):
+        with pytest.raises(BoundExceededError, match=text):
+            refused()
+
+
 # ---------------------------------------------------------------------------
 # Young symmetrizers
 
@@ -694,8 +705,98 @@ def test_symmetrizer_failed_check_raises(monkeypatch, shape):
         return real(t) + GroupAlgebraElement.unit(t.size)
 
     monkeypatch.setattr(symgroup, "row_symmetrizer", row_symmetrizer_with_identity_doubled)
+    # with no shape proved, the build reaches the tableau check
+    monkeypatch.setattr(symgroup, "_PROVED_SHAPES", {})
     with pytest.raises(InvariantError, match="symmetrizer square is not"):
         symgroup._young_symmetrizer_cached.__wrapped__(tableau)
+
+
+def _fresh_proofs(monkeypatch) -> None:
+    """Start the symmetrizer builds with no shape and no idempotent proved;
+    the process's own stores are restored after the test."""
+    monkeypatch.setattr(symgroup, "_PROVED_SHAPES", {})
+    monkeypatch.setattr(symgroup, "_YOUNG_IDEMPOTENTS", set())
+
+
+def test_a_later_tableau_of_a_proved_shape_is_proved_by_conjugation(monkeypatch):
+    # the build behind the cache of symmetrizers, so every call builds
+    build = symgroup._young_symmetrizer_cached.__wrapped__
+    conjugated = []
+    real = symgroup._is_conjugate
+
+    def recorded(c, proved, first, tableau):
+        conjugated.append(tableau)
+        return real(c, proved, first, tableau)
+
+    monkeypatch.setattr(symgroup, "_is_conjugate", recorded)
+    count = 0
+    for n in range(7):
+        for shape in all_partitions(n):
+            tableaux = standard_tableaux(shape)
+            for i, tableau in enumerate(tableaux):
+                _fresh_proofs(monkeypatch)
+                fresh = build(tableau)
+                assert conjugated == []
+                # the tableau before it, or itself when it is the only one
+                _fresh_proofs(monkeypatch)
+                build(tableaux[i - 1])
+                c, a = build(tableau)
+                assert conjugated == [tableau]
+                conjugated.clear()
+                assert symgroup._symmetrizer_identity_holds(tableau, c, a)
+                assert (c, a) == fresh
+                count += 1
+    assert count == 120
+
+
+def _no_tableau_check(*_args):
+    raise AssertionError("a shape already proved is not checked by its tableau again")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(), ((1,),), ((1, 3), (2,)), ((1, 3, 5), (2, 4)), ((1, 4), (2, 5), (3,))],
+    ids=lambda rows: _tableau_id(StandardTableau(rows)),
+)
+def test_a_corrupted_conjugate_raises_and_records_nothing(monkeypatch, rows):
+    tableau = StandardTableau(rows)
+    build = symgroup._young_symmetrizer_cached.__wrapped__
+    _fresh_proofs(monkeypatch)
+    build(canonical_tableau(tableau.shape))
+    proved = dict(symgroup._PROVED_SHAPES)
+    idempotents = set(symgroup._YOUNG_IDEMPOTENTS)
+    real = symgroup.row_symmetrizer
+
+    def row_symmetrizer_with_identity_doubled(t):
+        return real(t) + GroupAlgebraElement.unit(t.size)
+
+    monkeypatch.setattr(symgroup, "row_symmetrizer", row_symmetrizer_with_identity_doubled)
+    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", _no_tableau_check)
+    text = f"^symmetrizer of the tableau {re.escape(str(tableau.rows))} is not the conjugate"
+    with pytest.raises(InvariantError, match=text):
+        build(tableau)
+    assert symgroup._PROVED_SHAPES == proved
+    assert symgroup._YOUNG_IDEMPOTENTS == idempotents
+
+
+@pytest.mark.parametrize(
+    "tableau", [t for t in SMALL_TABLEAUX if t.size >= 2], ids=_tableau_id
+)
+def test_conjugation_check_rejects_one_changed_coefficient(tableau):
+    n = tableau.size
+    first = canonical_tableau(tableau.shape)
+    proved = column_antisymmetrizer(first) * row_symmetrizer(first)
+    c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
+    for other in standard_tableaux(tableau.shape):
+        expected = column_antisymmetrizer(other) * row_symmetrizer(other) == c
+        assert symgroup._is_conjugate(c, proved, first, other) == expected
+    outside = [p for p in all_permutations(n) if p not in c.terms][:3]
+    for perm in list(c.terms) + outside:
+        for delta in (1, -1):
+            terms = dict(c.terms)
+            terms[perm] = terms.get(perm, 0) + delta
+            changed = GroupAlgebraElement(n, terms)
+            assert not symgroup._is_conjugate(changed, proved, first, tableau)
 
 
 @pytest.mark.parametrize(
@@ -728,6 +829,7 @@ def test_every_size_eight_symmetrizer_checks_one_double_coset(monkeypatch):
     monkeypatch.setattr(symgroup, "_double_coset_count", no_cosets)
     monkeypatch.setattr(symgroup, "_double_coset_representatives", no_cosets)
     symgroup._young_symmetrizer_cached.cache_clear()
+    symgroup._PROVED_SHAPES.clear()
     shapes = all_partitions(8)
     start = time.perf_counter()
     for shape in shapes:
