@@ -36,16 +36,25 @@ def check_int(value, what: str, low: int | None = None, high: int | None = None)
 
     The one check of an int argument: a bool or any other type raises
     TypeError, a value below low ValueError and one above high
-    BoundExceededError, each text naming what and the value. No text is
-    built unless it is raised.
+    BoundExceededError, each text naming what and the value, or the
+    value's bit length where str() refuses an int of that many digits. No
+    text is built unless it is raised.
     """
     if not is_int(value):
         raise TypeError(f"the {what} {value!r} must be an int, not {type(value).__name__}")
     if low is not None and value < low:
-        raise ValueError(f"the {what} {value} must be at least {low}")
+        raise ValueError(f"{_named(what, value)} must be at least {low}")
     if high is not None and value > high:
-        raise BoundExceededError(f"the {what} {value} must be at most {high}")
+        raise BoundExceededError(f"{_named(what, value)} must be at most {high}")
     return value
+
+
+def _named(what: str, value: int) -> str:
+    try:
+        return f"the {what} {value}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        sign = "a negative" if value < 0 else "an"
+        return f"the {what}, {sign} int of {value.bit_length()} bits,"
 
 
 def expect_ints(values, what: str) -> tuple[int, ...]:

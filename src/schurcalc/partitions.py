@@ -14,6 +14,11 @@ TABLEAU_ENUMERATION_BOUND = 10
 # the largest n whose partitions may be listed: p(45) = 89 134 take about
 # 1.4 s, and p(n) grows by 15-20 % a step (p(80) is about 15.8 million)
 PARTITION_BOUND = 45
+# bits the products of a dimension count may reach, counted as n times the
+# bit length of the largest factor: the slowest shape under it, the hook
+# (n/2, 1^(n/2)) of n = 10 714, takes 0.35-0.65 s (its conjugate costs
+# rows x columns), a one-row shape of size 10^4 0.03 s
+_PRODUCT_BIT_BOUND = 150_000
 
 
 @total_ordering
@@ -243,8 +248,11 @@ def standard_tableaux(shape: Partition) -> list[StandardTableau]:
 
 
 def dim_sym_irrep(shape: Partition) -> int:
-    """Number of standard tableaux, by the hook length formula."""
+    """Number of standard tableaux, by the hook length formula, for
+    n * n.bit_length() <= _PRODUCT_BIT_BOUND (n! and its divisor, the hook
+    product, have factors at most n)."""
     n = shape.size
+    check_int(n * n.bit_length(), "hook product bit bound", high=_PRODUCT_BIT_BOUND)
     hooks = math.prod(shape.hook_lengths())
     fact = math.factorial(n)
     if fact % hooks:
@@ -255,11 +263,16 @@ def dim_sym_irrep(shape: Partition) -> int:
 def dim_gl_irrep(shape: Partition, d: int) -> int:
     """Number of semistandard tableaux with entries in 1..d, for an int d >= 0.
 
-    Zero exactly when the shape has more than d rows.
+    Zero exactly when the shape has more than d rows. Otherwise each
+    content factor d + c is at most d + (top row), and the hook product
+    divides their product, so n * (d + top row).bit_length() must be at
+    most _PRODUCT_BIT_BOUND.
     """
     check_int(d, "rank", 0)
     if shape.rows > d:
         return 0
+    top = d + shape.row(0)
+    check_int(shape.size * top.bit_length(), "content product bit bound", high=_PRODUCT_BIT_BOUND)
     num = math.prod(d + c for c in shape.contents())
     den = math.prod(shape.hook_lengths())
     if num % den:

@@ -507,17 +507,28 @@ def _rearrangement_signs(k: int) -> tuple[int, ...]:
 
 
 def _subgroup_perms(blocks: list[tuple[int, ...]], n: int) -> tuple[list[bytes], list[int]]:
-    """Image bytes and signs of all permutations fixing each block setwise (the Young subgroup)."""
+    """Image bytes and signs of all permutations fixing each block setwise (the Young subgroup).
+
+    Each block's rearrangements g come in the order of permutations(block),
+    g outer, times every h listed before the block: g*h. Those of p_m..p_k
+    are those of p_(m+1)..p_k under each rotation p_m -> p_i -> p_(i-1)
+    -> ... -> p_m, i = m..k, so a block of k takes about k^2/2 translate
+    tables, not k!, and the signs are copied and negated lists in the
+    same recursion as _rearrangement_signs.
+    """
     images, signs = [_identity(n)], [1]
     for block in blocks:
-        extended: list[bytes] = []
-        source = bytes(block)
-        for rearranged in _tuple_permutations(block):
-            # the earlier blocks' permutations fix this block pointwise
-            table = bytes.maketrans(source, bytes(rearranged))
-            extended += map(bytes.translate, images, repeat(table))
-        images = extended
-        signs = [r * s for r in _rearrangement_signs(len(block)) for s in signs]
+        # the earlier blocks' permutations fix this block pointwise
+        for m in range(len(block) - 2, -1, -1):
+            rotated, rotated_signs = images[:], signs[:]
+            negated = list(map(neg, signs))
+            for i in range(m + 1, len(block)):
+                rotation = bytes(block[i : i + 1] + block[m:i])
+                table = bytes.maketrans(bytes(block[m : i + 1]), rotation)
+                rotated += map(bytes.translate, images, repeat(table))
+                # a cycle of i - m + 1 points
+                rotated_signs += negated if (i - m) % 2 else signs
+            images, signs = rotated, rotated_signs
     return images, signs
 
 

@@ -4,7 +4,9 @@ A subclass names its fields in __slots__, in constructor order. Equality,
 hashing, repr and copying all read the fields from there.
 """
 
-from .errors import expect_int, expect_mapping, is_int
+import sys
+
+from .errors import BoundExceededError, expect_int, expect_mapping, is_int
 
 
 def read_object(data, what: str, fields):
@@ -41,7 +43,8 @@ def read_ints(text: str, what: str, brackets=False, length=None) -> tuple[int, .
     The one reader of ints from text. Any other text raises ValueError
     naming it and, where it holds ints, the text they must be written as:
     surrounding spaces, a missing or extra bracket, "+1", "01", "0_1", "-0"
-    and non-ASCII digits are all refused.
+    and non-ASCII digits are all refused. An int of more digits than int()
+    reads raises BoundExceededError naming its size.
     """
     # str(): a non-str key handed to from_json fails the last check, not here
     inner = str(text).strip()
@@ -50,6 +53,18 @@ def read_ints(text: str, what: str, brackets=False, length=None) -> tuple[int, .
     try:
         ints = tuple(map(int, inner.split(","))) if inner.strip() else ()
     except ValueError:
+        # int() refuses a plain decimal only past this digit limit; Python
+        # 3.10.0-3.10.6 have neither the limit nor this function
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        for digits in (entry.removeprefix("-") for entry in inner.split(",")):
+            plain = digits.isascii() and digits.isdigit() and digits[0] != "0"
+            if plain and 0 < limit < len(digits):
+                # 10^(d-1) <= the int, and 3.321928094 < log2(10)
+                bits = (len(digits) - 1) * 3321928094 // 10**9 + 1
+                raise BoundExceededError(
+                    f"the {what} holds an int of {len(digits)} digits, at least {bits} bits;"
+                    f" an int text may have at most {limit} digits"
+                ) from None
         raise ValueError(f"the {what} {text!r} must be written as decimal ints") from None
     if length is not None and len(ints) != length:
         raise ValueError(f"the {what} {text!r} must have length {length}")

@@ -9,6 +9,8 @@ the argument and the value.
 """
 
 import ast
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from schurcalc.koszul import (
     sym,
     wedge,
 )
-from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep
+from schurcalc.partitions import Partition, all_partitions, dim_gl_irrep, dim_sym_irrep
 from schurcalc.serre import DIMENSION_BOUND, build_serre_algebra, cech_cohomology
 from schurcalc.symgroup import (
     CHARACTER_TABLE_BOUND,
@@ -155,6 +157,10 @@ INT_ARGUMENTS = [
 ]
 
 
+# 5001 digits, past the 4300 that str() writes
+HUGE = 10**5000
+
+
 def _no_work(*_args, **_kwargs):
     raise AssertionError("the argument must be checked before any work")
 
@@ -177,10 +183,69 @@ def test_every_int_argument_follows_one_rule(monkeypatch, call, what, low, high,
     if low is not None:
         with pytest.raises(ValueError, match=f"^the {what} {low - 1} must be at least {low}$"):
             call(low - 1)
+        # str() refuses an int of over 4300 digits, so the text names its bit length
+        text = f"^the {what}, a negative int of 16610 bits, must be at least {low}$"
+        with pytest.raises(ValueError, match=text):
+            call(low - HUGE)
     if high is not None:
         text = f"^the {what} {high + 1} must be at most {high}$"
         with pytest.raises(BoundExceededError, match=text):
             call(high + 1)
+        text = f"^the {what}, an int of 16610 bits, must be at most {high}$"
+        with pytest.raises(BoundExceededError, match=text):
+            call(high + HUGE)
+
+
+# (id, call, what its text calls the bound on its products, the value
+# checked): n * n.bit_length() for dim_sym_irrep and
+# n * (d + top row).bit_length() for dim_gl_irrep, each refused before any
+# hook, content or product is formed
+PRODUCT_BOUNDS = [
+    ("dim_sym_irrep-one-row", lambda: dim_sym_irrep(Partition((10**5,))), "hook", 1_700_000),
+    ("dim_sym_irrep-past-the-edge", lambda: dim_sym_irrep(Partition((10_715,))), "hook", 150_010),
+    (
+        "dim_sym_irrep-hook", lambda: dim_sym_irrep(Partition((8000,) + (1,) * 8000)), "hook",
+        16_000 * 14,
+    ),
+    ("dim_gl_irrep-one-row", lambda: dim_gl_irrep(Partition((10**5,)), 3), "content", 1_700_000),
+    (
+        "dim_gl_irrep-huge-rank", lambda: dim_gl_irrep(Partition((2, 1)), 2**60_000), "content",
+        180_003,
+    ),
+    (
+        "GLChar.dim", lambda: GLChar.irreducible(DominantWeight(2, (10**5, 0))).dim(), "content",
+        1_700_000,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind, value",
+    [entry[1:] for entry in PRODUCT_BOUNDS],
+    ids=[entry[0] for entry in PRODUCT_BOUNDS],
+)
+def test_the_dimension_counts_bound_their_products(monkeypatch, call, kind, value):
+    for name in ("hook_lengths", "contents"):
+        monkeypatch.setattr(Partition, name, _no_work)
+    monkeypatch.setattr(partitions.math, "prod", _no_work)
+    monkeypatch.setattr(partitions.math, "factorial", _no_work)
+    high = partitions._PRODUCT_BIT_BOUND
+    text = f"^the {kind} product bit bound {value} must be at most {high}$"
+    with pytest.raises(BoundExceededError, match=text):
+        call()
+
+
+def test_the_dimension_counts_run_up_to_their_bound():
+    # the hook (h, 1^h) of n = 2h = 10 714 cells, n * 14 bits, is the slowest
+    # shape under the bound: its conjugate costs rows x columns
+    assert partitions._PRODUCT_BIT_BOUND == 150_000
+    start = time.perf_counter()
+    assert dim_sym_irrep(Partition((5357,) + (1,) * 5357)) == math.comb(10_713, 5357)
+    assert time.perf_counter() - start < 2
+    assert dim_sym_irrep(Partition((10_714,))) == 1
+    assert dim_gl_irrep(Partition((3,)), 2**49_999) == math.comb(2**49_999 + 2, 3)
+    # more rows than the rank: zero, whatever the size
+    assert dim_gl_irrep(Partition((1,) * 10**6), 3) == 0
 
 
 def test_the_factor_count_of_a_product_follows_the_rule(monkeypatch):

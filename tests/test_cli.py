@@ -418,6 +418,18 @@ def test_int_options_exit_codes(capsys, argv, exit_code):
         assert json.loads(err)["error"] == expected
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_int_past_the_digit_limit_of_int_text_exits_3(capsys, sign):
+    # int() reads at most 4300 digits; the text names the size, not the digits
+    code, out, err = run(capsys, "free-gen", "--level", sign + "1" * 5000)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "bound-exceeded",
+        "detail": "the level holds an int of 5000 digits, at least 16607 bits;"
+        " an int text may have at most 4300 digits",
+    }
+
+
 def test_window_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "serre", "--n", "1", "--window", "-30:30")
     assert code == 3

@@ -7,6 +7,7 @@ rational basis of the left ideal cut out by the normalized symmetrizer.
 
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -630,6 +631,46 @@ def _group_of_blocks(blocks, n):
         p for p in all_permutations(n)
         if all({p(x) for x in block} == set(block) for block in blocks)
     ]
+
+
+def _subgroup_perms_one_table_per_rearrangement(blocks, n):
+    """The reference listing, block by block: one translate table per
+    rearrangement that itertools.permutations yields, applied to every
+    image so far; each sign is -1 to the rearrangement's inversion count."""
+    images, signs = [bytes(range(1, n + 1))], [1]
+    for block in blocks:
+        rearrangements = list(itertools.permutations(block))
+        tables = [bytes.maketrans(bytes(block), bytes(r)) for r in rearrangements]
+        images = [image.translate(table) for table in tables for image in images]
+        position = {entry: i for i, entry in enumerate(block)}
+        signs = [
+            (-1) ** sum(position[x] > position[y] for x, y in itertools.combinations(r, 2)) * s
+            for r in rearrangements
+            for s in signs
+        ]
+    return images, signs
+
+
+def _first_and_last(shape):
+    tableaux = standard_tableaux(shape)
+    return [tableaux[0]] if len(tableaux) == 1 else [tableaux[0], tableaux[-1]]
+
+
+# every standard tableau of size 7 or less, then the first and last of each
+# shape of size 8, the one row and one column shapes among them
+ORDER_TABLEAUX = [
+    t for n in range(8) for shape in all_partitions(n) for t in standard_tableaux(shape)
+] + [t for shape in all_partitions(8) for t in _first_and_last(shape)]
+
+
+def test_young_subgroups_are_listed_in_the_reference_order():
+    # c = b * r lists its terms in this order, and GroupAlgebraElement.terms
+    # iterates in it
+    assert len(ORDER_TABLEAUX) == 352 + 42
+    for tableau in ORDER_TABLEAUX:
+        for blocks in (tableau.row_sets(), tableau.column_sets()):
+            expected = _subgroup_perms_one_table_per_rearrangement(blocks, tableau.size)
+            assert symgroup._subgroup_perms(blocks, tableau.size) == expected, tableau
 
 
 @pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurcalc.errors import BoundExceededError
 from schurcalc.glchar import DominantWeight
 from schurcalc.koszul import GradedObject, certify_finiteness
 from schurcalc.partitions import Partition, StandardTableau
@@ -209,6 +210,24 @@ def test_read_ints_takes_only_the_text_write_ints_writes(text, brackets):
 def test_read_ints_names_the_one_text(text, brackets, refusal):
     with pytest.raises(ValueError, match=f"^{re.escape(f'the tuple {text!r} {refusal}')}$"):
         read_ints(text, "tuple", brackets)
+
+
+def test_read_ints_names_an_int_past_the_digit_limit_by_its_size():
+    # int() and str() take at most 4300 digits; the text is read up to them
+    edge = "9" * 4300
+    assert read_ints(f"[1,-{edge}]", "weight", brackets=True) == (1, -int(edge))
+    for text in ("1" * 4301, "-" + "1" * 4301, f"[2,{'7' * 4301},x]"):
+        size = text.count("1") + text.count("7")
+        bits = (10 ** (size - 1)).bit_length()
+        with pytest.raises(
+            BoundExceededError,
+            match=f"^the weight holds an int of {size} digits, at least {bits} bits;"
+            " an int text may have at most 4300 digits$",
+        ):
+            read_ints(text, "weight", brackets=text.startswith("["))
+    # a leading zero makes no int text, whatever its length
+    with pytest.raises(ValueError, match="must be written as decimal ints$"):
+        read_ints("0" * 4301, "weight")
 
 
 def test_read_ints_checks_the_length():
