@@ -82,41 +82,27 @@ def euler(c: GradedObject) -> int:
 
 
 @lru_cache(maxsize=KOSZUL_BOUND + 1)
-def _horner_plan(n: int) -> tuple[tuple, tuple, int]:
-    """The trie of the partitions of n, parts ascending, as _power_image reads it.
-
-    Slot 0 is the root, the empty prefix; every proper prefix of a
-    partition has a slot, numbered below its children's. Returns (leaves,
-    inner, slots): leaves holds (cycle lengths longest first, parent slot,
-    last part) for each partition of n, and inner holds (slot, parent slot,
-    last part) for every other node but the root, slots descending, so
-    each node comes after all of its children. The root of n = 0 is its
-    own leaf, with last part 0 standing for the empty product.
-    """
-    if n == 0:
-        return (((), 0, 0),), (), 1
-    slots = {(): 0}
-    leaves, inner = [], []
-    for mu in all_partitions(n):
-        ascending = mu.parts[::-1]
-        for k in range(1, len(ascending)):
-            slots.setdefault(ascending[:k], len(slots))
-        leaves.append((mu.parts, slots[ascending[:-1]], ascending[-1]))
-    for prefix in sorted(slots, key=slots.get, reverse=True)[:-1]:
-        inner.append((slots[prefix], slots[prefix[:-1]], prefix[-1]))
-    return tuple(leaves), tuple(inner), len(slots)
+def _cycle_types(n: int) -> tuple[frozenset[tuple[int, ...]], int]:
+    """The cycle types of S_n, lengths longest first, as _power_image keys
+    them, and the number of cycles in all of them."""
+    types = frozenset(mu.parts for mu in all_partitions(n))
+    return types, sum(map(len, types))
 
 
-# Packed bits per degree of c that _power_image multiplies out; a wider
-# root goes through the dict walk, whose cost grows with the number of
-# degrees. Timed against the dict walk (Python 3.11.7, n = 2..8, two to
-# eight degrees spread evenly or at random, dims 1 and 3), the dict walk
-# pulls ahead past about 400 to 9 000 bits per degree for n >= 3, more as
-# n grows, and past 30 to 650 at n = 2, where both walks take 5 to 45 us.
-# At 256 the packed walk is within 6 % of the dict walk or faster for
-# n >= 3, and at most 1.4x slower at n = 2; the widest graded-powers
-# benchmark root is 219 bits per degree ({0: 3, 3: 1} at n = 6).
+# Packed bits per degree of c up to which _power_image always packs: timed
+# against the dict products (Python 3.11.7, n = 2..8, 2, 4 or 8 degrees,
+# dims 3), packing takes 0.1 to 0.85 of their time at 256 bits per degree,
+# 0.24 to 1.5 at 1024 and 1.5 to 4.6 at 4096; the widest graded-powers
+# benchmark object is 219 bits per degree ({0: 3, 3: 1} at n = 6).
 _PACKED_BITS_PER_DEGREE = 256
+# _power_image's work, in units of 7 to 60 ns (Python 3.11.7, 2 vCPUs): the
+# packed sum counts digits * bits per cycle of each cycle type of n, and
+# its set-up and readback, which shift such ints once per degree and per
+# digit, count digits^2 * bits / 1024; the dict products count 16 + (bits
+# of a degree and of a coefficient) / 64 per term pair. The slowest inputs
+# under it take up to 1.8 s: 1368 degrees about 10^6 apart at n = 2 on
+# dicts, 15 360 consecutive degrees at n = 2 packed (0.7 s).
+_POWER_IMAGE_WORK_BOUND = 30_000_000
 
 
 def _power_image(
@@ -132,25 +118,18 @@ def _power_image(
     degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l is the cycle
     length (Macdonald I.7; Berele-Regev for the signs). So the image has
     graded dimension sum_mu by_lengths[mu] * prod_{l in mu} p_l(t) / den,
-    and no permutation or basis tuple is enumerated.
-
-    The sum is taken by Horner's rule over the trie of the partitions of n,
-    parts ascending (_horner_plan, built once per n): a node's polynomial
-    is the sum over its children of p_l times the child's polynomial, a
-    leaf's being its numerator, so each p_l multiplies the summed
-    extensions of a prefix once, however many cycle types share it (13
-    products for n = 5, against 20 one per cycle). Every node is visited
-    after its children, and a subtree without types is skipped. A key that is not a
-    partition of n is refused, and each total is divided by den exactly
-    once at the end, degrees ascending.
+    one product per cycle type, and no permutation or basis tuple is
+    enumerated. A key that is not a partition of n is refused, and each
+    total is divided by den exactly once at the end, degrees ascending.
 
     The polynomials are packed into ints (Kronecker substitution): with
-    low the least degree, p_l(t) / t^(l low) is evaluated at t = 2^bits,
-    so a trie edge is one int product. No coefficient of the root exceeds
-    sum |S_mu| * max(1, dim c)^n in absolute value, and bits leaves room
-    for it and a sign, so the root is read back exactly as balanced
-    base-2^bits digits. An object whose packed root would be too wide goes
-    through the same walk on {degree: int} dicts (_power_image_by_dicts).
+    low the least degree, p_l(t) / t^(l low) is evaluated at t = 2^bits.
+    No coefficient of the sum exceeds sum |S_mu| * max(1, dim c)^n in
+    absolute value, and bits leaves room for it and a sign, so the sum is
+    read back exactly as balanced base-2^bits digits. An object too wide to
+    pack, with more digits than sums of its degrees, takes the same
+    products on {degree: int} dicts. Work past _POWER_IMAGE_WORK_BOUND
+    raises BoundExceededError before any product.
     """
     if not by_lengths:
         return GradedObject._unchecked({})
@@ -160,16 +139,62 @@ def _power_image(
             f"class sums keyed by {next(iter(by_lengths))!r}, not a partition of"
             f" some n <= {KOSZUL_BOUND}"
         )
-    leaves, inner, slots = _horner_plan(n)
+    types, cycles = _cycle_types(n)
+    if not by_lengths.keys() <= types:
+        strays = [key for key in by_lengths if key not in types]
+        raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
     dims = c.dims
+    k = len(dims)
     low = min(dims) if dims else 0
     span = max(dims) - low if dims else 0
     # |coefficient| <= sum |S_mu| * max(1, dim c)^n, since a product of at
     # most n power sums has coefficients of absolute sum at most (dim c)^n
     bound = sum(map(abs, by_lengths.values())) * (sum(dims.values()) or 1) ** n
     bits = bound.bit_length() + 1
-    if (n * span + 1) * bits > _PACKED_BITS_PER_DEGREE * len(dims):
-        return _power_image_by_dicts(dims, den, by_lengths, n)
+    digits = n * span + 1
+    # pack when the digits are few for c's width, or no more than the
+    # C(k + n - 1, n) sums of n of c's k degrees
+    packed = not k or digits * bits <= _PACKED_BITS_PER_DEGREE * k
+    packed = packed or digits <= math.comb(k + n - 1, n)
+    if packed:
+        work = (cycles + digits // 1024) * digits * bits
+    else:
+        # a product has at most as many terms as multisets of (cycle
+        # length, degree): the r-th factor of one length multiplies their
+        # number by (k + r - 1) / r
+        pair = k * (16 + ((n * max(map(abs, dims))).bit_length() + bits) // 64)
+        work = 0
+        for lengths in by_lengths:
+            terms = 1
+            for j, l in enumerate(lengths, 1):
+                work += terms * pair
+                r = lengths[:j].count(l)
+                terms = terms * (k + r - 1) // r
+    check_int(work, "graded power image work", high=_POWER_IMAGE_WORK_BOUND)
+    image: dict[int, int] = {}
+    if not packed:
+        power_sums = [None] + [
+            [(l * deg, -dim if (l - 1) * deg % 2 else dim) for deg, dim in dims.items()]
+            for l in range(1, n + 1)
+        ]
+        acc: dict[int, int] = {}
+        for lengths, num in by_lengths.items():
+            poly = {0: num}
+            for l in lengths:
+                product: dict[int, int] = {}
+                for b, y in power_sums[l]:
+                    for a, x in poly.items():
+                        product[a + b] = product.get(a + b, 0) + x * y
+                poly = product
+            for deg, x in poly.items():
+                acc[deg] = acc.get(deg, 0) + x
+        for deg in sorted(acc):
+            total = acc[deg]
+            if total < 0 or total % den:
+                raise _not_a_rank(total, den, deg)
+            if total:
+                image[deg] = total // den
+        return GradedObject._unchecked(image)
     # (bit place in p_1, dim, the signed dim of an even-length cycle)
     places = [(bits * (deg - low), dim, -dim if deg % 2 else dim) for deg, dim in dims.items()]
     power_sums = [1]
@@ -182,28 +207,15 @@ def _power_image(
             for place, _, signed in places:
                 p_l += signed << l * place
         power_sums.append(p_l)
-    acc = [0] * slots
-    get = by_lengths.get
-    hits = 0
-    for lengths, parent, l in leaves:
-        num = get(lengths)
-        if num is None:
-            continue
-        hits += 1
-        if num:
-            acc[parent] += num * power_sums[l]
-    if hits != len(by_lengths):
-        _refuse_strays(by_lengths, leaves, n)
-    for slot, parent, l in inner:
-        child = acc[slot]
-        if child:
-            acc[parent] += power_sums[l] * child
-    # the root read as balanced base-2^bits digits, degrees ascending
-    root = acc[0]
+    root = 0
+    for lengths, num in by_lengths.items():
+        for l in lengths:
+            num *= power_sums[l]
+        root += num
+    # the sum read as balanced base-2^bits digits, degrees ascending
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     deg = n * low
-    image: dict[int, int] = {}
     while root:
         total = root & mask
         if not total:
@@ -229,61 +241,6 @@ def _not_a_rank(total: int, den: int, deg: int) -> InvariantError:
     )
 
 
-def _refuse_strays(by_lengths, leaves, n: int):
-    known = {lengths for lengths, _, _ in leaves}
-    strays = [key for key in by_lengths if key not in known]
-    raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
-
-
-def _power_image_by_dicts(
-    dims: Mapping[int, int], den: int, by_lengths: Mapping[tuple[int, ...], int], n: int
-) -> GradedObject:
-    """_power_image's Horner walk on {degree: int} dicts, for degrees too far
-    apart to pack."""
-    leaves, inner, slots = _horner_plan(n)
-    items = tuple(dims.items())
-    power_sums = [((0, 1),)] + [
-        tuple((l * deg, -dim if (l - 1) * deg % 2 else dim) for deg, dim in items)
-        for l in range(1, n + 1)
-    ]
-    acc: list[dict[int, int] | None] = [None] * slots
-    get = by_lengths.get
-    hits = 0
-    for lengths, parent, l in leaves:
-        num = get(lengths)
-        if num is None:
-            continue
-        hits += 1
-        if not num:
-            continue
-        poly = acc[parent]
-        if poly is None:
-            poly = acc[parent] = {}
-        for b, y in power_sums[l]:
-            poly[b] = poly.get(b, 0) + num * y
-    if hits != len(by_lengths):
-        _refuse_strays(by_lengths, leaves, n)
-    for slot, parent, l in inner:
-        child = acc[slot]
-        if child is None:
-            continue
-        poly = acc[parent]
-        if poly is None:
-            poly = acc[parent] = {}
-        for b, y in power_sums[l]:
-            for a, x in child.items():
-                poly[a + b] = poly.get(a + b, 0) + x * y
-    acc_root = acc[0] or {}
-    image: dict[int, int] = {}
-    for deg in sorted(acc_root):
-        total = acc_root[deg]
-        if total < 0 or total % den:
-            raise _not_a_rank(total, den, deg)
-        if total:
-            image[deg] = total // den
-    return GradedObject._unchecked(image)
-
-
 def graded_power_image(
     c: GradedObject, projector: GroupAlgebraElement
 ) -> GradedObject:
@@ -294,7 +251,7 @@ def graded_power_image(
     c/a whose c this process built, else checked by symgroup.is_idempotent
     (on the double cosets of e's own signed Young symmetries). The
     dimensions then come from the cycle-type trace formula of _power_image.
-    Limited to n <= KOSZUL_BOUND.
+    Limited to n <= KOSZUL_BOUND and by _power_image's work bound.
     """
     if not isinstance(projector, GroupAlgebraElement):
         raise TypeError(
@@ -320,13 +277,15 @@ def _sym_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
 
 
 def wedge(c: GradedObject, n: int) -> GradedObject:
-    """n-th exterior power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND."""
+    """n-th exterior power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND
+    and within _power_image's work bound."""
     check_int(n, "power order", 0, KOSZUL_BOUND)
     return _power_image(c, *_alt_sums(n))
 
 
 def sym(c: GradedObject, n: int) -> GradedObject:
-    """n-th symmetric power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND."""
+    """n-th symmetric power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND
+    and within _power_image's work bound."""
     check_int(n, "power order", 0, KOSZUL_BOUND)
     return _power_image(c, *_sym_sums(n))
 
@@ -418,7 +377,8 @@ def certify_finiteness(
     characteristics chi(c) = n and chi(top) = 1 are asserted. Oddly finite
     means a symmetric power vanishes. A wedge power vanishes only when c has
     no odd part, and then the top power is one dimensional; any other top
-    power raises InvariantError.
+    power raises InvariantError. A power past _power_image's work bound
+    raises BoundExceededError.
     """
     if bound is None:
         bound = c.total_dim() + 2

@@ -15,9 +15,8 @@ TABLEAU_ENUMERATION_BOUND = 10
 # 1.4 s, and p(n) grows by 15-20 % a step (p(80) is about 15.8 million)
 PARTITION_BOUND = 45
 # bits the products of a dimension count may reach, counted as n times the
-# bit length of the largest factor: the slowest shape under it, the hook
-# (n/2, 1^(n/2)) of n = 10 714, takes 0.35-0.65 s (its conjugate costs
-# rows x columns), a one-row shape of size 10^4 0.03 s
+# bit length of the largest factor: shapes of n = 10 714 under it, the hook
+# (n/2, 1^(n/2)), one row, two rows or a square, take about 0.03 s
 _PRODUCT_BIT_BOUND = 150_000
 
 
@@ -81,12 +80,12 @@ class Partition(Frozen):
         return other.rows <= self.rows and all(map(le, other.parts, self.parts))
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = tuple(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-        )
-        return Partition(cols)
+        # row i (from 1, bottom up) adds a column of length i per cell past
+        # the rows below it, so the cost is linear in the size
+        cols: list[int] = []
+        for i in range(self.rows, 0, -1):
+            cols += [i] * (self.parts[i - 1] - len(cols))
+        return Partition(tuple(cols))
 
     def hook_lengths(self) -> list[int]:
         """Hook lengths of all cells, row major."""

@@ -405,7 +405,7 @@ def check_falling_factorial(lim: Limits):
 def check_parity_flip(lim: Limits):
     degrees = (-1, 0, 1)
     # a degree 10^12 away from the rest is too wide to pack, so both of
-    # _power_image's walks are checked
+    # _power_image's forms, packed ints and dicts, are checked
     far = [
         koszul.GradedObject(dims)
         for dims in ({0: 1, 1: 1, 10**12: 1}, {-1: 2, 10**12 - 1: 1}, {0: 1, 1: 2, -(10**12): 1})

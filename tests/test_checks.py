@@ -236,8 +236,8 @@ def test_the_dimension_counts_bound_their_products(monkeypatch, call, kind, valu
 
 
 def test_the_dimension_counts_run_up_to_their_bound():
-    # the hook (h, 1^h) of n = 2h = 10 714 cells, n * 14 bits, is the slowest
-    # shape under the bound: its conjugate costs rows x columns
+    # the hook (h, 1^h) of n = 2h = 10 714 cells, n * 14 bits, is at the
+    # bound: it takes about 0.03 s, as one row or a square of that size does
     assert partitions._PRODUCT_BIT_BOUND == 150_000
     start = time.perf_counter()
     assert dim_sym_irrep(Partition((5357,) + (1,) * 5357)) == math.comb(10_713, 5357)

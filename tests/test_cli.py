@@ -443,6 +443,23 @@ def test_koszul_bound_exits_3_before_any_power(capsys):
     assert json.loads(err)["error"] == "bound-exceeded"
 
 
+@pytest.mark.parametrize(
+    "dims, bound",
+    [
+        # 40 odd degrees far apart: the dict products pass the work bound at n = 5
+        ({str(9 ** (12 + i)): 1 for i in range(40)}, "5"),
+        # 2000 consecutive degrees: the packed sum passes it at n = 6
+        ({str(deg): 1 for deg in range(2000)}, "6"),
+    ],
+)
+def test_wedge_dim_of_a_wide_object_exits_3_within_two_seconds(capsys, dims, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wedge-dim", json.dumps({"dims": dims}), "--bound", bound)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert json.loads(err)["detail"].startswith("the graded power image work ")
+
+
 def test_symmetrizer_bound_exits_3_before_any_tableau(capsys, monkeypatch):
     def no_tableau(shape):
         raise AssertionError(f"a tableau of {shape} was built")

@@ -192,7 +192,17 @@ YOUNG_IDEMPOTENTS = _young_idempotents(4)
 
 @pytest.mark.parametrize(
     "dims",
-    [{0: 1, 1: 1}, {1: 2}, {-1: 1, 2: 1}, {0: 2, 1: 1}],
+    [
+        {0: 1, 1: 1},
+        {1: 2},
+        {-1: 1, 2: 1},
+        {0: 2, 1: 1},
+        # too wide to pack: these take the dict products, which sum the
+        # trace formula as the per-cycle-type reference does
+        {0: 1, 1: 1, 10**12: 1},
+        {-1: 1, 10**12: 2},
+        {1: 1, -(10**12): 1, 10**12 + 1: 1},
+    ],
 )
 def test_trace_formula_matches_matrix_ranks(dims):
     c = GradedObject(dims)
@@ -270,8 +280,8 @@ def test_power_image_refuses_a_non_integer_or_negative_rank(by_type, text):
 def _power_image_per_cycle_type(c, den, by_lengths):
     """Reference: one product of power sums per cycle type, each from 1.
 
-    The trace formula as _power_image evaluated it before Horner's rule,
-    with the same division and errors, degrees ascending.
+    The trace formula on {degree: int} dicts, written apart from
+    _power_image, with the same division and errors, degrees ascending.
     """
     power_sums = {}
     acc = {}
@@ -320,9 +330,8 @@ def _random_class_function(n, data):
     return {mu.parts: num for mu, num in zip(types, nums)}
 
 
-# about a third of the draws with class sums are wider than 256 bits per
-# degree and go to the dict walk, so 900 draws keep about 400 on the
-# packed walk
+# degrees -3..3 pack: in six runs 523 to 587 of the 900 draws had class
+# sums and packed, 1 to 10 took the dict products, and the rest had none
 @settings(max_examples=900, deadline=None)
 @given(
     dims=st.dictionaries(
@@ -332,7 +341,7 @@ def _random_class_function(n, data):
     den=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_horner_kernel_matches_the_per_cycle_type_products(dims, n, den, data):
+def test_power_image_matches_the_per_cycle_type_reference(dims, n, den, data):
     by_lengths = _random_class_function(n, data)
     c = GradedObject(dims)
     assert _outcome(_power_image, c, den, by_lengths) == _outcome(
@@ -340,25 +349,29 @@ def test_horner_kernel_matches_the_per_cycle_type_products(dims, n, den, data):
     )
 
 
-# degrees up to 10^12 apart are too wide to pack, so the dict walk answers;
-# k * 10^11 + 1 keeps several degrees far apart in one object
+# degrees up to 10^12 apart are too wide to pack, so the dict products
+# answer unless n = 0: in three runs 61 to 80 of the 400 draws took them,
+# 61 to 65 packed and the rest had no class sums; k * 10^11 + 1 keeps
+# several degrees far apart in one object
 _FAR_DEGREES = st.one_of(
     st.integers(min_value=-(10**12), max_value=10**12),
     st.integers(min_value=-3, max_value=3).map(lambda k: k * 10**11 + 1),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     near=st.dictionaries(
         st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=3), max_size=3
     ),
-    far=st.dictionaries(_FAR_DEGREES, st.integers(min_value=0, max_value=3), max_size=3),
+    far=st.dictionaries(
+        _FAR_DEGREES, st.integers(min_value=1, max_value=3), min_size=1, max_size=3
+    ),
     n=st.integers(min_value=0, max_value=6),
     den=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_horner_kernel_matches_the_per_cycle_type_products_on_degrees_far_apart(
+def test_power_image_matches_the_per_cycle_type_reference_on_degrees_far_apart(
     near, far, n, den, data
 ):
     by_lengths = _random_class_function(n, data)
@@ -368,7 +381,7 @@ def test_horner_kernel_matches_the_per_cycle_type_products_on_degrees_far_apart(
     )
 
 
-def test_horner_kernel_matches_on_every_projector_class_function():
+def test_power_image_matches_the_reference_on_every_projector_class_function():
     # the class sums callers really pass, every type present
     for n in range(KOSZUL_BOUND + 1):
         for e in (alt_projector(n), sym_projector(n)):
@@ -397,7 +410,7 @@ def test_power_image_refuses_a_key_outside_the_partitions_of_n(by_lengths, text)
 
 
 def test_degrees_far_apart_answer_at_once_and_match_the_reference():
-    # span 10^11: too wide to pack, so the dict walk answers
+    # span 10^11: too wide to pack, so the dict products answer
     c = GradedObject({0: 1, 1: 1, 10**11: 1})
     e = young_symmetrizer(Partition((2, 1)))[0].scale(Fraction(1, 3))
     orders = range(KOSZUL_BOUND + 1)
@@ -414,15 +427,58 @@ def test_degrees_far_apart_answer_at_once_and_match_the_reference():
     assert image == _power_image_per_cycle_type(c, e.den, symgroup._class_sums(e))
 
 
-def test_horner_plan_shares_prefixes():
-    # one product per trie edge: 13 for n = 5, against 20 parts over all types
-    leaves, inner, slots = koszul._horner_plan(5)
-    assert len(leaves) + len(inner) == 13
-    assert slots == len(inner) + 1
-    assert sorted(lengths for lengths, _, _ in leaves) == sorted(
-        mu.parts for mu in all_partitions(5)
-    )
-    assert koszul._horner_plan.cache_info().maxsize == KOSZUL_BOUND + 1
+def test_many_nearby_degrees_go_to_the_packed_form(monkeypatch):
+    # 40 consecutive degrees at n = 7: 274 digits of 51 bits are past the
+    # width cap of 256 bits per degree, but they are fewer than the C(46, 7)
+    # sums of 7 of the degrees, so they pack; on dicts the same products
+    # would pass the work bound
+    c = GradedObject(dict.fromkeys(range(40), 1))
+    den, sums = koszul._alt_sums(7)
+    bits = (sum(map(abs, sums.values())) * 40**7).bit_length() + 1
+    assert (7 * 39 + 1) * bits > koszul._PACKED_BITS_PER_DEGREE * 40
+    assert _power_image(c, den, sums) == _power_image_per_cycle_type(c, den, sums)
+    monkeypatch.setattr(math, "comb", lambda m, r: 0)
+    with pytest.raises(BoundExceededError, match="^the graded power image work"):
+        _power_image(c, den, sums)
+
+
+class _NoProducts(dict):
+    # the products read the class sums only through items()
+    def items(self):
+        raise AssertionError("the work bound must be checked before any product")
+
+
+# odd degrees far apart: at n = 8, nine are under the bound and twelve past
+# it; at n = 6, forty are past it
+_FAR_ODD = [9 ** (12 + i) for i in range(40)]
+
+
+@pytest.mark.parametrize(
+    "dims, n",
+    [
+        # packed: 13 994 digits of 90 bits, 54 factors
+        (dict.fromkeys(range(2000), 1), 7),
+        # dicts: the products of p_1 reach C(45, 6) terms
+        (dict.fromkeys(_FAR_ODD, 1), 6),
+        (dict.fromkeys(_FAR_ODD[:12], 1), 8),
+    ],
+)
+def test_power_image_refuses_work_past_its_bound_before_any_product(dims, n):
+    den, sums = koszul._alt_sums(n)
+    with pytest.raises(
+        BoundExceededError, match=r"^the graded power image work \d+ must be at most 30000000$"
+    ):
+        _power_image(GradedObject(dims), den, _NoProducts(sums))
+
+
+def test_power_image_answers_under_its_work_bound():
+    # odd degrees, so the signed wedge of nine lines is S^8 of C^9
+    c = GradedObject(dict.fromkeys(_FAR_ODD[:9], 1))
+    start = time.perf_counter()
+    image = wedge(c, 8)
+    assert time.perf_counter() - start < 2
+    assert image.total_dim() == math.comb(9 + 8 - 1, 8)
+    assert image == _power_image_per_cycle_type(c, *koszul._alt_sums(8))
 
 
 def test_graded_power_rejects_non_idempotent():

@@ -1,5 +1,6 @@
 """Shape arithmetic against brute-force enumeration oracles."""
 
+import time
 from itertools import accumulate, permutations, product
 
 import pytest
@@ -143,6 +144,23 @@ def test_compositions_match_a_filtered_product(total, caps, data):
 
 def test_conjugate_example():
     assert Partition((4, 2, 1)).conjugate() == Partition((3, 2, 1, 1))
+
+
+def test_conjugate_counts_the_rows_longer_than_each_column_up_to_size_20():
+    for n in range(21):
+        for shape in all_partitions(n):
+            columns = range(shape.row(0))
+            expected = tuple(sum(1 for row in shape.parts if row > j) for j in columns)
+            assert shape.conjugate().parts == expected
+
+
+def test_conjugate_takes_time_linear_in_the_size():
+    # counting the rows longer than each column takes rows x columns steps,
+    # 4 * 10^8 for this hook, about 4 s
+    start = time.perf_counter()
+    hook = Partition((20_000,) + (1,) * 20_000)
+    assert hook.conjugate() == Partition((20_001,) + (1,) * 19_999)
+    assert time.perf_counter() - start < 1
 
 
 def test_hook_lengths_example():
