@@ -28,7 +28,7 @@ def expect_mapping(value, what: str) -> Mapping:
 
 def is_int(value) -> bool:
     """True for an int that is not a bool, which is a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return value.__class__ is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
@@ -40,7 +40,7 @@ def check_int(value, what: str, low: int | None = None, high: int | None = None)
     value's bit length where str() refuses an int of that many digits. No
     text is built unless it is raised.
     """
-    if not is_int(value):
+    if value.__class__ is not int and not is_int(value):
         raise TypeError(f"the {what} {value!r} must be an int, not {type(value).__name__}")
     if low is not None and value < low:
         raise ValueError(f"{_named(what, value)} must be at least {low}")

@@ -16,6 +16,7 @@ from typing import Mapping
 from .errors import BoundExceededError, InvariantError, check_int, is_int
 from .partitions import all_partitions
 from .symgroup import (
+    _IDEMPOTENT_CACHE_SIZE,
     GroupAlgebraElement,
     _class_sums,
     _idempotent_class_sums,
@@ -81,14 +82,6 @@ def euler(c: GradedObject) -> int:
     return c.euler()
 
 
-@lru_cache(maxsize=KOSZUL_BOUND + 1)
-def _cycle_types(n: int) -> tuple[frozenset[tuple[int, ...]], int]:
-    """The cycle types of S_n, lengths longest first, as _power_image keys
-    them, and the number of cycles in all of them."""
-    types = frozenset(mu.parts for mu in all_partitions(n))
-    return types, sum(map(len, types))
-
-
 # Packed bits per degree of c up to which _power_image always packs: timed
 # against the dict products (Python 3.11.7, n = 2..8, 2, 4 or 8 degrees,
 # dims 3), packing takes 0.1 to 0.85 of their time at 256 bits per degree,
@@ -105,52 +98,48 @@ _PACKED_BITS_PER_DEGREE = 256
 _POWER_IMAGE_WORK_BOUND = 30_000_000
 
 
-def _power_image(
-    c: GradedObject, den: int, by_lengths: Mapping[tuple[int, ...], int]
-) -> GradedObject:
-    """Graded dimension of an idempotent's image inside the signed tensor power.
+def _power_plan(den: int, by_lengths: Mapping[tuple[int, ...], int]) -> tuple:
+    """What _power_image reads of a table of class sums, built once where the
+    table is cached: (n, den, its (lengths, num) items, sum |S_mu|, the cycles
+    in all cycle types of n). by_lengths holds the numerators over den of an
+    idempotent's coefficient sums per cycle type, keyed by the cycle lengths
+    longest first; a key that is not a partition of some n <= KOSZUL_BOUND
+    raises InvariantError."""
+    if not by_lengths:
+        return 0, den, (), 0, 0
+    first = next(iter(by_lengths))
+    n = sum(first)
+    if not is_int(n) or not 0 <= n <= KOSZUL_BOUND:
+        raise InvariantError(
+            f"class sums keyed by {first!r}, not a partition of some n <= {KOSZUL_BOUND}"
+        )
+    types = {mu.parts for mu in all_partitions(n)}
+    if not by_lengths.keys() <= types:
+        strays = [key for key in by_lengths if key not in types]
+        raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
+    items = tuple(by_lengths.items())
+    return n, den, items, sum(abs(num) for _, num in items), sum(map(len, types))
 
-    by_lengths holds the idempotent's coefficient sums per cycle type, keyed
-    by the cycle lengths longest first, as integer numerators over den;
-    a missing type reads as 0. The trace of an exact idempotent is its
-    rank, and the graded trace of a permutation on the signed power is a
-    class function: the product over its cycles of p_l(t) = sum over
-    degrees of dim * (-1)^((l-1) deg) * t^(l deg), where l is the cycle
-    length (Macdonald I.7; Berele-Regev for the signs). So the image has
-    graded dimension sum_mu by_lengths[mu] * prod_{l in mu} p_l(t) / den,
-    one product per cycle type, and no permutation or basis tuple is
-    enumerated. A key that is not a partition of n is refused, and each
-    total is divided by den exactly once at the end, degrees ascending.
+
+def _power_layout(c: GradedObject, plan: tuple) -> tuple[bool, int, int]:
+    """(packed, bits, low) of c's image under a plan, or BoundExceededError
+    when its estimated work is past _POWER_IMAGE_WORK_BOUND.
 
     The polynomials are packed into ints (Kronecker substitution): with
     low the least degree, p_l(t) / t^(l low) is evaluated at t = 2^bits.
     No coefficient of the sum exceeds sum |S_mu| * max(1, dim c)^n in
     absolute value, and bits leaves room for it and a sign, so the sum is
     read back exactly as balanced base-2^bits digits. An object too wide to
-    pack, with more digits than sums of its degrees, takes the same
-    products on {degree: int} dicts. Work past _POWER_IMAGE_WORK_BOUND
-    raises BoundExceededError before any product.
-    """
-    if not by_lengths:
-        return GradedObject._unchecked({})
-    n = sum(next(iter(by_lengths)))
-    if not is_int(n) or not 0 <= n <= KOSZUL_BOUND:
-        raise InvariantError(
-            f"class sums keyed by {next(iter(by_lengths))!r}, not a partition of"
-            f" some n <= {KOSZUL_BOUND}"
-        )
-    types, cycles = _cycle_types(n)
-    if not by_lengths.keys() <= types:
-        strays = [key for key in by_lengths if key not in types]
-        raise InvariantError(f"class sums keyed by {strays}, not partitions of {n}")
+    pack, with more digits than sums of n of its degrees, takes the same
+    products on {degree: int} dicts."""
+    n, _, items, total, cycles = plan
     dims = c.dims
     k = len(dims)
     low = min(dims) if dims else 0
     span = max(dims) - low if dims else 0
     # |coefficient| <= sum |S_mu| * max(1, dim c)^n, since a product of at
     # most n power sums has coefficients of absolute sum at most (dim c)^n
-    bound = sum(map(abs, by_lengths.values())) * (sum(dims.values()) or 1) ** n
-    bits = bound.bit_length() + 1
+    bits = (total * (sum(dims.values()) or 1) ** n).bit_length() + 1
     digits = n * span + 1
     # pack when the digits are few for c's width, or no more than the
     # C(k + n - 1, n) sums of n of c's k degrees
@@ -164,13 +153,32 @@ def _power_image(
         # number by (k + r - 1) / r
         pair = k * (16 + ((n * max(map(abs, dims))).bit_length() + bits) // 64)
         work = 0
-        for lengths in by_lengths:
+        for lengths, _ in items:
             terms = 1
             for j, l in enumerate(lengths, 1):
                 work += terms * pair
                 r = lengths[:j].count(l)
                 terms = terms * (k + r - 1) // r
     check_int(work, "graded power image work", high=_POWER_IMAGE_WORK_BOUND)
+    return packed, bits, low
+
+
+def _power_image(c: GradedObject, plan: tuple) -> GradedObject:
+    """Graded dimension of an idempotent's image inside the signed tensor power,
+    from the _power_plan of its class sums S_mu over den (a missing type is 0).
+
+    The trace of an exact idempotent is its rank, and the graded trace of a
+    permutation on the signed power is the product over its cycles of
+    p_l(t) = sum over degrees of dim * (-1)^((l-1) deg) * t^(l deg), l the
+    cycle length (Macdonald I.7; Berele-Regev for the signs). So the image
+    is sum_mu S_mu * prod_{l in mu} p_l(t) / den: one product per cycle type,
+    no permutation or basis tuple enumerated, each total divided by den once,
+    degrees ascending. _power_layout prices the work before any product."""
+    n, den, items, _, _ = plan
+    if not items:
+        return GradedObject._unchecked({})
+    packed, bits, low = _power_layout(c, plan)
+    dims = c.dims
     image: dict[int, int] = {}
     if not packed:
         power_sums = [None] + [
@@ -178,7 +186,7 @@ def _power_image(
             for l in range(1, n + 1)
         ]
         acc: dict[int, int] = {}
-        for lengths, num in by_lengths.items():
+        for lengths, num in items:
             poly = {0: num}
             for l in lengths:
                 product: dict[int, int] = {}
@@ -208,7 +216,7 @@ def _power_image(
                 p_l += signed << l * place
         power_sums.append(p_l)
     root = 0
-    for lengths, num in by_lengths.items():
+    for lengths, num in items:
         for l in lengths:
             num *= power_sums[l]
         root += num
@@ -241,6 +249,11 @@ def _not_a_rank(total: int, den: int, deg: int) -> InvariantError:
     )
 
 
+# the plans of the class sums _idempotent_class_sums shares, by the id of its
+# read-only view; each keeps its view, so no id is reused while it is kept
+_IDEMPOTENT_PLANS: dict[int, tuple[Mapping[tuple[int, ...], int], tuple]] = {}
+
+
 def graded_power_image(
     c: GradedObject, projector: GroupAlgebraElement
 ) -> GradedObject:
@@ -250,7 +263,7 @@ def graded_power_image(
     proved by the tableau check of young_symmetrizer for a Young idempotent
     c/a whose c this process built, else checked by symgroup.is_idempotent
     (on the double cosets of e's own signed Young symmetries). The
-    dimensions then come from the cycle-type trace formula of _power_image.
+    dimensions then come from _power_image, on a plan built once per table.
     Limited to n <= KOSZUL_BOUND and by _power_image's work bound.
     """
     if not isinstance(projector, GroupAlgebraElement):
@@ -261,33 +274,34 @@ def graded_power_image(
     by_lengths = _idempotent_class_sums(projector)
     if by_lengths is None:
         raise ValueError("projector is not idempotent")
-    return _power_image(c, projector.den, by_lengths)
+    held = _IDEMPOTENT_PLANS.get(id(by_lengths))
+    if held is None:
+        if len(_IDEMPOTENT_PLANS) >= _IDEMPOTENT_CACHE_SIZE:
+            del _IDEMPOTENT_PLANS[next(iter(_IDEMPOTENT_PLANS))]
+        plan = _power_plan(projector.den, by_lengths)
+        held = _IDEMPOTENT_PLANS[id(by_lengths)] = (by_lengths, plan)
+    return _power_image(c, held[1])
 
 
 @lru_cache(maxsize=None)
-def _alt_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
-    e = alt_projector(n)
-    return e.den, _class_sums(e)
-
-
-@lru_cache(maxsize=None)
-def _sym_sums(n: int) -> tuple[int, dict[tuple[int, ...], int]]:
-    e = sym_projector(n)
-    return e.den, _class_sums(e)
+def _projector_plan(projector, n: int) -> tuple:
+    """The plan of alt_projector(n) or sym_projector(n), as projector is."""
+    e = projector(n)
+    return _power_plan(e.den, _class_sums(e))
 
 
 def wedge(c: GradedObject, n: int) -> GradedObject:
     """n-th exterior power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND
     and within _power_image's work bound."""
     check_int(n, "power order", 0, KOSZUL_BOUND)
-    return _power_image(c, *_alt_sums(n))
+    return _power_image(c, _projector_plan(alt_projector, n))
 
 
 def sym(c: GradedObject, n: int) -> GradedObject:
     """n-th symmetric power in the signed graded sense, for an int 0 <= n <= KOSZUL_BOUND
     and within _power_image's work bound."""
     check_int(n, "power order", 0, KOSZUL_BOUND)
-    return _power_image(c, *_sym_sums(n))
+    return _power_image(c, _projector_plan(sym_projector, n))
 
 
 # bits the answer of euler_falling_factorial may have: the central binomial
@@ -378,7 +392,7 @@ def certify_finiteness(
     means a symmetric power vanishes. A wedge power vanishes only when c has
     no odd part, and then the top power is one dimensional; any other top
     power raises InvariantError. A power past _power_image's work bound
-    raises BoundExceededError.
+    raises BoundExceededError before any power is computed.
     """
     if bound is None:
         bound = c.total_dim() + 2
@@ -387,8 +401,13 @@ def certify_finiteness(
         raise BoundExceededError(
             f"certificate needs powers up to {bound + 1}, limited to {KOSZUL_BOUND}"
         )
-    wedge_powers = {m: wedge(c, m) for m in range(bound + 2)}
-    sym_powers = {m: sym(c, m) for m in range(bound + 2)}
+    orders = range(bound + 2)
+    # every power is priced, in the order below, before the first product
+    for projector in (alt_projector, sym_projector):
+        for m in orders:
+            _power_layout(c, _projector_plan(projector, m))
+    wedge_powers = {m: wedge(c, m) for m in orders}
+    sym_powers = {m: sym(c, m) for m in orders}
 
     wedge_zero = [m for m in range(1, bound + 2) if wedge_powers[m].is_zero()]
     if wedge_zero:

@@ -924,45 +924,23 @@ def young_symmetrizer(
 # characters
 
 
-def _strip_removals(lam: tuple[int, ...], size: int):
-    """Yield (smaller shape, height) for each removable border strip of the size.
-
-    A strip with top row t takes lam[r] - lam[r+1] + 1 cells from every row it
-    passes through and the remainder in its last row; validity is checked on
-    the leftover shape.
-    """
-    k = len(lam)
-    for top in range(k):
-        strip = [0] * k
-        remaining = size
-        for row in range(top, k):
-            take = remaining
-            if row + 1 < k:
-                take = min(take, lam[row] - lam[row + 1] + 1)
-            strip[row] = take
-            remaining -= take
-            if remaining == 0:
-                break
-        if remaining != 0:
-            continue
-        new = [lam[i] - strip[i] for i in range(k)]
-        if any(x < 0 for x in new):
-            continue
-        if any(new[i] < new[i + 1] for i in range(k - 1)):
-            continue
-        height = sum(1 for s in strip if s) - 1
-        yield tuple(x for x in new if x), height
-
-
 @lru_cache(maxsize=None)
-def _mn_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not lam:
-        return 1 if not mu else 0
+def _mn_value(beads: int, mu: tuple[int, ...]) -> int:
+    """chi^lam(mu), |lam| = |mu|, by Murnaghan-Nakayama on lam's abacus: bit x
+    of beads is set for each x = lam_i + (rows below i), so bit 0 is clear
+    and the empty shape is 0. A border strip of size l moves a bead from x
+    to a free x - l, its height the number of beads in between (James-Kerber
+    2.7); beads filling 0, 1, ... are empty rows, shifted out."""
     if not mu:
-        return 0
+        return 1
+    l, rest = mu[0], mu[1:]
     total = 0
-    for smaller, height in _strip_removals(lam, mu[0]):
-        total += (-1) ** height * _mn_value(smaller, mu[1:])
+    for x in range(l, beads.bit_length()):
+        if beads >> x & 1 and not beads >> (x - l) & 1:
+            moved = beads ^ (1 << x) ^ (1 << (x - l))
+            moved >>= (~moved & (moved + 1)).bit_length() - 1
+            value = _mn_value(moved, rest)
+            total += -value if (beads >> (x - l) & ((1 << l) - 1)).bit_count() & 1 else value
     return total
 
 
@@ -980,9 +958,12 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
     int 0 <= n <= CHARACTER_TABLE_BOUND, checked before any shape is listed."""
     check_int(n, "degree", 0, CHARACTER_TABLE_BOUND)
     table = {}
-    for lam in all_partitions(n):
-        for mu in all_partitions(n):
-            table[(lam, mu)] = _mn_value(lam.parts, mu.parts)
+    shapes = all_partitions(n)
+    for lam in shapes:
+        # a part with i rows below it puts a bead at part + i
+        beads = sum(1 << (part + i) for i, part in enumerate(reversed(lam.parts)))
+        for mu in shapes:
+            table[(lam, mu)] = _mn_value(beads, mu.parts)
     return table
 
 

@@ -9,15 +9,19 @@ the argument and the value.
 """
 
 import ast
+import enum
 import math
+import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurcalc
 from schurcalc import glchar, koszul, partitions, serre, symgroup, symseq
-from schurcalc.errors import BoundExceededError
+from schurcalc.errors import BoundExceededError, check_int, is_int
 from schurcalc.glchar import (
     DominantWeight,
     GLChar,
@@ -124,11 +128,11 @@ INT_ARGUMENTS = [
     ),
     (
         "wedge", lambda v: wedge(LINE, v), "power order", 0, koszul.KOSZUL_BOUND,
-        [(koszul, "_power_image"), (koszul, "_alt_sums")],
+        [(koszul, "_power_image"), (koszul, "_projector_plan")],
     ),
     (
         "sym", lambda v: sym(LINE, v), "power order", 0, koszul.KOSZUL_BOUND,
-        [(koszul, "_power_image"), (koszul, "_sym_sums")],
+        [(koszul, "_power_image"), (koszul, "_projector_plan")],
     ),
     ("euler_falling_factorial-n", lambda v: euler_falling_factorial(3, v), "order", 0, None, []),
     (
@@ -194,6 +198,52 @@ def test_every_int_argument_follows_one_rule(monkeypatch, call, what, low, high,
         text = f"^the {what}, an int of 16610 bits, must be at most {high}$"
         with pytest.raises(BoundExceededError, match=text):
             call(high + HUGE)
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+class _Counted(int):
+    pass
+
+
+# every kind of value the exact-int fast path must not misjudge: bools,
+# IntEnum members, int subclasses, ints past str()'s 4300 digits, floats
+_INT_LIKE = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-3, max_value=3).map(lambda k: HUGE + k),
+    st.integers(min_value=-3, max_value=3).map(lambda k: -HUGE + k),
+    st.sampled_from(list(_Flag)),
+    st.integers().map(_Counted),
+    st.integers(min_value=-1, max_value=1).map(lambda k: _Counted(HUGE * k)),
+    st.floats(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=_INT_LIKE,
+    low=st.none() | st.integers(min_value=-3, max_value=3),
+    high=st.none() | st.integers(min_value=-3, max_value=3),
+)
+def test_the_int_checks_agree_with_the_isinstance_form(value, low, high):
+    accepted = isinstance(value, int) and not isinstance(value, bool)
+    assert is_int(value) is accepted
+    if not accepted:
+        text = f"the x {value!r} must be an int, not {type(value).__name__}"
+        with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+            check_int(value, "x", low, high)
+    elif low is not None and value < low:
+        with pytest.raises(ValueError, match=f"must be at least {low}$"):
+            check_int(value, "x", low, high)
+    elif high is not None and value > high:
+        with pytest.raises(BoundExceededError, match=f"must be at most {high}$"):
+            check_int(value, "x", low, high)
+    else:
+        assert check_int(value, "x", low, high) is value
 
 
 # (id, call, what its text calls the bound on its products, the value

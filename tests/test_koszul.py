@@ -25,6 +25,7 @@ from schurcalc.koszul import (
     KOSZUL_BOUND,
     GradedObject,
     _power_image,
+    _power_plan,
     certify_finiteness,
     euler_falling_factorial,
     graded_power_image,
@@ -263,6 +264,16 @@ def test_graded_power_image_on_the_smallest_symmetric_groups(n):
             graded_power_image(c, unit.scale(2))
 
 
+def _image(c, den, by_lengths):
+    """The kernel on a fresh plan of the table by_lengths over den."""
+    return _power_image(c, _power_plan(den, by_lengths))
+
+
+def _table(e):
+    """(den, class sums) of a group algebra element."""
+    return e.den, symgroup._class_sums(e)
+
+
 @pytest.mark.parametrize(
     "by_type, text",
     # (den, numerators over den keyed by cycle lengths)
@@ -274,7 +285,7 @@ def test_graded_power_image_on_the_smallest_symmetric_groups(n):
 )
 def test_power_image_refuses_a_non_integer_or_negative_rank(by_type, text):
     with pytest.raises(InvariantError, match=f"^{text} is not a nonnegative integer$"):
-        _power_image(GradedObject({0: 1}), *by_type)
+        _image(GradedObject({0: 1}), *by_type)
 
 
 def _power_image_per_cycle_type(c, den, by_lengths):
@@ -344,7 +355,7 @@ def _random_class_function(n, data):
 def test_power_image_matches_the_per_cycle_type_reference(dims, n, den, data):
     by_lengths = _random_class_function(n, data)
     c = GradedObject(dims)
-    assert _outcome(_power_image, c, den, by_lengths) == _outcome(
+    assert _outcome(_image, c, den, by_lengths) == _outcome(
         _power_image_per_cycle_type, c, den, by_lengths
     )
 
@@ -376,7 +387,7 @@ def test_power_image_matches_the_per_cycle_type_reference_on_degrees_far_apart(
 ):
     by_lengths = _random_class_function(n, data)
     c = GradedObject({**near, **far})
-    assert _outcome(_power_image, c, den, by_lengths) == _outcome(
+    assert _outcome(_image, c, den, by_lengths) == _outcome(
         _power_image_per_cycle_type, c, den, by_lengths
     )
 
@@ -388,7 +399,7 @@ def test_power_image_matches_the_reference_on_every_projector_class_function():
             sums = symgroup._class_sums(e)
             for dims in ({0: 1}, {1: 2}, {-1: 1, 2: 3}, {-3: 1, 0: 1, 3: 1}):
                 c = GradedObject(dims)
-                assert _power_image(c, e.den, sums) == _power_image_per_cycle_type(
+                assert _image(c, e.den, sums) == _power_image_per_cycle_type(
                     c, e.den, sums
                 )
 
@@ -405,8 +416,9 @@ def test_power_image_matches_the_reference_on_every_projector_class_function():
     ],
 )
 def test_power_image_refuses_a_key_outside_the_partitions_of_n(by_lengths, text):
+    # the plan of the table refuses it, before any object is seen
     with pytest.raises(InvariantError, match=text):
-        _power_image(GradedObject({0: 1, 1: 1}), 1, by_lengths)
+        _power_plan(1, by_lengths)
 
 
 def test_degrees_far_apart_answer_at_once_and_match_the_reference():
@@ -419,8 +431,8 @@ def test_degrees_far_apart_answer_at_once_and_match_the_reference():
     wedges, syms = [wedge(c, n) for n in orders], [sym(c, n) for n in orders]
     image = graded_power_image(c, e)
     assert time.perf_counter() - start < 1
-    assert wedges == [_power_image_per_cycle_type(c, *koszul._alt_sums(n)) for n in orders]
-    assert syms == [_power_image_per_cycle_type(c, *koszul._sym_sums(n)) for n in orders]
+    assert wedges == [_power_image_per_cycle_type(c, *_table(alt_projector(n))) for n in orders]
+    assert syms == [_power_image_per_cycle_type(c, *_table(sym_projector(n))) for n in orders]
     assert cert.kind == KIND_NOT_FINITE
     assert cert.wedge_powers == dict(enumerate(wedges[: cert.bound + 2]))
     assert cert.sym_powers == dict(enumerate(syms[: cert.bound + 2]))
@@ -433,19 +445,27 @@ def test_many_nearby_degrees_go_to_the_packed_form(monkeypatch):
     # sums of 7 of the degrees, so they pack; on dicts the same products
     # would pass the work bound
     c = GradedObject(dict.fromkeys(range(40), 1))
-    den, sums = koszul._alt_sums(7)
+    den, sums = _table(alt_projector(7))
     bits = (sum(map(abs, sums.values())) * 40**7).bit_length() + 1
     assert (7 * 39 + 1) * bits > koszul._PACKED_BITS_PER_DEGREE * 40
-    assert _power_image(c, den, sums) == _power_image_per_cycle_type(c, den, sums)
+    assert _image(c, den, sums) == _power_image_per_cycle_type(c, den, sums)
     monkeypatch.setattr(math, "comb", lambda m, r: 0)
     with pytest.raises(BoundExceededError, match="^the graded power image work"):
-        _power_image(c, den, sums)
+        _image(c, den, sums)
 
 
-class _NoProducts(dict):
-    # the products read the class sums only through items()
-    def items(self):
+class _NoProduct:
+    # a class sum that fails when the products multiply it
+    def __mul__(self, _other):
         raise AssertionError("the work bound must be checked before any product")
+
+    __rmul__ = __mul__
+
+
+def _no_products(plan):
+    """The plan with every class sum replaced by a _NoProduct."""
+    n, den, items, total, cycles = plan
+    return n, den, tuple((lengths, _NoProduct()) for lengths, _ in items), total, cycles
 
 
 # odd degrees far apart: at n = 8, nine are under the bound and twelve past
@@ -464,11 +484,42 @@ _FAR_ODD = [9 ** (12 + i) for i in range(40)]
     ],
 )
 def test_power_image_refuses_work_past_its_bound_before_any_product(dims, n):
-    den, sums = koszul._alt_sums(n)
     with pytest.raises(
         BoundExceededError, match=r"^the graded power image work \d+ must be at most 30000000$"
     ):
-        _power_image(GradedObject(dims), den, _NoProducts(sums))
+        _power_image(GradedObject(dims), _no_products(koszul._projector_plan(alt_projector, n)))
+
+
+def test_certify_finiteness_prices_every_power_before_any_product(monkeypatch):
+    # 2 000 consecutive degrees: wedge orders 0..5 are under the work bound
+    # and order 6, the first past it, is refused before any power is computed
+    def no_products(*_args):
+        raise AssertionError("every power must be priced before the first product")
+
+    monkeypatch.setattr(koszul, "_power_image", no_products)
+    with pytest.raises(
+        BoundExceededError, match="^the graded power image work 42486290 must be at most 30000000$"
+    ):
+        certify_finiteness(GradedObject(dict.fromkeys(range(2000), 1)), bound=6)
+
+
+def test_each_table_is_planned_once(monkeypatch):
+    plans = []
+    real = koszul._power_plan
+
+    def counted(den, by_lengths):
+        plans.append(den)
+        return real(den, by_lengths)
+
+    monkeypatch.setattr(koszul, "_power_plan", counted)
+    monkeypatch.setattr(koszul, "_IDEMPOTENT_PLANS", {})
+    koszul._projector_plan.cache_clear()
+    c = GradedObject({0: 2, 1: 1})
+    e = _young_idempotent(canonical_tableau(Partition((3, 2))))
+    for power in (wedge, sym, lambda c, n: graded_power_image(c, e)):
+        first = power(c, 5)
+        assert all(power(c, 5) == first for _ in range(99))
+    assert plans == [120, 120, e.den]
 
 
 def test_power_image_answers_under_its_work_bound():
@@ -478,7 +529,7 @@ def test_power_image_answers_under_its_work_bound():
     image = wedge(c, 8)
     assert time.perf_counter() - start < 2
     assert image.total_dim() == math.comb(9 + 8 - 1, 8)
-    assert image == _power_image_per_cycle_type(c, *koszul._alt_sums(8))
+    assert image == _power_image_per_cycle_type(c, *_table(alt_projector(8)))
 
 
 def test_graded_power_rejects_non_idempotent():

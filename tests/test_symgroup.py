@@ -6,6 +6,7 @@ rational basis of the left ideal cut out by the normalized symmetrizer.
 """
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -486,7 +487,7 @@ def test_alt_projector_checks_the_degree_before_reading_signs(monkeypatch):
 
 
 def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
-    # p(14)^2 = 18 225 entries take 0.5 to 0.9 s
+    # p(14)^2 = 18 225 entries take about 0.05 s
     assert CHARACTER_TABLE_BOUND == 14
     one = Partition((1,))
     big = Partition((CHARACTER_TABLE_BOUND,))
@@ -1554,6 +1555,54 @@ def test_character_anchor_values():
     assert char[Partition((1, 1, 1))] == 2
     assert char[Partition((2, 1))] == 0
     assert char[Partition((3,))] == -1
+
+
+def _strip_removals(lam, size):
+    """(smaller shape, height) for each removable border strip of the size.
+
+    The row-by-row rule the abacus replaced, kept as an oracle: a strip with
+    top row t takes lam[r] - lam[r+1] + 1 cells from every row it passes
+    through and the remainder in its last row; validity is checked on the
+    leftover shape.
+    """
+    k = len(lam)
+    for top in range(k):
+        strip = [0] * k
+        remaining = size
+        for row in range(top, k):
+            take = remaining
+            if row + 1 < k:
+                take = min(take, lam[row] - lam[row + 1] + 1)
+            strip[row] = take
+            remaining -= take
+            if remaining == 0:
+                break
+        if remaining != 0:
+            continue
+        new = [lam[i] - strip[i] for i in range(k)]
+        if any(x < 0 for x in new) or any(new[i] < new[i + 1] for i in range(k - 1)):
+            continue
+        yield tuple(x for x in new if x), sum(1 for s in strip if s) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _strip_value(lam, mu):
+    if not lam:
+        return 1 if not mu else 0
+    if not mu:
+        return 0
+    return sum(
+        (-1) ** height * _strip_value(smaller, mu[1:])
+        for smaller, height in _strip_removals(lam, mu[0])
+    )
+
+
+def test_character_table_matches_the_strip_removal_rule():
+    for n in range(11):
+        table = character_table(n)
+        assert len(table) == len(all_partitions(n)) ** 2
+        for (lam, mu), value in table.items():
+            assert value == _strip_value(lam.parts, mu.parts), (lam, mu)
 
 
 def test_character_column_orthogonality():
