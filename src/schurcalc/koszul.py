@@ -346,20 +346,6 @@ class FinitenessCertificate(Record):
 
     __slots__ = ("kind", "n", "bound", "wedge_powers", "sym_powers")
 
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        bound: int,
-        wedge_powers: dict[int, GradedObject],
-        sym_powers: dict[int, GradedObject],
-    ):
-        self.kind = kind
-        self.n = n
-        self.bound = bound
-        self.wedge_powers = wedge_powers
-        self.sym_powers = sym_powers
-
     def __repr__(self) -> str:
         return (
             f"FinitenessCertificate(kind={self.kind!r}, n={self.n!r},"

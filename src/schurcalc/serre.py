@@ -100,18 +100,6 @@ class CechCohomology(Record):
 
     __slots__ = ("n", "r", "dims", "basis")
 
-    def __init__(
-        self,
-        n: int,
-        r: int,
-        dims: dict[int, int],
-        basis: dict[int, tuple[Monomial, ...]],
-    ):
-        self.n = n
-        self.r = r
-        self.dims = dims
-        self.basis = basis
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -223,32 +211,13 @@ class SerreAlgebra(Record):
 
     __slots__ = ("n", "r_min", "r_max", "cohomology", "_basis_sets")
 
-    def __init__(
-        self,
-        n: int,
-        r_min: int,
-        r_max: int,
-        cohomology: dict[int, CechCohomology],
-        _basis_sets: dict[tuple[int, int], set] | None = None,
-    ):
-        # _basis_sets is always rebuilt from cohomology; the parameter only
-        # lets copy and pickle pass every field back
-        self.n = n
-        self.r_min = r_min
-        self.r_max = r_max
-        self.cohomology = cohomology
+    def __init__(self, n: int, r_min: int, r_max: int, cohomology: dict[int, CechCohomology]):
+        super().__init__(n, r_min, r_max, cohomology)
         sets: dict[tuple[int, int], set] = {}
-        for r, coh in self.cohomology.items():
+        for r, coh in cohomology.items():
             for p, monomials in coh.basis.items():
                 sets[(r, p)] = set(monomials)
         self._basis_sets = sets
-
-    def space(self) -> BigradedVS:
-        dims = {}
-        for r, coh in self.cohomology.items():
-            for p, d in coh.dims.items():
-                dims[(r, p)] = d
-        return BigradedVS(dims)
 
     def basis_keys(self) -> list[BasisKey]:
         out: list[BasisKey] = []

@@ -35,9 +35,10 @@ DEGREE_BOUND = 255
 # the largest n whose n! permutations may be listed: S_9 takes about 0.5 s,
 # S_10 would take about 5 s and 600 MB
 PERMUTATION_BOUND = 9
-# the largest n of a full character table: p(14)^2 = 18 225 entries take
-# 0.5 to 0.9 s, and the table grows with p(n)^2
-CHARACTER_TABLE_BOUND = 14
+# the largest n of a full character table: p(18)^2 = 148 225 entries take
+# 0.6 s, and induction_multiplicity, which reads the tables of n - 1 and n,
+# 0.8 s; at n = 19 that is 1.6 to 2.3 s, and the table grows with p(n)^2
+CHARACTER_TABLE_BOUND = 18
 
 
 class Permutation(Frozen):

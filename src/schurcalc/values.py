@@ -1,7 +1,8 @@
 """Bases of the package's small value classes, and the one text form of ints and keys.
 
-A subclass names its fields in __slots__, in constructor order. Equality,
-hashing, repr and copying all read the fields from there.
+A subclass names its fields in __slots__, in constructor order; a slot whose
+name starts with "_" is derived state, not a field. Equality, hashing, repr
+and copying all read the fields from there.
 """
 
 import sys
@@ -77,13 +78,30 @@ def read_ints(text: str, what: str, brackets=False, length=None) -> tuple[int, .
 class Record:
     """Mutable fields; equal to a record of the same class with equal fields.
 
+    The fields are the public slots, which this constructor takes in order;
+    a subclass's own __init__ may derive its private slots after calling it.
     Unhashable, since a field may change after the record is used as a key.
     """
 
     __slots__ = ()
+    _field_names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *fields):
+        names = self._field_names
+        if len(fields) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(names)} fields"
+                f" ({', '.join(names)}), not {len(fields)}"
+            )
+        for name, value in zip(names, fields):
+            setattr(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -91,7 +109,7 @@ class Record:
         return self._fields() == other._fields()
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
@@ -171,7 +189,7 @@ class Counts(Record):
 
     def to_json(self) -> dict:
         """The rank fields by name, then the counts under the last field's name."""
-        *rank, counts = self.__slots__
+        *rank, counts = self._field_names
         data = {name: getattr(self, name) for name in rank}
         data[counts] = {self._text(key): count for key, count in self._items()}
         return data
@@ -179,8 +197,8 @@ class Counts(Record):
     @classmethod
     def from_json(cls, data):
         """Inverse of to_json: every rank field is required, missing counts are zero."""
-        data = read_object(data, cls._json_name, cls.__slots__)
-        *rank_names, counts = cls.__slots__
+        data = read_object(data, cls._json_name, cls._field_names)
+        *rank_names, counts = cls._field_names
         rank = [expect_int(data[name], f"rank {name}") for name in rank_names]
         return cls(*rank, cls._read_map(data.get(counts, {}), counts))
 

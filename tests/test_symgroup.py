@@ -487,8 +487,8 @@ def test_alt_projector_checks_the_degree_before_reading_signs(monkeypatch):
 
 
 def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
-    # p(14)^2 = 18 225 entries take about 0.05 s
-    assert CHARACTER_TABLE_BOUND == 14
+    # p(18)^2 = 148 225 entries take about 0.6 s
+    assert CHARACTER_TABLE_BOUND == 18
     one = Partition((1,))
     big = Partition((CHARACTER_TABLE_BOUND,))
 
@@ -498,10 +498,11 @@ def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
     monkeypatch.setattr(symgroup, "all_partitions", no_enumeration)
     monkeypatch.setattr(symgroup, "_mn_value", no_enumeration)
     over = CHARACTER_TABLE_BOUND + 1
-    with pytest.raises(BoundExceededError, match=f"^the degree {over} must be at most 14$"):
+    refusal = f"^the degree {over} must be at most {CHARACTER_TABLE_BOUND}$"
+    with pytest.raises(BoundExceededError, match=refusal):
         character_table(over)
     for triple in [(big, one, Partition((over,))), (Partition((over,)), one, big)]:
-        with pytest.raises(BoundExceededError, match=f"^the degree {over} must be at most 14$"):
+        with pytest.raises(BoundExceededError, match=refusal):
             induction_multiplicity(*triple)
     monkeypatch.setattr(symgroup, "_idempotent_class_sums", no_enumeration)
     identity = Permutation.identity(over)
@@ -510,12 +511,37 @@ def test_character_table_bound_is_checked_before_any_shape(monkeypatch):
         lambda: decompose_module(GroupAlgebraElement.unit(over)),
         lambda: decompose_module({identity: [[1]]}),
     ):
-        with pytest.raises(BoundExceededError, match=f"^the degree {over} must be at most 14$"):
+        with pytest.raises(BoundExceededError, match=refusal):
             refused()
     # with the kernel back, n = 9, past the symmetrizer bound, is answered
     monkeypatch.undo()
     assert char_irrep(Partition((9,))) == dict.fromkeys(all_partitions(9), 1)
     assert decompose_module(GroupAlgebraElement.unit(9)) == SymChar.regular(9)
+
+
+def test_each_character_table_caller_answers_its_corner_at_the_bound():
+    """With no table kept, each entry point that reads the full character
+    table answers its costliest input at the bound within 2 s;
+    induction_multiplicity reads the tables of n - 1 and n."""
+    n = CHARACTER_TABLE_BOUND
+    corners = [
+        (lambda: len(character_table(n)), len(all_partitions(n)) ** 2),
+        (lambda: char_irrep(Partition((n,))), dict.fromkeys(all_partitions(n), 1)),
+        (lambda: decompose_module(GroupAlgebraElement.unit(n)), SymChar.regular(n)),
+        (lambda: induction_multiplicity(Partition((n - 1,)), Partition((1,)), Partition((n,))), 1),
+    ]
+    try:
+        for corner, answer in corners:
+            character_table.cache_clear()
+            symgroup._character_columns.cache_clear()
+            start = time.perf_counter()
+            got = corner()
+            assert time.perf_counter() - start < 2
+            assert got == answer
+    finally:
+        # free the tables of n - 1 and n
+        character_table.cache_clear()
+        symgroup._character_columns.cache_clear()
 
 
 def test_the_class_functions_past_the_partition_bound_are_refused():

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurcalc.errors import BoundExceededError
-from schurcalc.glchar import DominantWeight
+from schurcalc.glchar import DominantWeight, GLChar
 from schurcalc.koszul import GradedObject, certify_finiteness
 from schurcalc.partitions import Partition, StandardTableau
-from schurcalc.serre import build_serre_algebra, cech_cohomology
+from schurcalc.serre import BigradedVS, SerreAlgebra, build_serre_algebra, cech_cohomology
 from schurcalc.symgroup import GroupAlgebraElement, Permutation, SymChar
 from schurcalc.symseq import SymSeq
-from schurcalc.values import read_ints, write_ints
+from schurcalc.values import Counts, Frozen, Record, read_ints, write_ints
 
 # (value, its fields in constructor order, its repr)
 FROZEN = [
@@ -46,7 +46,7 @@ MUTABLE = [
     (
         build_serre_algebra(0, 0, 0),
         "SerreAlgebra(n=0, r_min=0, r_max=0, cohomology={0: CechCohomology(n=0,"
-        " r=0, dims={0: 1}, basis={0: ((0,),)})}, _basis_sets={(0, 0): {(0,)}})",
+        " r=0, dims={0: 1}, basis={0: ((0,),)})})",
     ),
     (
         certify_finiteness(GradedObject({0: 1})),
@@ -55,6 +55,15 @@ MUTABLE = [
 ]
 
 ALL = [value for value, *_ in FROZEN] + [value for value, _ in MUTABLE]
+
+# one value of every Record subclass but the two bases
+RECORDS = ALL + [
+    GradedObject({0: 1, -2: 3}),
+    GLChar.standard(2),
+    BigradedVS({(0, 1): 2}),
+    SymChar.regular(3),
+    SymSeq.irreducible(Partition((2, 1))),
+]
 
 ROUND_TRIPS = [
     copy.copy,
@@ -87,13 +96,67 @@ def test_mutable_value(value, text):
     assert other != value
 
 
-@pytest.mark.parametrize("value", ALL, ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("value", RECORDS, ids=lambda value: type(value).__name__)
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
 def test_round_trip_is_equal(value, round_trip):
     again = round_trip(value)
     assert type(again) is type(value)
     assert again == value
     assert repr(again) == repr(value)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_class_has_a_sample():
+    assert set(_subclasses(Record)) - {Counts, Frozen} == {type(value) for value in RECORDS}
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda value: type(value).__name__)
+def test_record_rebuilds_from_its_public_fields(value):
+    cls = type(value)
+    names = [name for name in cls.__slots__ if not name.startswith("_")]
+    assert value._fields() == tuple(getattr(value, name) for name in names)
+    assert cls(*value._fields()) == value
+    assert value.__reduce__() == (cls, value._fields())
+    with pytest.raises(TypeError):
+        cls(*value._fields(), None)
+
+
+@pytest.mark.parametrize("value", [value for value, _ in MUTABLE], ids=lambda v: type(v).__name__)
+def test_record_constructor_takes_exactly_its_fields(value):
+    cls = type(value)
+    with pytest.raises(TypeError):
+        cls(*value._fields()[:-1])
+    if cls.__init__ is Record.__init__:
+        count = len(cls._field_names)
+        names = ", ".join(cls._field_names)
+        text = rf"^{cls.__name__}\(\) takes {count} fields \({names}\), not {count + 1}$"
+        with pytest.raises(TypeError, match=text):
+            cls(*value._fields(), None)
+
+
+def test_serre_algebra_derives_its_basis_sets_from_its_fields():
+    algebra = build_serre_algebra(1, -2, 2)
+    again = SerreAlgebra(*algebra._fields())
+    assert again._basis_sets == algebra._basis_sets
+    keys = algebra.basis_keys()
+    assert [again.multiply(a, b) for a in keys for b in keys] == [
+        algebra.multiply(a, b) for a in keys for b in keys
+    ]
+
+
+def test_a_private_slot_is_no_field():
+    algebra = build_serre_algebra(1, 0, 1)
+    assert "_basis_sets" not in repr(algebra)
+    assert b"_basis_sets" not in pickle.dumps(algebra)
+    other = copy.copy(algebra)
+    other._basis_sets = {}
+    assert other == algebra
+    assert pickle.loads(pickle.dumps(other))._basis_sets == algebra._basis_sets
 
 
 def test_equality_across_classes_is_not_implemented():
