@@ -624,20 +624,26 @@ def _double_coset_count(
     return min(count(0, tuple(map(len, right))), limit)
 
 
-def _block_generators(block: tuple[int, ...]) -> list[tuple[bytes, int]]:
-    """Generators of the permutations of the block, as translate tables with sign.
+def _young_generators(blocks) -> list[tuple[bytes, int]]:
+    """Generators of the permutations fixing each block, as translate tables with sign.
 
-    A transposition of two entries and the cycle through all of them generate
-    the symmetric group of the block; table[v] is the image of v.
+    The transposition of the first two entries of each block, and s, the
+    product of the full cycles of the blocks of three or more: s^k t s^-k
+    walks block j's transposition t along its cycle, giving the adjacent
+    transpositions that generate its symmetric group. table[v] is the image of v.
     """
-    if len(block) < 2:
-        return []
-    gens = []
-    for cycle in [block[:2], block] if len(block) > 2 else [block]:
-        table = bytearray(_IDENT)
-        for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
-            table[src] = dst
-        gens.append((bytes(table), (-1) ** (len(cycle) - 1)))
+    gens, cycle, sign = [], bytearray(_IDENT), 1
+    for block in blocks:
+        if len(block) > 1:
+            table = bytearray(_IDENT)
+            table[block[0]], table[block[1]] = block[1], block[0]
+            gens.append((bytes(table), -1))
+        if len(block) > 2:
+            for src, dst in zip(block, block[1:] + block[:1]):
+                cycle[src] = dst
+            sign *= (-1) ** (len(block) - 1)
+    if cycle != _IDENT:
+        gens.append((bytes(cycle), sign))
     return gens
 
 
@@ -678,14 +684,16 @@ def _square_matches(
 
     N maps image bytes to coefficients and inverted is _inverted(N), N'.
     (N*N)_g = sum over h of N_h * N_{h^-1 g} = N_h * N'_{g^-1 h}: one pass
-    over the support of N per g, each h translated by the table of g^-1.
+    over the support of N per g, each h translated by the table of g^-1
+    (at the identity h itself, with no translate).
     """
     get, get_inverted = coeff.get, inverted.get
     values = list(coeff.values())
 
     def square_at(g: bytes) -> int:
-        inverse_table = bytes.maketrans(g, _identity(len(g)))
-        moved = map(bytes.translate, coeff, repeat(inverse_table))
+        identity = _identity(len(g))
+        table = bytes.maketrans(g, identity)
+        moved = coeff if g == identity else map(bytes.translate, coeff, repeat(table))
         return sum(map(mul, values, map(get_inverted, moved, repeat(0))))
 
     return all(square_at(g) == scalar * get(g, 0) for g in reps)
@@ -697,22 +705,23 @@ def _symmetrizer_identity_holds(
     """Whether c has the symmetries of b*r for the tableau and c*c == a*c.
 
     The columns act by sign on the left and the rows trivially on the
-    right, proved on generators of each block (the rows on the left of
-    _inverted, where their inverses generate the same group). With c = N/d,
-    N*N - a*d*N then has them too, and as a column and a row share at most
-    one entry it vanishes off C 1 R (Fulton-Harris 4.2), so one comparison
-    at the identity, one pass over the support, proves the identity.
+    right, each side proved in one pass per generator of its group: a
+    transposition per block, and the product of the blocks' full cycles,
+    whose powers conjugate those into all adjacent ones (_young_generators).
+    The rows act on the left of _inverted, where their inverses generate the
+    same group. With c = N/d, N*N - a*d*N then has them too, and as a column
+    and a row share at most one entry it vanishes off C 1 R (Fulton-Harris
+    4.2), so one comparison at the identity, one pass over the support,
+    proves the identity.
     """
     coeff = c.nums
     inverted = _inverted(coeff)
     return all(
-        _acts_by_sign(table_of, table, parity if sign == -1 else 1)
-        for table_of, blocks, sign in (
-            (coeff, tableau.column_sets(), -1),
-            (inverted, tableau.row_sets(), 1),
-        )
-        for block in blocks
-        for table, parity in _block_generators(block)
+        _acts_by_sign(coeff, table, parity)
+        for table, parity in _young_generators(tableau.column_sets())
+    ) and all(
+        _acts_by_sign(inverted, table, 1)
+        for table, _parity in _young_generators(tableau.row_sets())
     ) and _square_matches(coeff, inverted, [_identity(c.n)], a * c.den)
 
 
@@ -760,12 +769,12 @@ def _symmetry_blocks(coeff: dict[bytes, int], n: int):
     block of one point has sign 1. The blocks are first screened
     (_transposition_blocks on _SCREEN_TERMS terms spread over the support):
     a symmetry always passes the screen, so the true blocks refine the
-    screened ones. Each screened block is then proved on the two generators
-    of its permutations (_block_generators), one full pass each: a block
-    that passes lies inside a true block, so it is one. A block that fails
-    is split by trying its transpositions on the full support. The blocks
-    are listed by least point, each in increasing order. The blocks of the
-    right symmetries of N are those of _inverted(N).
+    screened ones. Each screened block is then proved on the (at most two)
+    generators of its permutations (_young_generators), one full pass each:
+    a block that passes lies inside a true block, so it is one. A block that
+    fails is split by trying its transpositions on the full support. The
+    blocks are listed by least point, each in increasing order. The blocks
+    of the right symmetries of N are those of _inverted(N).
     """
     # terms come in runs whose lengths are products of factorials, whose
     # prime factors are 2, 3, 5 and 7 up to 10!: a step prime to 210 does
@@ -778,7 +787,7 @@ def _symmetry_blocks(coeff: dict[bytes, int], n: int):
     for block, sign in _transposition_blocks(coeff, range(1, n + 1), screen):
         if all(
             _acts_by_sign(coeff, table, parity if sign == -1 else 1)
-            for table, parity in _block_generators(block)
+            for table, parity in _young_generators([block])
         ):
             found.append((block, sign))
         else:
@@ -901,10 +910,10 @@ def young_symmetrizer(
     is within SYMMETRIZER_BOUND), with integer coefficients.
     a always equals n! divided by the number of standard tableaux. The whole
     identity c*c = a*c is checked exactly. For the first tableau of a shape
-    built in the process, c is checked to be sign-equivariant under the
-    column group C on the left and invariant under the row group R on the
-    right (at most two passes over its support per column and row), so
-    c*c - a*c is too, and it vanishes off C 1 R, compared in one more pass.
+    built in the process, c is checked sign-equivariant under the column
+    group C on the left and invariant under the row group R on the right
+    (a pass over its support per column and row of two or more, one more a
+    side), so c*c - a*c is too; it vanishes off C 1 R, compared in one pass.
     For every later tableau T of the shape, s sending the first tableau T0
     to T cell by cell, c is checked term by term to equal s c0 s^-1, c0 the
     proved symmetrizer of T0, in one pass; conjugation is an automorphism,
@@ -954,9 +963,10 @@ def char_irrep(shape: Partition) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
+def character_table(n: int) -> Mapping[tuple[Partition, Partition], int]:
     """Full character table of Sigma_n: (shape, cycle type) -> value, for an
-    int 0 <= n <= CHARACTER_TABLE_BOUND, checked before any shape is listed."""
+    int 0 <= n <= CHARACTER_TABLE_BOUND, checked before any shape is listed.
+    Every call shares one read-only view of the cached table."""
     check_int(n, "degree", 0, CHARACTER_TABLE_BOUND)
     table = {}
     shapes = all_partitions(n)
@@ -965,7 +975,7 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
         beads = sum(1 << (part + i) for i, part in enumerate(reversed(lam.parts)))
         for mu in shapes:
             table[(lam, mu)] = _mn_value(beads, mu.parts)
-    return table
+    return MappingProxyType(table)
 
 
 def centralizer_order(mu: Partition) -> int:

@@ -544,6 +544,24 @@ def test_each_character_table_caller_answers_its_corner_at_the_bound():
         symgroup._character_columns.cache_clear()
 
 
+def test_the_character_table_is_read_only():
+    # every call shares the cached table, so a write would change later answers
+    table = character_table(3)
+    key = (Partition((2, 1)), Partition((1, 1, 1)))
+    # decompose_module reads the table's columns afresh
+    symgroup._character_columns.cache_clear()
+    with pytest.raises(TypeError):
+        table[key] = 99
+    with pytest.raises(TypeError):
+        del table[key]
+    assert character_table(3) is table and table[key] == 2
+    assert char_irrep(Partition((2, 1))) == {
+        Partition((3,)): -1, Partition((2, 1)): 0, Partition((1, 1, 1)): 2
+    }
+    e = _young_idempotent(canonical_tableau(Partition((2, 1))))
+    assert decompose_module(e).coeffs == {Partition((2, 1)): 1}
+
+
 def test_the_class_functions_past_the_partition_bound_are_refused():
     over = PARTITION_BOUND + 1
     text = f"^the size {over} must be at most {PARTITION_BOUND}$"
@@ -698,6 +716,69 @@ def test_young_subgroups_are_listed_in_the_reference_order():
         for blocks in (tableau.row_sets(), tableau.column_sets()):
             expected = _subgroup_perms_one_table_per_rearrangement(blocks, tableau.size)
             assert symgroup._subgroup_perms(blocks, tableau.size) == expected, tableau
+
+
+def _closure(gens, n):
+    """Breadth-first products of the generators, as image tuples with the
+    product of the generators' signs; every path to an element must give it
+    the same sign."""
+    identity = tuple(range(1, n + 1))
+    sign_of = {identity: 1}
+    frontier = [identity]
+    while frontier:
+        reached = []
+        for g in frontier:
+            for table, sign in gens:
+                # table[v] is the image of v, so s*g sends i to table[g(i)]
+                h = tuple(table[v] for v in g)
+                if h in sign_of:
+                    assert sign_of[h] == sign * sign_of[g], h
+                else:
+                    sign_of[h] = sign * sign_of[g]
+                    reached.append(h)
+        frontier = reached
+    return sign_of
+
+
+def test_young_generators_generate_the_young_subgroup_with_its_signs():
+    # one transposition per block and one product of the long cycles
+    # generate the product of the blocks' symmetric groups
+    tableaux = [t for t in ORDER_TABLEAUX if t.size <= 7]
+    assert len(tableaux) == 352
+    for tableau in tableaux:
+        n = tableau.size
+        for blocks in (tableau.row_sets(), tableau.column_sets()):
+            gens = symgroup._young_generators(blocks)
+            assert len(gens) == sum(len(b) > 1 for b in blocks) + any(len(b) > 2 for b in blocks)
+            images, signs = symgroup._subgroup_perms(blocks, n)
+            expected = {tuple(g): sign for g, sign in zip(images, signs)}
+            assert _closure(gens, n) == expected, (_tableau_id(tableau), blocks)
+
+
+@pytest.mark.parametrize(
+    "shape, passes",
+    [((3, 3, 1), 7), ((3, 3), 6), ((2, 2, 2), 6), ((8,), 2), ((1,) * 8, 2)],
+    ids=["3,3,1", "3,3", "2,2,2", "8", "1^8"],
+)
+def test_symmetrizer_check_takes_one_pass_per_generator(monkeypatch, shape, passes):
+    # a transposition per column and row of two or more, one product of
+    # the long cycles a side, and one comparison, at the identity
+    tableau = canonical_tableau(Partition(shape))
+    n = tableau.size
+    c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
+    a = math.factorial(n) // dim_sym_irrep(tableau.shape)
+    full = _full_passes(monkeypatch)
+    compared = []
+    real = symgroup._square_matches
+
+    def recorded(coeff, inverted, reps, scalar):
+        compared.append(list(reps))
+        return real(coeff, inverted, reps, scalar)
+
+    monkeypatch.setattr(symgroup, "_square_matches", recorded)
+    assert symgroup._symmetrizer_identity_holds(tableau, c, a)
+    assert full == [True] * passes
+    assert compared == [[bytes(range(1, n + 1))]]
 
 
 @pytest.mark.parametrize("tableau", SMALL_TABLEAUX, ids=_tableau_id)

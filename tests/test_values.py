@@ -86,7 +86,8 @@ def test_frozen_value(value, fields, text):
         value.extra = 1
 
 
-@pytest.mark.parametrize("value, text", MUTABLE)
+# ids from the class, so a changed repr keeps the test's name
+@pytest.mark.parametrize("value, text", MUTABLE, ids=[type(v).__name__ for v, _ in MUTABLE])
 def test_mutable_value(value, text):
     assert repr(value) == text
     with pytest.raises(TypeError, match="unhashable"):
