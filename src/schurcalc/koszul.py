@@ -249,9 +249,13 @@ def _not_a_rank(total: int, den: int, deg: int) -> InvariantError:
     )
 
 
-# the plans of the class sums _idempotent_class_sums shares, by the id of its
-# read-only view; each keeps its view, so no id is reused while it is kept
-_IDEMPOTENT_PLANS: dict[int, tuple[Mapping[tuple[int, ...], int], tuple]] = {}
+@lru_cache(maxsize=_IDEMPOTENT_CACHE_SIZE)
+def _idempotent_plan(e: GroupAlgebraElement) -> tuple | None:
+    """The _power_plan of e's class sums once e*e == e holds, or None if
+    e*e != e; keyed by e's value, as symgroup._idempotent_class_sums is. A
+    refusal is cached, a BoundExceededError raised on every call."""
+    by_lengths = _idempotent_class_sums(e)
+    return None if by_lengths is None else _power_plan(e.den, by_lengths)
 
 
 def graded_power_image(
@@ -263,7 +267,8 @@ def graded_power_image(
     proved by the tableau check of young_symmetrizer for a Young idempotent
     c/a whose c this process built, else checked by symgroup.is_idempotent
     (on the double cosets of e's own signed Young symmetries). The
-    dimensions then come from _power_image, on a plan built once per table.
+    dimensions then come from _power_image, on a plan built once per
+    element (_idempotent_plan).
     Limited to n <= KOSZUL_BOUND and by _power_image's work bound.
     """
     if not isinstance(projector, GroupAlgebraElement):
@@ -271,16 +276,10 @@ def graded_power_image(
             f"the projector must be a GroupAlgebraElement, not {type(projector).__name__}"
         )
     check_int(projector.n, "power order", 0, KOSZUL_BOUND)
-    by_lengths = _idempotent_class_sums(projector)
-    if by_lengths is None:
+    plan = _idempotent_plan(projector)
+    if plan is None:
         raise ValueError("projector is not idempotent")
-    held = _IDEMPOTENT_PLANS.get(id(by_lengths))
-    if held is None:
-        if len(_IDEMPOTENT_PLANS) >= _IDEMPOTENT_CACHE_SIZE:
-            del _IDEMPOTENT_PLANS[next(iter(_IDEMPOTENT_PLANS))]
-        plan = _power_plan(projector.den, by_lengths)
-        held = _IDEMPOTENT_PLANS[id(by_lengths)] = (by_lengths, plan)
-    return _power_image(c, held[1])
+    return _power_image(c, plan)
 
 
 @lru_cache(maxsize=None)
@@ -388,10 +387,10 @@ def certify_finiteness(
             f"certificate needs powers up to {bound + 1}, limited to {KOSZUL_BOUND}"
         )
     orders = range(bound + 2)
-    # every power is priced, in the order below, before the first product
-    for projector in (alt_projector, sym_projector):
-        for m in orders:
-            _power_layout(c, _projector_plan(projector, m))
+    # every power is priced before the first product; the sym plan of an
+    # order reads as its alt plan does to _power_layout, so prices the same
+    for m in orders:
+        _power_layout(c, _projector_plan(alt_projector, m))
     wedge_powers = {m: wedge(c, m) for m in orders}
     sym_powers = {m: sym(c, m) for m in orders}
 

@@ -456,7 +456,8 @@ _YOUNG_IDEMPOTENTS: set[GroupAlgebraElement] = set()
 # distinct elements _idempotent_class_sums keeps: over twice the 15 Young
 # idempotents a round of the graded-powers benchmark reuses, and a
 # full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
-# image-bytes keys of 41 B), so the cache stays within about 90 MiB
+# image-bytes keys of 41 B), so the cache stays within about 90 MiB, and
+# with koszul._idempotent_plan, which keys as many by value, within 180 MiB
 _IDEMPOTENT_CACHE_SIZE = 32
 
 
@@ -834,14 +835,11 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
     return _square_matches(coeff, inverted, reps, e.den)
 
 
-def _is_conjugate(
-    c: GroupAlgebraElement,
-    proved: GroupAlgebraElement,
-    first: StandardTableau,
-    tableau: StandardTableau,
-) -> bool:
-    """Whether c == s * proved * s^-1, s sending each entry of first to the
-    entry in the same cell of tableau, the two of one shape.
+def _is_conjugate(c: GroupAlgebraElement, proved: GroupAlgebraElement, reading: bytes) -> bool:
+    """Whether c == s * proved * s^-1, proved the symmetrizer of the row
+    reading tableau T0 of a shape and reading the image bytes of s: the
+    entries of a tableau T of that shape read row by row, so s sends each
+    entry of T0 to the entry in the same cell of T.
 
     One pass over the terms g of proved: s^-1 translated by g's table is
     g s^-1, and that translated by s's table is s g s^-1 (see _table).
@@ -850,23 +848,15 @@ def _is_conjugate(
     """
     if len(c.nums) != len(proved.nums) or c.den != proved.den:
         return False
-    source = bytes(chain.from_iterable(first.rows))
-    target = bytes(chain.from_iterable(tableau.rows))
-    n = len(source)
-    table = bytes.maketrans(source, target)
-    inverse = _identity(n).translate(bytes.maketrans(target, source))
-    tail = _IDENT[n + 1 :]
+    identity = _identity(len(reading))
+    table = _table(reading)
+    inverse = identity.translate(bytes.maketrans(reading, identity))
+    tail = _IDENT[len(reading) + 1 :]
     get = c.nums.get
     for g, num in proved.nums.items():
         if get(inverse.translate(b"\0" + g + tail).translate(table)) != num:
             return False
     return True
-
-
-# row lengths -> (tableau, c, a) of the first tableau of the shape, whose c
-# the tableau check proved; kept as long as _young_symmetrizer_cached keeps
-# its entries, so a bound on that cache must drop these with them
-_PROVED_SHAPES: dict[tuple[int, ...], tuple[StandardTableau, GroupAlgebraElement, int]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -875,29 +865,28 @@ def _young_symmetrizer_cached(tableau: StandardTableau | Partition):
     if isinstance(tableau, Partition):
         return _young_symmetrizer_cached(canonical_tableau(tableau))
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
-    lengths = tuple(map(len, tableau.rows))
-    proved = _PROVED_SHAPES.get(lengths)
-    if proved is None:
-        a = math.factorial(tableau.size) // dim_sym_irrep(tableau.shape)
+    reading = bytes(chain.from_iterable(tableau.rows))
+    if reading == _identity(tableau.size):
+        a = Fraction(math.factorial(tableau.size) // dim_sym_irrep(tableau.shape))
         # the scalar is verified exactly, not trusted
         if not _symmetrizer_identity_holds(tableau, c, a):
             raise InvariantError(
                 f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
             )
-        _PROVED_SHAPES[lengths] = (tableau, c, a)
     else:
-        first, proved_c, a = proved
-        # s c0 s^-1 is the symmetrizer of s T0, and conjugation is an
-        # automorphism, so c*c == a*c holds with the proved a
-        if not _is_conjugate(c, proved_c, first, tableau):
+        # the row reading tableau's entry is the shape's proof: s c0 s^-1 is
+        # the symmetrizer of s T0, and conjugation is an automorphism, so
+        # c*c == a*c holds with the proved a
+        proved, a = _young_symmetrizer_cached(tableau.shape)
+        if not _is_conjugate(c, proved, reading):
             raise InvariantError(
                 f"symmetrizer of the tableau {tableau.rows} is not the conjugate "
                 f"of the proved one of shape {tableau.shape}"
             )
     # either check proved c*c == a*c, which is (c/a)^2 == c/a; c/a shares
     # c's numerator dict, so the set holds no copy
-    _YOUNG_IDEMPOTENTS.add(c.scale(Fraction(1, a)))
-    return c, Fraction(a)
+    _YOUNG_IDEMPOTENTS.add(c.scale(1 / a))
+    return c, a
 
 
 def young_symmetrizer(
@@ -909,15 +898,16 @@ def young_symmetrizer(
     (for a bare shape, of its row reading filling, built only once the size
     is within SYMMETRIZER_BOUND), with integer coefficients.
     a always equals n! divided by the number of standard tableaux. The whole
-    identity c*c = a*c is checked exactly. For the first tableau of a shape
-    built in the process, c is checked sign-equivariant under the column
-    group C on the left and invariant under the row group R on the right
-    (a pass over its support per column and row of two or more, one more a
-    side), so c*c - a*c is too; it vanishes off C 1 R, compared in one pass.
-    For every later tableau T of the shape, s sending the first tableau T0
-    to T cell by cell, c is checked term by term to equal s c0 s^-1, c0 the
-    proved symmetrizer of T0, in one pass; conjugation is an automorphism,
-    so c*c = a*c with the same a. Either way c itself is built by
+    identity c*c = a*c is checked exactly. For the row reading tableau T0
+    of a shape, c is checked sign-equivariant under the column group C on
+    the left and invariant under the row group R on the right (a pass over
+    its support per column and row of two or more, one more a side), so
+    c*c - a*c is too; it vanishes off C 1 R, compared in one pass. For any
+    other tableau T of the shape, s sending T0 to T cell by cell (the
+    permutation whose images are T read row by row), c is checked term by
+    term to equal s c0 s^-1, c0 the proved symmetrizer of T0, built first
+    if it is not cached, in one pass; conjugation is an automorphism, so
+    c*c = a*c with the same a. Either way c itself is built by
     convolution. c/a is the idempotent cutting one copy of the irreducible
     of the shape. That check is (c/a)^2 == c/a in full. It runs once, when
     c is first built, and c/a stays proved for as long as c stays cached

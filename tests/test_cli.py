@@ -1,6 +1,7 @@
 """End-to-end runs of the command line program, including exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schurcalc
+from schurcalc import selftest, symgroup
 from schurcalc.cli import PAYLOAD_BYTE_BOUND, build_parser, main
+from schurcalc.errors import InvariantError
 from schurcalc.glchar import SCHUR_WEYL_RANK_BOUND
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -135,6 +138,18 @@ def test_serre_duality_report(capsys):
         capsys, "serre", "--n", "1", "--window", "-4:4", "--verify-duality"
     )
     assert result["output"]["all_perfect"] is True
+
+
+def test_serre_duality_skips_a_dualizing_weight_outside_the_window(capsys):
+    result = run_json(capsys, "serre", "--n", "3", "--window", "-2:0", "--verify-duality")
+    report = result["output"]
+    assert report["dualizing_weight"] == -4
+    assert report["checked"] == []
+    assert report["skipped"] == [
+        {"r": -2, "partner": -2, "reason": "dualizing weight outside window"},
+        {"r": -1, "partner": -3, "reason": "partner outside window"},
+        {"r": 0, "partner": -4, "reason": "partner outside window"},
+    ]
 
 
 def test_gm_shift_command(capsys):
@@ -373,6 +388,40 @@ def test_bound_exceeded_exits_3(capsys):
     code, out, err = run(capsys, "symmetrizer", "5,4,3")
     assert code == 3
     assert "bound-exceeded" in err
+
+
+def test_a_failed_proof_exits_4(capsys, monkeypatch):
+    # an empty cache of symmetrizers in place of the process's, which is
+    # restored after the test with every entry it held
+    build = symgroup._young_symmetrizer_cached.__wrapped__
+    monkeypatch.setattr(symgroup, "_young_symmetrizer_cached", functools.lru_cache(None)(build))
+    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", lambda *_args: False)
+    idempotents = set(symgroup._YOUNG_IDEMPOTENTS)
+    code, out, err = run(capsys, "symmetrizer", "2,1")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "invariant-violation",
+        "detail": "symmetrizer square is not 3 times the symmetrizer for shape 2,1",
+    }
+    assert symgroup._young_symmetrizer_cached.cache_info().currsize == 0
+    assert symgroup._YOUNG_IDEMPOTENTS == idempotents
+
+
+def test_a_failed_selftest_check_exits_4(capsys, monkeypatch):
+    def failing(_limits):
+        raise InvariantError("planted failure")
+
+    checks = [
+        (name, failing if name == "symgroup.young-symmetrizer" else check)
+        for name, check in selftest.CHECKS
+    ]
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code, out, err = run(capsys, "selftest", "--quick")
+    assert (code, err) == (4, "")
+    lines = out.strip().splitlines()
+    assert lines.count("FAIL symgroup.young-symmetrizer: InvariantError: planted failure") == 1
+    assert sum(line.startswith("ok ") for line in lines) == 30
+    assert lines[-1] == "30/31 checks passed (quick)"
 
 
 SEQ = '{"levels":{"1":{"1":1}}}'

@@ -503,6 +503,21 @@ def test_certify_finiteness_prices_every_power_before_any_product(monkeypatch):
         certify_finiteness(GradedObject(dict.fromkeys(range(2000), 1)), bound=6)
 
 
+@pytest.mark.parametrize("m", range(KOSZUL_BOUND + 1))
+def test_the_sym_plan_prices_as_the_alt_plan(m):
+    # certify_finiteness prices only the alt plans: _power_layout reads n,
+    # the cycle types in order, sum |S_mu| and the cycle count, and the sym
+    # plan of each order agrees with the alt plan on all of them
+    def priced(plan):
+        n, _den, items, total, cycles = plan
+        return n, [lengths for lengths, _num in items], total, cycles
+
+    alt = koszul._projector_plan(alt_projector, m)
+    sym_plan = koszul._projector_plan(sym_projector, m)
+    assert priced(sym_plan) == priced(alt)
+    assert alt[3] == math.factorial(m)
+
+
 def test_each_table_is_planned_once(monkeypatch):
     plans = []
     real = koszul._power_plan
@@ -512,7 +527,7 @@ def test_each_table_is_planned_once(monkeypatch):
         return real(den, by_lengths)
 
     monkeypatch.setattr(koszul, "_power_plan", counted)
-    monkeypatch.setattr(koszul, "_IDEMPOTENT_PLANS", {})
+    koszul._idempotent_plan.cache_clear()
     koszul._projector_plan.cache_clear()
     c = GradedObject({0: 2, 1: 1})
     e = _young_idempotent(canonical_tableau(Partition((3, 2))))
@@ -557,9 +572,10 @@ def test_graded_power_rejects_unbounded_idempotence_check(monkeypatch):
 
 
 def _count_idempotence_checks(monkeypatch) -> list:
-    """Empty the cache of settled idempotents and record each full
-    idempotence check from now on."""
+    """Empty the caches of settled idempotents and of their plans and record
+    each full idempotence check from now on."""
     symgroup._idempotent_class_sums.cache_clear()
+    koszul._idempotent_plan.cache_clear()
     calls = []
 
     def counted(e):
@@ -584,8 +600,12 @@ def test_equal_idempotents_are_checked_once(monkeypatch):
     assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
     assert decompose_module(e) == decompose_module(same)
     assert calls == [e]
+    # the three images read one plan, built from the sums the two
+    # decompositions read again
+    plans = koszul._idempotent_plan.cache_info()
+    assert (plans.hits, plans.misses, plans.currsize) == (2, 1, 1)
     info = symgroup._idempotent_class_sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     # every caller shares the cached sums, so they are read-only
     with pytest.raises(TypeError):
         symgroup._idempotent_class_sums(e)[(1, 1, 1, 1)] = 0
@@ -606,9 +626,9 @@ def test_a_non_idempotent_element_is_refused_on_every_call(monkeypatch):
 def _forget_symmetrizers() -> None:
     """Forget every symmetrizer built and every idempotent settled so far."""
     symgroup._young_symmetrizer_cached.cache_clear()
-    symgroup._PROVED_SHAPES.clear()
     symgroup._YOUNG_IDEMPOTENTS.clear()
     symgroup._idempotent_class_sums.cache_clear()
+    koszul._idempotent_plan.cache_clear()
 
 
 def _tableaux(max_size: int) -> list:
@@ -629,9 +649,9 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
         checks.append(("tableau", c))
         return real_check(tableau, c, a)
 
-    def by_conjugation(c, proved, first, tableau):
+    def by_conjugation(c, proved, reading):
         checks.append(("conjugation", c))
-        return real_conjugate(c, proved, first, tableau)
+        return real_conjugate(c, proved, reading)
 
     monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", by_tableau)
     monkeypatch.setattr(symgroup, "_is_conjugate", by_conjugation)
@@ -643,8 +663,9 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
     routes = []
     for tableau in tableaux:
         c, a = young_symmetrizer(tableau)
-        # one proof per build: the tableau check for the first tableau of
-        # its shape, a conjugation check for every later one
+        # one proof per build: the tableau check for the row reading
+        # tableau, which comes first in each shape, a conjugation check for
+        # every later one
         route = "conjugation" if tableau.shape in shapes else "tableau"
         shapes.add(tableau.shape)
         assert checks == [(route, c)], tableau
@@ -656,7 +677,7 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
         assert graded_power_image(c2, e).dims == _image_dims_by_matrix(c2, e)
         assert checks == [] and idempotence_checks == [], tableau
     # each c/a is read twice: first a miss that reads the tableau's proof,
-    # then a hit
+    # then a hit, when its plan is built
     info = symgroup._idempotent_class_sums.cache_info()
     assert (info.hits, info.misses, info.currsize) == (43, 43, 32)
     assert len(symgroup._YOUNG_IDEMPOTENTS) == 43
@@ -725,8 +746,9 @@ def test_an_equal_element_built_apart_reads_the_proof(monkeypatch):
     assert graded_power_image(GradedObject({1: 2}), e) == graded_power_image(
         GradedObject({1: 2}), c.scale(Fraction(1) / a)
     )
+    # the second image reads the first one's plan, keyed by the same value
     info = symgroup._idempotent_class_sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_elements_not_proved_in_this_process_are_checked_in_full(monkeypatch):
@@ -759,7 +781,8 @@ def test_a_failed_tableau_check_records_nothing(monkeypatch):
         patch.setattr(symgroup, "_symmetrizer_identity_holds", lambda *_args: False)
         with pytest.raises(InvariantError, match="^symmetrizer square is not 3 times"):
             young_symmetrizer(Partition((2, 1)))
-    assert not symgroup._YOUNG_IDEMPOTENTS and not symgroup._PROVED_SHAPES
+    assert not symgroup._YOUNG_IDEMPOTENTS
+    assert symgroup._young_symmetrizer_cached.cache_info().currsize == 0
     calls = _count_idempotence_checks(monkeypatch)
     tableau = canonical_tableau(Partition((2, 1)))
     e = (column_antisymmetrizer(tableau) * row_symmetrizer(tableau)).scale(Fraction(1, 3))

@@ -854,48 +854,97 @@ def test_symmetrizer_failed_check_raises(monkeypatch, shape):
         return real(t) + GroupAlgebraElement.unit(t.size)
 
     monkeypatch.setattr(symgroup, "row_symmetrizer", row_symmetrizer_with_identity_doubled)
-    # with no shape proved, the build reaches the tableau check
-    monkeypatch.setattr(symgroup, "_PROVED_SHAPES", {})
+    # a row reading tableau is always proved by the tableau check
     with pytest.raises(InvariantError, match="symmetrizer square is not"):
         symgroup._young_symmetrizer_cached.__wrapped__(tableau)
 
 
 def _fresh_proofs(monkeypatch) -> None:
-    """Start the symmetrizer builds with no shape and no idempotent proved;
-    the process's own stores are restored after the test."""
-    monkeypatch.setattr(symgroup, "_PROVED_SHAPES", {})
+    """Start the symmetrizer builds with no symmetrizer built and no
+    idempotent proved; the process's own caches are restored after the test."""
+    build = symgroup._young_symmetrizer_cached.__wrapped__
+    monkeypatch.setattr(symgroup, "_young_symmetrizer_cached", functools.lru_cache(None)(build))
     monkeypatch.setattr(symgroup, "_YOUNG_IDEMPOTENTS", set())
 
 
+def _reading(tableau) -> bytes:
+    return bytes(itertools.chain.from_iterable(tableau.rows))
+
+
+def _proof_steps(monkeypatch, tableaux) -> list:
+    """Build each tableau's symmetrizer in turn from empty caches, and list
+    per build the convolutions and tableau checks it ran, as (step, tableau)
+    pairs, and the conjugation checks, as (step, reading) pairs."""
+    _fresh_proofs(monkeypatch)
+    steps = []
+    real_row, real_check, real_conjugate = (
+        symgroup.row_symmetrizer,
+        symgroup._symmetrizer_identity_holds,
+        symgroup._is_conjugate,
+    )
+
+    def row(tableau):
+        steps.append(("convolution", tableau))
+        return real_row(tableau)
+
+    def by_tableau(tableau, c, a):
+        steps.append(("tableau", tableau))
+        return real_check(tableau, c, a)
+
+    def by_conjugation(c, proved, reading):
+        steps.append(("conjugation", reading))
+        return real_conjugate(c, proved, reading)
+
+    monkeypatch.setattr(symgroup, "row_symmetrizer", row)
+    monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", by_tableau)
+    monkeypatch.setattr(symgroup, "_is_conjugate", by_conjugation)
+    per_build = []
+    for tableau in tableaux:
+        c, a = young_symmetrizer(tableau)
+        assert c == column_antisymmetrizer(tableau) * real_row(tableau)
+        assert a == math.factorial(tableau.size) // dim_sym_irrep(tableau.shape)
+        per_build.append(steps[:])
+        steps.clear()
+    return per_build
+
+
+# every standard tableau of size <= 6, each shape's row reading tableau first
+PROOF_TABLEAUX = [
+    t for n in range(7) for shape in all_partitions(n) for t in standard_tableaux(shape)
+]
+
+
 def test_a_later_tableau_of_a_proved_shape_is_proved_by_conjugation(monkeypatch):
-    # the build behind the cache of symmetrizers, so every call builds
-    build = symgroup._young_symmetrizer_cached.__wrapped__
-    conjugated = []
-    real = symgroup._is_conjugate
+    assert len(PROOF_TABLEAUX) == 120
+    per_build = _proof_steps(monkeypatch, PROOF_TABLEAUX)
+    for tableau, steps in zip(PROOF_TABLEAUX, per_build):
+        # the row reading tableau comes first in each shape and is proved by
+        # the tableau check, every later one by conjugation with it
+        proof = "tableau" if tableau == canonical_tableau(tableau.shape) else "conjugation"
+        proved = tableau if proof == "tableau" else _reading(tableau)
+        assert steps == [("convolution", tableau), (proof, proved)], tableau
+    proofs = [step for steps in per_build for step, _ in steps[1:]]
+    # the 30 shapes of sizes 0 to 6 and the 90 other tableaux
+    assert (proofs.count("tableau"), proofs.count("conjugation")) == (30, 90)
 
-    def recorded(c, proved, first, tableau):
-        conjugated.append(tableau)
-        return real(c, proved, first, tableau)
 
-    monkeypatch.setattr(symgroup, "_is_conjugate", recorded)
-    count = 0
-    for n in range(7):
-        for shape in all_partitions(n):
-            tableaux = standard_tableaux(shape)
-            for i, tableau in enumerate(tableaux):
-                _fresh_proofs(monkeypatch)
-                fresh = build(tableau)
-                assert conjugated == []
-                # the tableau before it, or itself when it is the only one
-                _fresh_proofs(monkeypatch)
-                build(tableaux[i - 1])
-                c, a = build(tableau)
-                assert conjugated == [tableau]
-                conjugated.clear()
-                assert symgroup._symmetrizer_identity_holds(tableau, c, a)
-                assert (c, a) == fresh
-                count += 1
-    assert count == 120
+def test_a_tableau_met_before_its_row_reading_one_builds_that_first(monkeypatch):
+    tableaux = PROOF_TABLEAUX[::-1]
+    per_build = _proof_steps(monkeypatch, tableaux)
+    shapes = set()
+    for tableau, steps in zip(tableaux, per_build):
+        # each shape is first met at its last tableau, which builds and
+        # checks the row reading tableau before its own conjugation check;
+        # the row reading tableau, met last, is then served by the cache
+        first = canonical_tableau(tableau.shape)
+        expected = [] if tableau.shape in shapes else [("convolution", first), ("tableau", first)]
+        if tableau != first:
+            expected = [("convolution", tableau), *expected, ("conjugation", _reading(tableau))]
+        shapes.add(tableau.shape)
+        assert steps == expected, tableau
+    proofs = [step for steps in per_build for step, _ in steps]
+    assert (proofs.count("tableau"), proofs.count("conjugation")) == (30, 90)
+    assert proofs.count("convolution") == 120
 
 
 def _no_tableau_check(*_args):
@@ -904,15 +953,13 @@ def _no_tableau_check(*_args):
 
 @pytest.mark.parametrize(
     "rows",
-    [(), ((1,),), ((1, 3), (2,)), ((1, 3, 5), (2, 4)), ((1, 4), (2, 5), (3,))],
+    [((1, 3), (2,)), ((1, 3), (2, 4)), ((1, 3, 5), (2, 4)), ((1, 4), (2, 5), (3,))],
     ids=lambda rows: _tableau_id(StandardTableau(rows)),
 )
 def test_a_corrupted_conjugate_raises_and_records_nothing(monkeypatch, rows):
     tableau = StandardTableau(rows)
-    build = symgroup._young_symmetrizer_cached.__wrapped__
     _fresh_proofs(monkeypatch)
-    build(canonical_tableau(tableau.shape))
-    proved = dict(symgroup._PROVED_SHAPES)
+    young_symmetrizer(tableau.shape)
     idempotents = set(symgroup._YOUNG_IDEMPOTENTS)
     real = symgroup.row_symmetrizer
 
@@ -923,9 +970,9 @@ def test_a_corrupted_conjugate_raises_and_records_nothing(monkeypatch, rows):
     monkeypatch.setattr(symgroup, "_symmetrizer_identity_holds", _no_tableau_check)
     text = f"^symmetrizer of the tableau {re.escape(str(tableau.rows))} is not the conjugate"
     with pytest.raises(InvariantError, match=text):
-        build(tableau)
-    assert symgroup._PROVED_SHAPES == proved
+        young_symmetrizer(tableau)
     assert symgroup._YOUNG_IDEMPOTENTS == idempotents
+    assert symgroup._young_symmetrizer_cached.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
@@ -938,14 +985,14 @@ def test_conjugation_check_rejects_one_changed_coefficient(tableau):
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
     for other in standard_tableaux(tableau.shape):
         expected = column_antisymmetrizer(other) * row_symmetrizer(other) == c
-        assert symgroup._is_conjugate(c, proved, first, other) == expected
+        assert symgroup._is_conjugate(c, proved, _reading(other)) == expected
     outside = [p for p in all_permutations(n) if p not in c.terms][:3]
     for perm in list(c.terms) + outside:
         for delta in (1, -1):
             terms = dict(c.terms)
             terms[perm] = terms.get(perm, 0) + delta
             changed = GroupAlgebraElement(n, terms)
-            assert not symgroup._is_conjugate(changed, proved, first, tableau)
+            assert not symgroup._is_conjugate(changed, proved, _reading(tableau))
 
 
 @pytest.mark.parametrize(
@@ -978,7 +1025,6 @@ def test_every_size_eight_symmetrizer_checks_one_double_coset(monkeypatch):
     monkeypatch.setattr(symgroup, "_double_coset_count", no_cosets)
     monkeypatch.setattr(symgroup, "_double_coset_representatives", no_cosets)
     symgroup._young_symmetrizer_cached.cache_clear()
-    symgroup._PROVED_SHAPES.clear()
     shapes = all_partitions(8)
     start = time.perf_counter()
     for shape in shapes:

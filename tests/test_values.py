@@ -72,7 +72,7 @@ ROUND_TRIPS = [
 ]
 
 
-@pytest.mark.parametrize("value, fields, text", FROZEN)
+@pytest.mark.parametrize("value, fields, text", FROZEN, ids=[type(v).__name__ for v, *_ in FROZEN])
 def test_frozen_value(value, fields, text):
     assert type(value)(*fields.values()) == type(value)(**fields) == value
     assert hash(value) == hash(tuple(fields.values()))
