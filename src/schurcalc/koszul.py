@@ -250,12 +250,11 @@ def _not_a_rank(total: int, den: int, deg: int) -> InvariantError:
 
 
 @lru_cache(maxsize=_IDEMPOTENT_CACHE_SIZE)
-def _idempotent_plan(e: GroupAlgebraElement) -> tuple | None:
-    """The _power_plan of e's class sums once e*e == e holds, or None if
-    e*e != e; keyed by e's value, as symgroup._idempotent_class_sums is. A
-    refusal is cached, a BoundExceededError raised on every call."""
-    by_lengths = _idempotent_class_sums(e)
-    return None if by_lengths is None else _power_plan(e.den, by_lengths)
+def _idempotent_plan(den: int, items: tuple) -> tuple:
+    """The _power_plan of an idempotent's class sums over den, keyed by the
+    items of its symgroup._idempotent_class_sums table, so no element is
+    held past that cache."""
+    return _power_plan(den, dict(items))
 
 
 def graded_power_image(
@@ -268,7 +267,7 @@ def graded_power_image(
     c/a whose c this process built, else checked by symgroup.is_idempotent
     (on the double cosets of e's own signed Young symmetries). The
     dimensions then come from _power_image, on a plan built once per
-    element (_idempotent_plan).
+    table (_idempotent_plan).
     Limited to n <= KOSZUL_BOUND and by _power_image's work bound.
     """
     if not isinstance(projector, GroupAlgebraElement):
@@ -276,10 +275,10 @@ def graded_power_image(
             f"the projector must be a GroupAlgebraElement, not {type(projector).__name__}"
         )
     check_int(projector.n, "power order", 0, KOSZUL_BOUND)
-    plan = _idempotent_plan(projector)
-    if plan is None:
+    by_lengths = _idempotent_class_sums(projector)
+    if by_lengths is None:
         raise ValueError("projector is not idempotent")
-    return _power_image(c, plan)
+    return _power_image(c, _idempotent_plan(projector.den, tuple(by_lengths.items())))
 
 
 @lru_cache(maxsize=None)

@@ -456,8 +456,7 @@ _YOUNG_IDEMPOTENTS: set[GroupAlgebraElement] = set()
 # distinct elements _idempotent_class_sums keeps: over twice the 15 Young
 # idempotents a round of the graded-powers benchmark reuses, and a
 # full-support element of S_8 is about 2.8 MiB (a 1.25 MiB dict and 40320
-# image-bytes keys of 41 B), so the cache stays within about 90 MiB, and
-# with koszul._idempotent_plan, which keys as many by value, within 180 MiB
+# image-bytes keys of 41 B), so the cache stays within about 90 MiB
 _IDEMPOTENT_CACHE_SIZE = 32
 
 
@@ -866,13 +865,14 @@ def _young_symmetrizer_cached(tableau: StandardTableau | Partition):
         return _young_symmetrizer_cached(canonical_tableau(tableau))
     c = column_antisymmetrizer(tableau) * row_symmetrizer(tableau)
     reading = bytes(chain.from_iterable(tableau.rows))
-    if reading == _identity(tableau.size):
-        a = Fraction(math.factorial(tableau.size) // dim_sym_irrep(tableau.shape))
+    if reading == _identity(len(reading)):
+        a = math.factorial(tableau.size) // dim_sym_irrep(tableau.shape)
         # the scalar is verified exactly, not trusted
         if not _symmetrizer_identity_holds(tableau, c, a):
             raise InvariantError(
                 f"symmetrizer square is not {a} times the symmetrizer for shape {tableau.shape}"
             )
+        a = Fraction(a)
     else:
         # the row reading tableau's entry is the shape's proof: s c0 s^-1 is
         # the symmetrizer of s T0, and conjugation is an automorphism, so

@@ -537,6 +537,20 @@ def test_each_table_is_planned_once(monkeypatch):
     assert plans == [120, 120, e.den]
 
 
+def test_conjugate_idempotents_share_one_plan():
+    # the plans are keyed by the table of class sums, which conjugation
+    # keeps, not by the element: the five Young idempotents of (3, 2) are
+    # five tables' worth of elements and one plan
+    koszul._idempotent_plan.cache_clear()
+    c = GradedObject({0: 2, 1: 1})
+    idempotents = [_young_idempotent(t) for t in standard_tableaux(Partition((3, 2)))]
+    assert len(set(idempotents)) == 5
+    for e in idempotents:
+        assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
+    plans = koszul._idempotent_plan.cache_info()
+    assert (plans.hits, plans.misses, plans.currsize) == (4, 1, 1)
+
+
 def test_power_image_answers_under_its_work_bound():
     # odd degrees, so the signed wedge of nine lines is S^8 of C^9
     c = GradedObject(dict.fromkeys(_FAR_ODD[:9], 1))
@@ -600,12 +614,11 @@ def test_equal_idempotents_are_checked_once(monkeypatch):
     assert graded_power_image(c, e).dims == _image_dims_by_matrix(c, e)
     assert decompose_module(e) == decompose_module(same)
     assert calls == [e]
-    # the three images read one plan, built from the sums the two
-    # decompositions read again
+    # the three images read one plan, keyed by the table of sums
     plans = koszul._idempotent_plan.cache_info()
     assert (plans.hits, plans.misses, plans.currsize) == (2, 1, 1)
     info = symgroup._idempotent_class_sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
     # every caller shares the cached sums, so they are read-only
     with pytest.raises(TypeError):
         symgroup._idempotent_class_sums(e)[(1, 1, 1, 1)] = 0
@@ -677,7 +690,7 @@ def test_young_idempotents_are_proved_by_their_tableau_check(monkeypatch):
         assert graded_power_image(c2, e).dims == _image_dims_by_matrix(c2, e)
         assert checks == [] and idempotence_checks == [], tableau
     # each c/a is read twice: first a miss that reads the tableau's proof,
-    # then a hit, when its plan is built
+    # then a hit
     info = symgroup._idempotent_class_sums.cache_info()
     assert (info.hits, info.misses, info.currsize) == (43, 43, 32)
     assert len(symgroup._YOUNG_IDEMPOTENTS) == 43
@@ -746,9 +759,8 @@ def test_an_equal_element_built_apart_reads_the_proof(monkeypatch):
     assert graded_power_image(GradedObject({1: 2}), e) == graded_power_image(
         GradedObject({1: 2}), c.scale(Fraction(1) / a)
     )
-    # the second image reads the first one's plan, keyed by the same value
     info = symgroup._idempotent_class_sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
 def test_elements_not_proved_in_this_process_are_checked_in_full(monkeypatch):

@@ -945,6 +945,14 @@ def test_a_tableau_met_before_its_row_reading_one_builds_that_first(monkeypatch)
     proofs = [step for steps in per_build for step, _ in steps]
     assert (proofs.count("tableau"), proofs.count("conjugation")) == (30, 90)
     assert proofs.count("convolution") == 120
+    # besides the 120 tableaux, each shape with another tableau is keyed by
+    # its Partition too, to the very (c0, a) of its row reading tableau:
+    # one proof under two keys
+    shared = {t.shape for t in tableaux if t != canonical_tableau(t.shape)}
+    assert symgroup._young_symmetrizer_cached.cache_info().currsize == 120 + len(shared) == 138
+    for shape in shared:
+        cached = symgroup._young_symmetrizer_cached
+        assert cached(shape) is cached(canonical_tableau(shape))
 
 
 def _no_tableau_check(*_args):
